@@ -119,21 +119,22 @@ enum class LockRank : int {
 
   /// Qonductor::engine_mutex_ — the data-plane execution lock (fleet
   /// virtual clock, shared RNG, hidden noise). Outermost: scheduling
-  /// snapshots and quantum execution acquire the reservation, monitor and
-  /// thread-pool locks inside it.
+  /// snapshots acquire the reservation and monitor locks inside it, and
+  /// quantum execution the thread-pool lock.
   kEngine = 100,
   /// Qonductor::reservations_mutex_ — §7 reservation windows. Inside
   /// kEngine (expire_reservations runs under the snapshot's engine lock),
   /// outside kMonitor (the flag flip happens under it).
   kReservations = 200,
   /// api::RunState::mutex — one per run record. Outside kRunTable
-  /// (settle_run calls mark_terminal under the record lock) and outside
-  /// kMonitor (a mark_terminal eviction erases monitor entries).
+  /// (settle_run calls mark_terminal under the record lock).
   kRunState = 300,
-  /// core::RunTable::mutex_ — the run-record table structure.
+  /// core::RunTable::mutex_ — the run-record table structure. A leaf:
+  /// eviction only drops the table's own references.
   kRunTable = 400,
-  /// core::SystemMonitor::mutex_ — serializes the KV backend. Inside
-  /// kEngine, kReservations and kRunState (see above); a leaf otherwise.
+  /// core::SystemMonitor::mutex_ — the QPU flag table and, when
+  /// replicated, its Raft journal. Inside kEngine (scheduling snapshots)
+  /// and kReservations (reservation flag flips); a leaf otherwise.
   kMonitor = 500,
   /// obs::MetricsRegistry::mutex_ — metric registration + snapshot. Must
   /// rank BELOW kPendingQueue/kRunEngine/kSchedulerStats: snapshot() polls

@@ -28,11 +28,14 @@ std::string priority_label(std::size_t p) {
          api::priority_name(static_cast<api::Priority>(p)) + "\"";
 }
 
-}  // namespace
-
-const char* workflow_status_name(WorkflowStatus status) {
-  return api::run_status_name(status);
+std::vector<std::string> backend_names(const qpu::Fleet& fleet) {
+  std::vector<std::string> names;
+  names.reserve(fleet.backends.size());
+  for (const auto& backend : fleet.backends) names.push_back(backend->name());
+  return names;
 }
+
+}  // namespace
 
 api::Status validate_admission_config(const AdmissionConfig& config) {
   if (config.max_live_runs == 0) return api::Status::Ok();  // gate disabled
@@ -66,22 +69,17 @@ Qonductor::Qonductor(QonductorConfig config)
       nodes_(sched::make_node_pool(config.classical_standard_nodes,
                                    config.classical_highend_nodes,
                                    config.classical_fpga_nodes)),
-      monitor_(config.replicated_monitor),
+      monitor_(backend_names(fleet_), config.replicated_monitor),
       run_table_(config.retention),
       telemetry_(config.telemetry) {
   templates_ = fleet_.template_backends();
-  // GC follows the record: when the run table evicts a terminal run, its
-  // status entry leaves the system monitor too.
-  run_table_.set_eviction_observer(
-      [this](RunId run) { monitor_.erase_workflow_status(run); });
   {
-    // Construction is single-threaded, but qpu_available_at_ and the fleet
-    // publish are engine-guarded state: taking the (uncontended) engine
-    // lock keeps the guarded_by/REQUIRES contract true at every call site
-    // instead of carving out a trust-me exception for the constructor.
+    // Construction is single-threaded, but qpu_available_at_ is
+    // engine-guarded state: taking the (uncontended) engine lock keeps the
+    // guarded_by contract true at every access instead of carving out a
+    // trust-me exception for the constructor.
     MutexLock lock(engine_mutex_);
     qpu_available_at_.assign(fleet_.backends.size(), 0.0);
-    publish_fleet_state();
   }
 
   // Registry instruments, registered family-by-family so the Prometheus
@@ -190,21 +188,25 @@ Qonductor::Qonductor(QonductorConfig config)
     });
     health_.probe("fleet", [this] {
       api::ComponentHealth verdict;
-      std::size_t online = 0;
+      std::size_t schedulable = 0;
       std::size_t reserved = 0;
-      for (const auto& backend : fleet_.backends) {
-        const auto qpu = monitor_.qpu(backend->name());
-        if (qpu && qpu->reserved) ++reserved;
-        if (qpu && qpu->online && !qpu->reserved) ++online;
+      std::size_t offline = 0;
+      const std::vector<QpuInfo> qpus = monitor_.qpus();
+      for (const QpuInfo& qpu : qpus) {
+        // Counted independently: an offline QPU is a fault whether or not
+        // it is also reserved.
+        if (!qpu.online) ++offline;
+        if (qpu.reserved) ++reserved;
+        if (qpu.online && !qpu.reserved) ++schedulable;
       }
-      const std::size_t total = fleet_.backends.size();
-      verdict.detail = std::to_string(online) + "/" + std::to_string(total) +
-                       " QPUs schedulable (" + std::to_string(reserved) +
-                       " reserved)";
-      if (online == 0) {
+      verdict.detail = std::to_string(schedulable) + "/" +
+                       std::to_string(qpus.size()) + " QPUs schedulable (" +
+                       std::to_string(reserved) + " reserved, " +
+                       std::to_string(offline) + " offline)";
+      if (schedulable == 0) {
         verdict.status = api::HealthStatus::kUnhealthy;
         verdict.detail = "fleet has no schedulable QPU: " + verdict.detail;
-      } else if (online + reserved < total) {
+      } else if (offline > 0) {
         verdict.status = api::HealthStatus::kDegraded;
       }
       return verdict;
@@ -267,27 +269,12 @@ void Qonductor::advanceFleetClock(double up_to) {
 void Qonductor::recalibrateFleet() {
   MutexLock lock(engine_mutex_);
   fleet_.recalibrate_all(rng_, fleet_clock_.load(std::memory_order_relaxed));
-  publish_fleet_state();
-}
-
-void Qonductor::publish_fleet_state() {
-  for (std::size_t q = 0; q < fleet_.backends.size(); ++q) {
-    const auto& backend = *fleet_.backends[q];
-    QpuInfo info;
-    info.name = backend.name();
-    info.qubits = backend.num_qubits();
-    info.queue_wait_seconds = qpu_available_at_[q];
-    info.mean_gate_error_2q = backend.calibration().mean_gate_error_2q();
-    info.calibration_cycle = backend.calibration().cycle;
-    // Health and reservation are owned by set_qpu_online/set_qpu_reserved;
-    // the monitor merges them in atomically so a concurrent reserve or
-    // fault cannot be lost to this republish.
-    monitor_.publish_qpu_dynamic(info);
-  }
 }
 
 std::vector<sched::QpuState> Qonductor::snapshot_qpu_states_locked(
     double reference) const {
+  // The monitor's table is built in fleet order: flags[q] is backend q.
+  const std::vector<QpuInfo> flags = monitor_.qpus();
   std::vector<sched::QpuState> states;
   states.reserve(fleet_.backends.size());
   for (std::size_t q = 0; q < fleet_.backends.size(); ++q) {
@@ -296,8 +283,7 @@ std::vector<sched::QpuState> Qonductor::snapshot_qpu_states_locked(
     state.size = fleet_.backends[q]->num_qubits();
     state.queue_wait_seconds = std::max(0.0, qpu_available_at_[q] - reference);
     // A QPU is schedulable only when healthy AND not reserved (§7).
-    const QpuInfo info = monitor_.qpu(state.name).value_or(QpuInfo{});
-    state.online = info.online && !info.reserved;
+    state.online = flags[q].online && !flags[q].reserved;
     states.push_back(std::move(state));
   }
   return states;
@@ -440,7 +426,6 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
     state->submitted_at = submitted_at;
   }
   const RunId run = run_table_.insert(state);
-  monitor_.set_workflow_status(run, api::run_status_name(api::RunStatus::kPending));
   auto cont = std::make_shared<RunContinuation>();
   cont->state = state;
   cont->image = image;
@@ -471,7 +456,6 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
       state->result.error = api::Unavailable("executor shutting down");
     }
     state->cv.notify_all();
-    monitor_.erase_workflow_status(run);
     return api::Unavailable("invoke: run engine is shutting down, run " +
                             std::to_string(run) + " rejected");
   }
@@ -721,7 +705,7 @@ api::Result<api::ReserveQpuResponse> Qonductor::reserveQpu(
   // the reservation epoch and its deadline change together: an expiry
   // sweep can never observe (and release) a half-installed reservation.
   // The monitor's own mutex nests inside; the flag flip itself stays
-  // atomic against publish_fleet_state and device-manager health writes.
+  // atomic against device-manager health writes.
   MutexLock lock(reservations_mutex_);
   const auto previous = monitor_.set_qpu_reserved(request.qpu, true);
   if (!previous) {
@@ -835,10 +819,6 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
   const RunId run = state->id;
   const api::RunStatus terminal = cont->result.status;  // moved below
   cont->result.run = run;
-  // The monitor write must precede mark_terminal: the instant the run is
-  // GC-eligible a concurrent eviction may erase the monitor entry, and a
-  // later write would resurrect it unerasable.
-  monitor_.set_workflow_status(run, api::run_status_name(terminal));
   double submitted_at = 0.0;
   {
     MutexLock lock(state->mutex);
@@ -968,7 +948,6 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       return settle_run(cont);
     }
     state->cv.notify_all();
-    monitor_.set_workflow_status(run, api::run_status_name(api::RunStatus::kRunning));
     cont->started = true;
   }
 
@@ -1195,7 +1174,6 @@ TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
       sig.classical_preprocess_seconds + sig.classical_postprocess_seconds, task.accelerator,
       config_.plan_config.prices);
   advance_fleet_clock(result.end);
-  publish_fleet_state();
   return result;
 }
 

@@ -83,8 +83,6 @@ using TaskResult = api::TaskResult;
 using WorkflowResult = api::WorkflowResult;
 using SchedulingMode = api::SchedulingMode;
 
-const char* workflow_status_name(WorkflowStatus status);
-
 /// Per-backend transpilation + resource estimates for one quantum task —
 /// everything a scheduling cycle needs to know about the job, computed
 /// outside the engine lock (the inputs are immutable). Shared between the
@@ -343,9 +341,8 @@ class Qonductor {
   /// throws — task failures settle the run kFailed.
   StepOutcome step_run_impl(const std::shared_ptr<RunContinuation>& cont);
   /// Writes the continuation's accumulated result into the run record,
-  /// stamps finished_at, publishes the terminal status to the monitor
-  /// (before mark_terminal, so a concurrent eviction can erase it) and
-  /// makes the run GC-eligible. Always returns kFinished.
+  /// stamps finished_at and makes the run GC-eligible. Always returns
+  /// kFinished.
   StepOutcome settle_run(const std::shared_ptr<RunContinuation>& cont);
   /// Routes a task's failure verdict into the run's terminal result and
   /// settles it: kCancelled ends the run kCancelled (the task was pulled
@@ -380,7 +377,7 @@ class Qonductor {
                                     double ready_at, double not_before)
       REQUIRES(engine_mutex_);
   /// QPU states for a scheduling input (queue waits relative to
-  /// `reference`, online flags from the monitor).
+  /// `reference`, online/reserved flags from the monitor).
   std::vector<sched::QpuState> snapshot_qpu_states_locked(double reference) const
       REQUIRES(engine_mutex_);
   /// Releases every windowed reservation whose deadline lies at/before
@@ -389,7 +386,6 @@ class Qonductor {
   /// cycle already schedules onto the released QPUs. Acquires
   /// reservations_mutex_ (inside engine_mutex_ in the hierarchy).
   void expire_reservations(double now) EXCLUDES(reservations_mutex_);
-  void publish_fleet_state() REQUIRES(engine_mutex_);
   void advance_fleet_clock(double up_to) REQUIRES(engine_mutex_);
 
   QonductorConfig config_;
@@ -400,6 +396,8 @@ class Qonductor {
   std::vector<sched::ClassicalNode> nodes_;
   workflow::WorkflowRegistry registry_ GUARDED_BY(registry_mutex_);
   std::map<workflow::ImageId, bool> deployed_ GUARDED_BY(registry_mutex_);
+  /// Per-QPU online/reserved flags, built from fleet_ (declared above).
+  /// Static and calibration facts are read from fleet_.backends directly.
   SystemMonitor monitor_;
   /// Owns the run records; mutable because lookups refresh LRU recency.
   /// Declared before executor_ so in-flight runs can use it during drain.
@@ -415,8 +413,9 @@ class Qonductor {
   mutable Mutex registry_mutex_{LockRank::kRegistry, "Qonductor::registry_mutex_"};
   /// Serializes data-plane task execution: the fleet virtual clock
   /// (qpu_available_at_), the shared RNG and the hidden-noise model.
-  /// Outermost lock of the hierarchy: execution takes the reservation,
-  /// monitor and thread-pool locks inside it.
+  /// Outermost lock of the hierarchy: scheduling snapshots take the
+  /// reservation and monitor locks inside it, execution the thread-pool
+  /// lock.
   Mutex engine_mutex_{LockRank::kEngine, "Qonductor::engine_mutex_"};
 
   /// The telemetry bundle (registry + tracer). Declared before the

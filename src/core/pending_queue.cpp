@@ -65,20 +65,6 @@ std::size_t PendingQueue::size_locked() const {
   return total;
 }
 
-bool PendingQueue::push(Item item) {
-  {
-    MutexLock lock(mutex_);
-    while (!closed_ && capacity_ != 0 && size_locked() >= capacity_) {
-      producer_cv_.wait(mutex_);
-    }
-    if (closed_) return false;
-    lanes_[static_cast<std::size_t>(item->priority)].push_back(std::move(item));
-    high_watermark_ = std::max(high_watermark_, size_locked());
-  }
-  consumer_cv_.notify_one();
-  return true;
-}
-
 PendingQueue::Offer PendingQueue::offer(Item item) {
   bool queued = false;
   {
@@ -211,23 +197,35 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
         lanes_[lane] = std::move(kept);
       }
     }
-    // Refill freed slots from the capacity waitlist before any blocked
-    // producer can race in — waitlisted offers arrived first.
+    // Refill freed slots from the capacity waitlist.
     promote_waitlist_locked();
   }
-  producer_cv_.notify_all();
   return batch;
 }
 
 std::vector<PendingQueue::Item> PendingQueue::take_expired(double now) {
   std::vector<Item> expired;
+  MutexLock lock(mutex_);
+  for (auto& lane : lanes_) {
+    for (auto it = lane.begin(); it != lane.end();) {
+      // Inclusive boundary: dispatch exactly at the deadline leaves zero
+      // slack, which the at/before contract counts as a miss — matching
+      // the submit-time admission check.
+      if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
+        expired.push_back(std::move(*it));
+        it = lane.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
   {
-    MutexLock lock(mutex_);
-    for (auto& lane : lanes_) {
+    // A waitlisted job's deadline keeps ticking while it waits for a
+    // capacity slot — sweep the waitlist too so it fails DEADLINE_EXCEEDED
+    // this cycle instead of after an arbitrarily long park.
+    MutexLock wl(waitlist_mutex_);
+    for (auto& lane : waitlist_) {
       for (auto it = lane.begin(); it != lane.end();) {
-        // Inclusive boundary: dispatch exactly at the deadline leaves zero
-        // slack, which the at/before contract counts as a miss — matching
-        // the submit-time admission check.
         if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
           expired.push_back(std::move(*it));
           it = lane.erase(it);
@@ -236,53 +234,29 @@ std::vector<PendingQueue::Item> PendingQueue::take_expired(double now) {
         }
       }
     }
-    {
-      // A waitlisted job's deadline keeps ticking while it waits for a
-      // capacity slot — sweep the waitlist too so it fails DEADLINE_EXCEEDED
-      // this cycle instead of after an arbitrarily long park.
-      MutexLock wl(waitlist_mutex_);
-      for (auto& lane : waitlist_) {
-        for (auto it = lane.begin(); it != lane.end();) {
-          if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
-            expired.push_back(std::move(*it));
-            it = lane.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    promote_waitlist_locked();
   }
-  if (!expired.empty()) producer_cv_.notify_all();
+  promote_waitlist_locked();
   return expired;
 }
 
 bool PendingQueue::remove(const Item& item) {
-  bool removed = false;
-  {
-    MutexLock lock(mutex_);
-    auto& lane = lanes_[static_cast<std::size_t>(item->priority)];
-    const auto it = std::find(lane.begin(), lane.end(), item);
-    if (it != lane.end()) {
-      lane.erase(it);
-      removed = true;
-      promote_waitlist_locked();
-    } else {
-      // Not queued — a cancelled run's task may still be parked on the
-      // capacity waitlist. Pulling it from there frees no queue slot, so no
-      // promotion follows.
-      MutexLock wl(waitlist_mutex_);
-      auto& waiters = waitlist_[static_cast<std::size_t>(item->priority)];
-      const auto wit = std::find(waiters.begin(), waiters.end(), item);
-      if (wit != waiters.end()) {
-        waiters.erase(wit);
-        removed = true;
-      }
-    }
+  MutexLock lock(mutex_);
+  auto& lane = lanes_[static_cast<std::size_t>(item->priority)];
+  const auto it = std::find(lane.begin(), lane.end(), item);
+  if (it != lane.end()) {
+    lane.erase(it);
+    promote_waitlist_locked();
+    return true;
   }
-  if (removed) producer_cv_.notify_all();
-  return removed;
+  // Not queued — a cancelled run's task may still be parked on the
+  // capacity waitlist. Pulling it from there frees no queue slot, so no
+  // promotion follows.
+  MutexLock wl(waitlist_mutex_);
+  auto& waiters = waitlist_[static_cast<std::size_t>(item->priority)];
+  const auto wit = std::find(waiters.begin(), waiters.end(), item);
+  if (wit == waiters.end()) return false;
+  waiters.erase(wit);
+  return true;
 }
 
 void PendingQueue::close() {
@@ -294,7 +268,6 @@ void PendingQueue::close() {
     // or typed failure) instead of vanishing with the queue.
     promote_waitlist_locked(/*ignore_capacity=*/true);
   }
-  producer_cv_.notify_all();
   consumer_cv_.notify_all();
 }
 

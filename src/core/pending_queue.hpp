@@ -2,14 +2,12 @@
 // The pending-job queue of the scheduler service (§7, Fig. 5): quantum
 // tasks from in-flight runs park here instead of executing immediately, and
 // the scheduler thread drains them in batches when a scheduling cycle
-// fires. The queue is bounded with two producer disciplines: push() blocks
-// while the queue is full (legacy/synchronous producers), while offer() is
-// non-blocking — a full queue parks the item on a capacity waitlist that
-// drains FIFO-by-priority into freed slots, so an engine worker never
-// convoys on a flooded queue. The queue owns the wait primitive the
-// scheduler thread sleeps on: wake on reaching the queue-size threshold, on
-// a linger timeout with work waiting, or on close() for the final shutdown
-// flush.
+// fires. The queue is bounded, and offer() never blocks: a full queue parks
+// the item on a capacity waitlist that drains FIFO-by-priority into freed
+// slots, so an engine worker never convoys on a flooded queue. The queue
+// owns the wait primitive the scheduler thread sleeps on: wake on reaching
+// the queue-size threshold, on a linger timeout with work waiting, or on
+// close() for the final shutdown flush.
 //
 // Batches form in priority order (api::Priority): kInteractive items take
 // a cycle's slots before kStandard, which take them before kBatch — FIFO
@@ -18,8 +16,8 @@
 // take_expired() collects items whose QoS deadline passed so the cycle can
 // fail them DEADLINE_EXCEEDED instead of scheduling them.
 //
-// One producer-side executor thread pushes one PendingQuantumTask per
-// quantum task and blocks on it until the scheduler either assigns a QPU or
+// An engine worker offers one PendingQuantumTask per quantum task and
+// registers a settlement callback; the scheduler either assigns a QPU or
 // fails the task (typed api::Status, e.g. RESOURCE_EXHAUSTED when no online
 // QPU fits). There is exactly one consumer — the scheduler thread — so a
 // non-empty queue observed by wait_for_batch() stays non-empty until the
@@ -46,19 +44,19 @@ class RunTraceBuffer;  // obs/trace.hpp — opaque here, see `trace` below
 namespace qon::core {
 
 /// One quantum task parked between its run's executor and the scheduler
-/// service. The executor fills the request half before push() (the
+/// service. The executor fills the request half before offer() (the
 /// per-backend estimates are precomputed off-lock so scheduling cycles stay
-/// cheap), blocks in await(), and the first of {complete, fail} wins — a
-/// late completion of a task that was already cancelled or expired is a
-/// no-op.
+/// cheap), waits via on_settled() or await(), and the first of
+/// {complete, fail} wins — a late completion of a task that was already
+/// cancelled or expired is a no-op.
 struct PendingQuantumTask {
-  // ---- request half: written by the executor before push() -------------------
+  // ---- request half: written by the executor before offer() ------------------
   api::RunId run = 0;
   std::string task_name;
   int qubits = 0;
   int shots = 0;
   double ready_at = 0.0;    ///< DAG-dependency ready time (fleet clock)
-  double enqueued_at = 0.0; ///< fleet clock at push (queue-wait accounting)
+  double enqueued_at = 0.0; ///< fleet clock at offer (queue-wait accounting)
   // Per-job QoS (resolved by the orchestrator against config defaults).
   double fidelity_weight = 0.5;            ///< MCDM preference for this job
   std::optional<double> deadline_seconds;  ///< fleet-clock deadline, if any
@@ -134,14 +132,9 @@ class PendingQueue {
     kClosed,    ///< closed and empty — no more work will ever arrive
   };
 
-  /// `capacity` bounds the queue; pushes block while it is full. 0 means
-  /// unbounded.
+  /// `capacity` bounds the queue; offers beyond it park on the capacity
+  /// waitlist. 0 means unbounded.
   explicit PendingQueue(std::size_t capacity = 0);
-
-  /// Enqueues `item` in its priority lane, blocking while the queue is at
-  /// capacity. Returns false once close()d — the item was not queued and
-  /// never will be.
-  bool push(Item item);
 
   /// Outcome of a non-blocking offer().
   enum class Offer {
@@ -150,7 +143,7 @@ class PendingQueue {
     kClosed,     ///< the queue was close()d — the item was not accepted
   };
 
-  /// Non-blocking push for engine workers: enqueues when a capacity slot is
+  /// Non-blocking enqueue for engine workers: queues when a capacity slot is
   /// free, otherwise parks the item on the capacity waitlist (it does NOT
   /// count toward size()). Waitlisted items promote into the queue
   /// FIFO-by-priority as take_batch()/take_expired()/remove() free slots —
@@ -186,8 +179,7 @@ class PendingQueue {
   /// capacity slot. The caller settles the item (fail) — the queue does not.
   bool remove(const Item& item);
 
-  /// Stops accepting pushes and wakes every waiter (producers and the
-  /// scheduler). Idempotent.
+  /// Stops accepting offers and wakes the scheduler. Idempotent.
   void close();
   bool closed() const;
 
@@ -207,7 +199,8 @@ class PendingQueue {
   /// Largest waitlist depth ever observed.
   std::size_t waitlist_high_watermark() const;
   /// Total offers that took the waitlist path since construction — the
-  /// "no engine worker ever blocked in push" overload-control statistic.
+  /// "no engine worker ever blocked on a full queue" overload-control
+  /// statistic.
   std::uint64_t waitlist_parks() const;
 
   /// Scheduler-side wait. Blocks until the queue holds at least
@@ -231,7 +224,6 @@ class PendingQueue {
 
   const std::size_t capacity_;
   mutable Mutex mutex_{LockRank::kPendingQueue, "PendingQueue::mutex_"};
-  CondVar producer_cv_; ///< producers waiting for space
   CondVar consumer_cv_; ///< the scheduler thread
   Lanes lanes_ GUARDED_BY(mutex_);
   std::size_t high_watermark_ GUARDED_BY(mutex_) = 0;

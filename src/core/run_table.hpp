@@ -54,10 +54,6 @@ class RunTable {
  public:
   explicit RunTable(RunRetentionPolicy policy = {});
 
-  /// Observer invoked with the ids of evicted runs, outside the table lock
-  /// (safe to call back into the table or other locked subsystems).
-  void set_eviction_observer(std::function<void(api::RunId)> on_evict);
-
   /// Assigns the next run id, stamps it into the record and inserts it as
   /// in-flight. Also opportunistically sweeps expired terminal records.
   /// Precondition: `state` is not yet shared with other threads (the id is
@@ -103,17 +99,13 @@ class RunTable {
   };
 
   bool expired_locked(const Entry& entry, double now) const REQUIRES(mutex_);
-  void evict_locked(std::map<api::RunId, Entry>::iterator it,
-                    std::vector<api::RunId>& evicted) REQUIRES(mutex_);
-  void enforce_locked(std::vector<api::RunId>& evicted) REQUIRES(mutex_);
-  /// Invokes the observer outside mutex_ — it may re-enter the table or
-  /// take the monitor lock.
-  void notify_evictions(const std::vector<api::RunId>& evicted) const EXCLUDES(mutex_);
+  void evict_locked(std::map<api::RunId, Entry>::iterator it) REQUIRES(mutex_);
+  /// Enforces both retention bounds; returns how many records it evicted.
+  std::size_t enforce_locked() REQUIRES(mutex_);
 
   RunRetentionPolicy policy_;
 
   mutable Mutex mutex_{LockRank::kRunTable, "RunTable::mutex_"};
-  std::function<void(api::RunId)> on_evict_ GUARDED_BY(mutex_);
   std::map<api::RunId, Entry> entries_ GUARDED_BY(mutex_);
   /// Terminal runs, least recently used first.
   std::list<api::RunId> lru_ GUARDED_BY(mutex_);

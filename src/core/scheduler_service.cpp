@@ -147,10 +147,6 @@ SchedulerService::SchedulerService(SchedulerServiceConfig config, std::uint64_t 
 
 SchedulerService::~SchedulerService() { shutdown(); }
 
-bool SchedulerService::enqueue(const std::shared_ptr<PendingQuantumTask>& task) {
-  return queue_.push(task);
-}
-
 PendingQueue::Offer SchedulerService::offer(
     const std::shared_ptr<PendingQuantumTask>& task) {
   return queue_.offer(task);

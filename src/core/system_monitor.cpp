@@ -1,149 +1,57 @@
 #include "core/system_monitor.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace qon::core {
 
-SystemMonitor::SystemMonitor(bool replicated, std::size_t replicas) {
+SystemMonitor::SystemMonitor(const std::vector<std::string>& qpu_names,
+                             bool replicated, std::size_t replicas) {
+  MutexLock lock(mutex_);
+  qpus_.reserve(qpu_names.size());
+  for (const std::string& name : qpu_names) qpus_.push_back(QpuInfo{name});
   if (replicated) store_ = std::make_unique<raft::ReplicatedKvStore>(replicas);
 }
 
-bool SystemMonitor::put_unlocked(const std::string& key, const std::string& value) {
-  if (store_) return store_->set(key, value);
-  local_[key] = value;
-  return true;
-}
-
-std::optional<std::string> SystemMonitor::get_unlocked(const std::string& key) const {
-  if (store_) return store_->get(key);
-  const auto it = local_.find(key);
-  if (it == local_.end()) return std::nullopt;
-  return it->second;
-}
-
-bool SystemMonitor::put(const std::string& key, const std::string& value) {
+std::optional<bool> SystemMonitor::set_flag(const std::string& name,
+                                            bool QpuInfo::*flag, const char* key,
+                                            bool value) {
   MutexLock lock(mutex_);
-  return put_unlocked(key, value);
-}
-
-std::optional<std::string> SystemMonitor::get(const std::string& key) const {
-  MutexLock lock(mutex_);
-  return get_unlocked(key);
-}
-
-bool SystemMonitor::erase(const std::string& key) {
-  MutexLock lock(mutex_);
-  if (store_) return store_->erase(key);
-  local_.erase(key);
-  return true;
-}
-
-namespace {
-
-std::string serialize_qpu(const QpuInfo& info) {
-  std::ostringstream oss;
-  oss << info.qubits << "|" << info.queue_length << "|" << info.queue_wait_seconds << "|"
-      << info.mean_gate_error_2q << "|" << info.calibration_cycle << "|"
-      << (info.online ? 1 : 0) << "|" << (info.reserved ? 1 : 0);
-  return oss.str();
-}
-
-std::optional<QpuInfo> deserialize_qpu(const std::string& name, const std::string& data) {
-  QpuInfo info;
-  info.name = name;
-  char sep = 0;
-  int online = 1;
-  std::istringstream in(data);
-  if (!(in >> info.qubits >> sep >> info.queue_length >> sep >> info.queue_wait_seconds >>
-        sep >> info.mean_gate_error_2q >> sep >> info.calibration_cycle >> sep >> online)) {
-    return std::nullopt;
-  }
-  info.online = online != 0;
-  // Trailing reservation flag; absent in pre-reservation records.
-  int reserved = 0;
-  if (in >> sep >> reserved) info.reserved = reserved != 0;
-  return info;
-}
-
-}  // namespace
-
-void SystemMonitor::update_qpu(const QpuInfo& info) {
-  MutexLock lock(mutex_);
-  if (std::find(qpu_names_.begin(), qpu_names_.end(), info.name) == qpu_names_.end()) {
-    qpu_names_.push_back(info.name);
-  }
-  put_unlocked("qpu/" + info.name, serialize_qpu(info));
-}
-
-void SystemMonitor::publish_qpu_dynamic(const QpuInfo& info) {
-  MutexLock lock(mutex_);
-  if (std::find(qpu_names_.begin(), qpu_names_.end(), info.name) == qpu_names_.end()) {
-    qpu_names_.push_back(info.name);
-  }
-  QpuInfo merged = info;
-  if (const auto raw = get_unlocked("qpu/" + info.name)) {
-    if (const auto previous = deserialize_qpu(info.name, *raw)) {
-      // Health and reservation belong to set_qpu_online/set_qpu_reserved;
-      // republishing dynamic state must not flip either.
-      merged.online = previous->online;
-      merged.reserved = previous->reserved;
-    }
-  }
-  put_unlocked("qpu/" + info.name, serialize_qpu(merged));
+  const auto it = std::find_if(qpus_.begin(), qpus_.end(),
+                               [&](const QpuInfo& q) { return q.name == name; });
+  if (it == qpus_.end()) return std::nullopt;
+  const bool previous = (*it).*flag;
+  (*it).*flag = value;
+  if (store_) store_->set("qpu/" + name + "/" + key, value ? "1" : "0");
+  return previous;
 }
 
 std::optional<bool> SystemMonitor::set_qpu_online(const std::string& name, bool online) {
-  MutexLock lock(mutex_);
-  const auto raw = get_unlocked("qpu/" + name);
-  if (!raw) return std::nullopt;
-  auto info = deserialize_qpu(name, *raw);
-  if (!info) return std::nullopt;
-  const bool previous = info->online;
-  info->online = online;
-  put_unlocked("qpu/" + name, serialize_qpu(*info));
-  return previous;
+  return set_flag(name, &QpuInfo::online, "online", online);
 }
 
 std::optional<bool> SystemMonitor::set_qpu_reserved(const std::string& name, bool reserved) {
-  MutexLock lock(mutex_);
-  const auto raw = get_unlocked("qpu/" + name);
-  if (!raw) return std::nullopt;
-  auto info = deserialize_qpu(name, *raw);
-  if (!info) return std::nullopt;
-  const bool previous = info->reserved;
-  info->reserved = reserved;
-  put_unlocked("qpu/" + name, serialize_qpu(*info));
-  return previous;
+  return set_flag(name, &QpuInfo::reserved, "reserved", reserved);
 }
 
 std::optional<QpuInfo> SystemMonitor::qpu(const std::string& name) const {
-  std::optional<std::string> raw;
-  {
-    MutexLock lock(mutex_);
-    raw = get_unlocked("qpu/" + name);
+  MutexLock lock(mutex_);
+  for (const QpuInfo& q : qpus_) {
+    if (q.name == name) return q;
   }
-  if (!raw) return std::nullopt;
-  return deserialize_qpu(name, *raw);
+  return std::nullopt;
+}
+
+std::vector<QpuInfo> SystemMonitor::qpus() const {
+  MutexLock lock(mutex_);
+  return qpus_;
 }
 
 std::vector<std::string> SystemMonitor::qpu_names() const {
   MutexLock lock(mutex_);
-  return qpu_names_;
-}
-
-void SystemMonitor::set_workflow_status(std::uint64_t run_id, const std::string& status) {
-  MutexLock lock(mutex_);
-  put_unlocked("workflow/" + std::to_string(run_id) + "/status", status);
-}
-
-std::optional<std::string> SystemMonitor::workflow_status(std::uint64_t run_id) const {
-  MutexLock lock(mutex_);
-  return get_unlocked("workflow/" + std::to_string(run_id) + "/status");
-}
-
-void SystemMonitor::erase_workflow_status(std::uint64_t run_id) {
-  erase("workflow/" + std::to_string(run_id) + "/status");
+  std::vector<std::string> names;
+  names.reserve(qpus_.size());
+  for (const QpuInfo& q : qpus_) names.push_back(q.name);
+  return names;
 }
 
 }  // namespace qon::core

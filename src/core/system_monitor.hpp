@@ -1,10 +1,13 @@
 #pragma once
-// System monitor (§4.1): the datastore persisting the complete system state
-// — worker/QPU static and dynamic information, workflow statuses and
-// results. Backed either by a plain local map (fast path for simulation)
-// or by the Raft-replicated KV store (2f+1 quorum, §4.1 fault tolerance).
+// System monitor (§4.1): the per-QPU flags no other component owns — the
+// device manager's health flag (`online`) and the §7 reservation flag
+// (`reserved`). It copies no fact owned elsewhere: static and calibration
+// data live on the fleet's backends, queue waits on the orchestrator's
+// virtual timeline, run status in the RunTable. The table is typed and
+// built once from the fleet's QPU names. With `replicated` on, every flag
+// write is also journalled through the Raft-replicated KV store (2f+1
+// quorum, §4.1 fault tolerance); reads always come from the typed table.
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,14 +18,9 @@
 
 namespace qon::core {
 
-/// QPU record published by worker-node device managers.
+/// One QPU's externally-owned flags.
 struct QpuInfo {
   std::string name;
-  int qubits = 0;
-  std::size_t queue_length = 0;
-  double queue_wait_seconds = 0.0;
-  double mean_gate_error_2q = 0.0;
-  std::uint64_t calibration_cycle = 0;
   /// Health: false means the device manager took the QPU down (faults,
   /// maintenance). Distinct from `reserved` — releasing a reservation
   /// must not bring a faulted QPU back into rotation.
@@ -32,43 +30,27 @@ struct QpuInfo {
   bool reserved = false;
 };
 
-/// Thread-safe: workflow executors, device managers and control-plane
-/// queries hit the monitor concurrently; one internal mutex serializes
-/// access to whichever backend is active.
+/// Thread-safe: device managers, reservation calls, scheduling snapshots
+/// and health probes hit the monitor concurrently; one internal mutex
+/// serializes the table and (when replicated) the journal.
 class SystemMonitor {
  public:
-  /// `replicated` switches to the Raft-backed store (slower, fault
-  /// tolerant); the local map is the default for simulations.
-  explicit SystemMonitor(bool replicated = false, std::size_t replicas = 3);
+  /// `qpu_names` fixes the table's membership and order (every flag starts
+  /// online and unreserved). `replicated` journals flag writes through the
+  /// Raft-backed store (slower, fault tolerant).
+  explicit SystemMonitor(const std::vector<std::string>& qpu_names,
+                         bool replicated = false, std::size_t replicas = 3);
 
-  // -- raw KV ----------------------------------------------------------------
-  bool put(const std::string& key, const std::string& value);
-  std::optional<std::string> get(const std::string& key) const;
-  bool erase(const std::string& key);
-
-  // -- QPU state ---------------------------------------------------------------
-  void update_qpu(const QpuInfo& info);
-  /// Publishes dynamic state (queue, calibration) while preserving the
-  /// stored health and reservation flags — atomic with the flag setters
-  /// below, unlike a read-modify-write through qpu()/update_qpu().
-  void publish_qpu_dynamic(const QpuInfo& info);
   /// Atomically flips only the health flag; returns the previous value,
-  /// nullopt for unknown names. The blessed device-manager path: an
-  /// external qpu()→update_qpu() read-modify-write can lose concurrent
-  /// flag writes.
+  /// nullopt for unknown names.
   std::optional<bool> set_qpu_online(const std::string& name, bool online);
   /// Atomically flips only the §7 reservation flag (reserveQpu/releaseQpu
   /// sit on top); same contract as set_qpu_online.
   std::optional<bool> set_qpu_reserved(const std::string& name, bool reserved);
   std::optional<QpuInfo> qpu(const std::string& name) const;
+  /// Every QPU's flags in table order, read under one lock.
+  std::vector<QpuInfo> qpus() const;
   std::vector<std::string> qpu_names() const;
-
-  // -- workflow state ---------------------------------------------------------
-  void set_workflow_status(std::uint64_t run_id, const std::string& status);
-  std::optional<std::string> workflow_status(std::uint64_t run_id) const;
-  /// Drops a run's status record; called when the run table evicts the run
-  /// so the monitor's footprint stays bounded alongside it.
-  void erase_workflow_status(std::uint64_t run_id);
 
   bool replicated() const {
     // store_ is immutable after construction, but the lock keeps the
@@ -78,18 +60,15 @@ class SystemMonitor {
   }
 
  private:
-  // Backend access with mutex_ already held.
-  bool put_unlocked(const std::string& key, const std::string& value) REQUIRES(mutex_);
-  std::optional<std::string> get_unlocked(const std::string& key) const
-      REQUIRES(mutex_);
+  std::optional<bool> set_flag(const std::string& name, bool QpuInfo::*flag,
+                               const char* key, bool value) EXCLUDES(mutex_);
 
   mutable Mutex mutex_{LockRank::kMonitor, "SystemMonitor::mutex_"};
-  // Exactly one of these is active. The ReplicatedKvStore (and the whole
-  // raft:: simulation under it) is thread-compatible, not thread-safe —
-  // every access is serialized behind mutex_ here.
-  std::map<std::string, std::string> local_ GUARDED_BY(mutex_);
+  std::vector<QpuInfo> qpus_ GUARDED_BY(mutex_);  ///< fleet order
+  /// Write-only journal, null unless replicated. The ReplicatedKvStore
+  /// (and the whole raft:: simulation under it) is thread-compatible, not
+  /// thread-safe — every access is serialized behind mutex_ here.
   std::unique_ptr<raft::ReplicatedKvStore> store_ GUARDED_BY(mutex_);
-  std::vector<std::string> qpu_names_ GUARDED_BY(mutex_);  ///< registration order
 };
 
 }  // namespace qon::core

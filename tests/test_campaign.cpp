@@ -629,13 +629,14 @@ TEST(CampaignDropCounters, CycleHistoryEvictionIsCounted) {
     task->shots = 100;
     task->est_fidelity.assign(1, 0.9);
     task->est_exec_seconds.assign(1, 2.0);
-    ASSERT_TRUE(service.enqueue(task));
+    ASSERT_EQ(service.offer(task), core::PendingQueue::Offer::kQueued);
     task->await();
     ASSERT_TRUE(task->error.ok()) << task->error.to_string();
   }
   EXPECT_EQ(service.stats().recent_cycles.size(), 1u);
-  const api::MetricValue* dropped = obs::find_metric(
-      telemetry.snapshot(0.0), "qon_sched_stats_cycles_dropped_total");
+  const auto snapshot = telemetry.snapshot(0.0);  // find_metric points into it
+  const api::MetricValue* dropped =
+      obs::find_metric(snapshot, "qon_sched_stats_cycles_dropped_total");
   ASSERT_NE(dropped, nullptr);
   EXPECT_DOUBLE_EQ(dropped->value, 2.0);
 }

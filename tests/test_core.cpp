@@ -1,5 +1,5 @@
-// Tests for the core orchestrator: the system monitor (local and
-// Raft-replicated), and the Table-2 API surface end to end — create,
+// Tests for the core orchestrator: the system monitor's typed QPU flag
+// table (local and Raft-journalled), and the Table-2 API surface end to end — create,
 // deploy, invoke, status, results, resource estimation and scheduling —
 // exercised directly on core::Qonductor through the typed request/response
 // surface (the former synchronous shims are gone). The client facade and
@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "circuit/library.hpp"
 #include "core/orchestrator.hpp"
 #include "core/system_monitor.hpp"
@@ -15,76 +18,57 @@
 namespace qon::core {
 namespace {
 
-TEST(SystemMonitor, LocalPutGetErase) {
-  SystemMonitor monitor(false);
-  EXPECT_TRUE(monitor.put("k", "v"));
-  EXPECT_EQ(monitor.get("k").value_or(""), "v");
-  EXPECT_TRUE(monitor.erase("k"));
-  EXPECT_FALSE(monitor.get("k").has_value());
+TEST(SystemMonitor, TableStartsOnlineAndUnreservedInGivenOrder) {
+  SystemMonitor monitor({"mumbai", "cairo"});
   EXPECT_FALSE(monitor.replicated());
-}
-
-TEST(SystemMonitor, ReplicatedBackendWorks) {
-  SystemMonitor monitor(true);
-  EXPECT_TRUE(monitor.replicated());
-  EXPECT_TRUE(monitor.put("qpu/x", "state"));
-  EXPECT_EQ(monitor.get("qpu/x").value_or(""), "state");
-}
-
-TEST(SystemMonitor, QpuRoundTrip) {
-  SystemMonitor monitor(false);
-  QpuInfo info;
-  info.name = "mumbai";
-  info.qubits = 27;
-  info.queue_length = 12;
-  info.queue_wait_seconds = 345.5;
-  info.mean_gate_error_2q = 0.011;
-  info.calibration_cycle = 7;
-  info.online = true;
-  monitor.update_qpu(info);
-  const auto read = monitor.qpu("mumbai");
+  EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai", "cairo"}));
+  const auto read = monitor.qpu("cairo");
   ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->qubits, 27);
-  EXPECT_EQ(read->queue_length, 12u);
-  EXPECT_NEAR(read->queue_wait_seconds, 345.5, 1e-9);
-  EXPECT_NEAR(read->mean_gate_error_2q, 0.011, 1e-9);
-  EXPECT_EQ(read->calibration_cycle, 7u);
-  EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai"}));
+  EXPECT_EQ(read->name, "cairo");
+  EXPECT_TRUE(read->online);
+  EXPECT_FALSE(read->reserved);
+  const auto all = monitor.qpus();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].name, "mumbai");
+  EXPECT_EQ(all[1].name, "cairo");
   EXPECT_FALSE(monitor.qpu("absent").has_value());
 }
 
-TEST(SystemMonitor, AtomicFlagSettersAndDynamicPublishCompose) {
-  SystemMonitor monitor(false);
-  QpuInfo info;
-  info.name = "mumbai";
-  info.qubits = 27;
-  monitor.update_qpu(info);
-
+TEST(SystemMonitor, FlagSettersRoundTripIndependently) {
+  SystemMonitor monitor({"mumbai", "cairo"});
   // Field-level setters return the previous value and touch nothing else.
   EXPECT_EQ(monitor.set_qpu_reserved("mumbai", true), std::optional<bool>(false));
   EXPECT_EQ(monitor.set_qpu_reserved("mumbai", true), std::optional<bool>(true));
   EXPECT_EQ(monitor.set_qpu_online("mumbai", false), std::optional<bool>(true));
-  EXPECT_FALSE(monitor.set_qpu_online("absent", false).has_value());
-  EXPECT_FALSE(monitor.set_qpu_reserved("absent", true).has_value());
-
-  // Republishing dynamic state preserves both flags.
-  QpuInfo dynamic = info;
-  dynamic.queue_wait_seconds = 99.0;
-  monitor.publish_qpu_dynamic(dynamic);
-  const auto read = monitor.qpu("mumbai");
+  auto read = monitor.qpu("mumbai");
   ASSERT_TRUE(read.has_value());
-  EXPECT_NEAR(read->queue_wait_seconds, 99.0, 1e-9);
-  EXPECT_FALSE(read->online);    // health flip survived the republish
-  EXPECT_TRUE(read->reserved);   // reservation survived the republish
+  EXPECT_FALSE(read->online);
+  EXPECT_TRUE(read->reserved);
+  // Releasing the reservation must not bring the faulted QPU back.
+  EXPECT_EQ(monitor.set_qpu_reserved("mumbai", false), std::optional<bool>(true));
+  read = monitor.qpu("mumbai");
+  EXPECT_FALSE(read->online);
+  EXPECT_FALSE(read->reserved);
+  // The neighbour's flags never moved.
+  EXPECT_TRUE(monitor.qpu("cairo")->online);
+  EXPECT_FALSE(monitor.qpu("cairo")->reserved);
 }
 
-TEST(SystemMonitor, WorkflowStatusRoundTrip) {
-  SystemMonitor monitor(false);
-  monitor.set_workflow_status(42, "running");
-  EXPECT_EQ(monitor.workflow_status(42).value_or(""), "running");
-  EXPECT_FALSE(monitor.workflow_status(43).has_value());
-  monitor.erase_workflow_status(42);
-  EXPECT_FALSE(monitor.workflow_status(42).has_value());
+TEST(SystemMonitor, UnknownNamesAreRejected) {
+  SystemMonitor monitor({"mumbai"});
+  EXPECT_FALSE(monitor.set_qpu_online("absent", false).has_value());
+  EXPECT_FALSE(monitor.set_qpu_reserved("absent", true).has_value());
+  EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai"}));
+}
+
+TEST(SystemMonitor, ReplicatedTableRoundTripsFlags) {
+  SystemMonitor monitor({"mumbai"}, /*replicated=*/true);
+  EXPECT_TRUE(monitor.replicated());
+  EXPECT_EQ(monitor.set_qpu_online("mumbai", false), std::optional<bool>(true));
+  EXPECT_EQ(monitor.set_qpu_reserved("mumbai", true), std::optional<bool>(false));
+  EXPECT_FALSE(monitor.qpu("mumbai")->online);
+  EXPECT_TRUE(monitor.qpu("mumbai")->reserved);
+  EXPECT_FALSE(monitor.set_qpu_online("absent", true).has_value());
 }
 
 class OrchestratorFixture : public ::testing::Test {
@@ -132,12 +116,19 @@ class OrchestratorFixture : public ::testing::Test {
   }
 };
 
-TEST_F(OrchestratorFixture, PublishesFleetToMonitor) {
+TEST_F(OrchestratorFixture, MonitorTableIsBuiltFromTheFleet) {
   Qonductor orchestrator(small_config());
-  EXPECT_EQ(orchestrator.monitor().qpu_names().size(), 3u);
-  const auto info = orchestrator.monitor().qpu(orchestrator.fleet().backends[0]->name());
+  const auto names = orchestrator.monitor().qpu_names();
+  ASSERT_EQ(names.size(), 3u);
+  for (std::size_t q = 0; q < names.size(); ++q) {
+    EXPECT_EQ(names[q], orchestrator.fleet().backends[q]->name());
+  }
+  const auto info = orchestrator.monitor().qpu(names[0]);
   ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->qubits, 27);
+  EXPECT_TRUE(info->online);
+  EXPECT_FALSE(info->reserved);
+  // Static facts are read from the fleet, their only owner.
+  EXPECT_EQ(orchestrator.fleet().backends[0]->num_qubits(), 27);
 }
 
 TEST_F(OrchestratorFixture, CreateDeployInvokeLifecycle) {
@@ -282,13 +273,17 @@ TEST_F(OrchestratorFixture, UnknownRunIsNotFound) {
   EXPECT_EQ(info.status().code(), api::StatusCode::kNotFound);
 }
 
-TEST_F(OrchestratorFixture, MonitorTracksWorkflowStatus) {
+TEST_F(OrchestratorFixture, GetRunTracksWorkflowStatus) {
   Qonductor orchestrator(small_config());
   const auto image = create(orchestrator, "tracked",
                             {workflow::HybridTask::classical("c", 0.1)});
   deploy(orchestrator, image);
   const auto result = invoke_and_wait(orchestrator, image);
-  EXPECT_EQ(orchestrator.monitor().workflow_status(result.run).value_or(""), "completed");
+  api::GetRunRequest request;
+  request.run = result.run;
+  const auto info = orchestrator.getRun(request);
+  ASSERT_TRUE(info.ok()) << info.status().to_string();
+  EXPECT_EQ(info->info.status, api::RunStatus::kCompleted);
 }
 
 TEST_F(OrchestratorFixture, RunInfoTimestampsFollowTheFleetClock) {
@@ -341,6 +336,82 @@ TEST_F(OrchestratorFixture, ShutdownIsIdempotentAndKeepsQueriesWorking) {
   auto rejected = orchestrator.invoke(invoke_request);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), api::StatusCode::kUnavailable);
+}
+
+// ---- flag-table stress (run under TSAN in CI) --------------------------------
+
+// One thread per QPU flips that QPU's `online` (device-manager setter) and
+// `reserved` (reserveQpu/releaseQpu) flags while a batch burst executes and
+// the health probe reads them. Each thread is its QPU's only writer, so
+// every write must see the thread's own previous write (no lost update)
+// and the table must end on each thread's last write. QPU 0 is never
+// touched, so every run still has a schedulable QPU.
+TEST(SystemMonitorStress, FlagFlipsDuringBatchBurstKeepTheLastWrite) {
+  QonductorConfig config;
+  config.num_qpus = 4;
+  config.seed = 99;
+  config.trajectory_width_limit = 0;  // analytic execution: keep it fast
+  config.scheduler_service.queue_threshold = 25;
+  config.scheduler_service.linger = std::chrono::milliseconds(2);
+  Qonductor orchestrator(config);
+
+  api::CreateWorkflowRequest create;
+  create.name = "flag-burst";
+  create.tasks.push_back(workflow::HybridTask::quantum("ghz", circuit::ghz(4), 100));
+  const auto created = orchestrator.createWorkflow(std::move(create));
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  api::DeployRequest deploy;
+  deploy.image = created->image;
+  ASSERT_TRUE(orchestrator.deploy(deploy).ok());
+
+  const std::vector<std::string> names = orchestrator.monitor().qpu_names();
+  struct LastWrite {
+    bool online = true;
+    bool reserved = false;
+  };
+  std::vector<LastWrite> last(names.size());
+  std::atomic<bool> burst_done{false};
+  std::vector<std::thread> flippers;
+  for (std::size_t q = 1; q < names.size(); ++q) {
+    flippers.emplace_back([&, q] {
+      LastWrite& mine = last[q];
+      for (int i = 0; i < 200 || !burst_done.load(); ++i) {
+        if (i % 2 == 0) {
+          const auto previous = orchestrator.monitor().set_qpu_online(names[q], !mine.online);
+          ASSERT_EQ(previous, std::optional<bool>(mine.online));
+          mine.online = !mine.online;
+        } else if (mine.reserved) {
+          api::ReleaseQpuRequest release;
+          release.qpu = names[q];
+          ASSERT_TRUE(orchestrator.releaseQpu(release).ok());
+          mine.reserved = false;
+        } else {
+          api::ReserveQpuRequest reserve;
+          reserve.qpu = names[q];
+          ASSERT_TRUE(orchestrator.reserveQpu(reserve).ok());
+          mine.reserved = true;
+        }
+      }
+    });
+  }
+
+  std::vector<api::InvokeRequest> requests(200);
+  for (auto& request : requests) request.image = created->image;
+  auto handles = orchestrator.invokeAll(requests);
+  ASSERT_TRUE(handles.ok()) << handles.status().to_string();
+  for (auto& handle : *handles) {
+    EXPECT_TRUE(orchestrator.getHealth().ok());
+    EXPECT_EQ(handle.wait(), api::RunStatus::kCompleted);
+  }
+  burst_done.store(true);
+  for (auto& flipper : flippers) flipper.join();
+
+  for (std::size_t q = 0; q < names.size(); ++q) {
+    const auto info = orchestrator.monitor().qpu(names[q]);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->online, last[q].online) << names[q];
+    EXPECT_EQ(info->reserved, last[q].reserved) << names[q];
+  }
 }
 
 }  // namespace

@@ -354,6 +354,43 @@ TEST(GetHealth, QuiescentSystemReportsEveryComponentHealthy) {
   EXPECT_NE(json.find("\"rule\": \"standard-burn\""), std::string::npos);
 }
 
+// An offline QPU is a fault whether or not it is also reserved: reserving
+// a faulted QPU must not launder the fleet verdict back to healthy.
+TEST(GetHealth, FleetProbeCountsOfflineQpusIndependentlyOfReservations) {
+  core::QonductorConfig config;
+  config.num_qpus = 3;
+  config.seed = 7;
+  api::QonductorClient client(config);
+  const auto names = client.backend().monitor().qpu_names();
+  ASSERT_EQ(names.size(), 3u);
+  const auto fleet_verdict = [&client] {
+    const auto health = client.getHealth();
+    EXPECT_TRUE(health.ok());
+    const api::ComponentHealth* fleet = find_component(health->components, "fleet");
+    EXPECT_NE(fleet, nullptr);
+    return *fleet;
+  };
+  EXPECT_EQ(fleet_verdict().status, api::HealthStatus::kHealthy);
+
+  // A reservation alone is an operator decision, not a fault.
+  api::ReserveQpuRequest reserve;
+  reserve.qpu = names[1];
+  ASSERT_TRUE(client.reserveQpu(reserve).ok());
+  EXPECT_EQ(fleet_verdict().status, api::HealthStatus::kHealthy);
+  api::ReleaseQpuRequest release;
+  release.qpu = names[1];
+  ASSERT_TRUE(client.releaseQpu(release).ok());
+
+  ASSERT_TRUE(client.backend().monitor().set_qpu_online(names[0], false).has_value());
+  EXPECT_EQ(fleet_verdict().status, api::HealthStatus::kDegraded);
+
+  reserve.qpu = names[0];
+  ASSERT_TRUE(client.reserveQpu(reserve).ok());
+  const api::ComponentHealth both = fleet_verdict();
+  EXPECT_EQ(both.status, api::HealthStatus::kDegraded) << both.detail;
+  EXPECT_NE(both.detail.find("2/3"), std::string::npos) << both.detail;
+}
+
 TEST(GetHealth, RejectsUnsupportedApiVersion) {
   core::QonductorConfig config;
   config.num_qpus = 1;

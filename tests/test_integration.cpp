@@ -99,12 +99,28 @@ TEST(Integration, OrchestratorWithReplicatedMonitor) {
   const auto handle = qonductor.invoke(invoke_request);
   ASSERT_TRUE(handle.ok()) << handle.status().to_string();
   EXPECT_EQ(handle->wait(), core::WorkflowStatus::kCompleted);
-  // The status was committed through the Raft-backed store.
-  EXPECT_EQ(qonductor.monitor().workflow_status(handle->id()).value_or(""), "completed");
-  // Fleet state is readable back from the replicated monitor.
-  const auto info = qonductor.monitor().qpu(qonductor.fleet().backends[0]->name());
+
+  // Reserve/release and health flips are journalled through the Raft store
+  // and read back from the typed table.
+  const std::string qpu = qonductor.fleet().backends[0]->name();
+  api::ReserveQpuRequest reserve;
+  reserve.qpu = qpu;
+  ASSERT_TRUE(qonductor.reserveQpu(reserve).ok());
+  EXPECT_EQ(qonductor.reserveQpu(reserve).status().code(),
+            api::StatusCode::kAlreadyExists);
+  EXPECT_TRUE(qonductor.monitor().qpu(qpu)->reserved);
+  EXPECT_EQ(qonductor.monitor().set_qpu_online(qpu, false), std::optional<bool>(true));
+  api::ReleaseQpuRequest release;
+  release.qpu = qpu;
+  ASSERT_TRUE(qonductor.releaseQpu(release).ok());
+  EXPECT_EQ(qonductor.releaseQpu(release).status().code(),
+            api::StatusCode::kFailedPrecondition);
+  const auto info = qonductor.monitor().qpu(qpu);
   ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->qubits, 27);
+  EXPECT_FALSE(info->reserved);
+  EXPECT_FALSE(info->online);  // releasing never brings a faulted QPU back
+  EXPECT_EQ(qonductor.monitor().set_qpu_online(qpu, true), std::optional<bool>(false));
+  EXPECT_TRUE(qonductor.monitor().qpu(qpu)->online);
 }
 
 TEST(Integration, ReservationsRemoveQpusFromScheduling) {

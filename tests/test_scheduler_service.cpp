@@ -44,7 +44,7 @@ std::shared_ptr<PendingQuantumTask> make_task(
 
 TEST(PendingQueue, FifoOrderAndBatchCap) {
   PendingQueue queue;
-  for (api::RunId r = 1; r <= 5; ++r) queue.push(make_task(r, 4, 2));
+  for (api::RunId r = 1; r <= 5; ++r) queue.offer(make_task(r, 4, 2));
   EXPECT_EQ(queue.size(), 5u);
   EXPECT_EQ(queue.high_watermark(), 5u);
 
@@ -60,47 +60,12 @@ TEST(PendingQueue, FifoOrderAndBatchCap) {
   EXPECT_EQ(queue.high_watermark(), 5u);  // watermark survives the drain
 }
 
-TEST(PendingQueue, BoundedPushBlocksUntilTake) {
-  PendingQueue queue(2);
-  EXPECT_TRUE(queue.push(make_task(1, 4, 2)));
-  EXPECT_TRUE(queue.push(make_task(2, 4, 2)));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());  // still parked on the capacity bound
-
-  auto batch = queue.take_batch(1);  // frees one slot
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(PendingQueue, CloseRejectsPushesAndWakesBlockedProducers) {
-  PendingQueue queue(1);
-  EXPECT_TRUE(queue.push(make_task(1, 4, 2)));
-
-  std::thread producer([&] {
-    EXPECT_FALSE(queue.push(make_task(2, 4, 2)));  // blocked, then rejected
-  });
-  std::this_thread::sleep_for(10ms);
-  queue.close();
-  producer.join();
-
-  EXPECT_TRUE(queue.closed());
-  EXPECT_FALSE(queue.push(make_task(3, 4, 2)));
-  EXPECT_EQ(queue.size(), 1u);  // the pre-close item is still drainable
-}
-
 TEST(PendingQueue, BatchesFormInPriorityOrder) {
   PendingQueue queue;
-  queue.push(make_task(1, 4, 2, api::Priority::kBatch));
-  queue.push(make_task(2, 4, 2, api::Priority::kInteractive));
-  queue.push(make_task(3, 4, 2, api::Priority::kStandard));
-  queue.push(make_task(4, 4, 2, api::Priority::kInteractive));
+  queue.offer(make_task(1, 4, 2, api::Priority::kBatch));
+  queue.offer(make_task(2, 4, 2, api::Priority::kInteractive));
+  queue.offer(make_task(3, 4, 2, api::Priority::kStandard));
+  queue.offer(make_task(4, 4, 2, api::Priority::kInteractive));
 
   auto first = queue.take_batch(2);
   ASSERT_EQ(first.size(), 2u);
@@ -124,7 +89,7 @@ TEST(PendingQueue, AgingPromotesLongWaitingJobsExactlyOneLane) {
   auto inter_fresh = make_task(4, 4, 2, api::Priority::kInteractive);
   inter_fresh->enqueued_at = 90.0;
   for (const auto& task : {batch_old, std_old, std_fresh, inter_fresh}) {
-    queue.push(task);
+    queue.offer(task);
   }
 
   // At t=100 with a 30 s budget: std_old is promoted to the interactive
@@ -141,8 +106,8 @@ TEST(PendingQueue, AgingPromotesLongWaitingJobsExactlyOneLane) {
   EXPECT_EQ(rest[1]->run, 3u);  // native standard
 
   // aging_seconds = 0 disables the rule: strict priority order.
-  queue.push(batch_old);
-  queue.push(inter_fresh);
+  queue.offer(batch_old);
+  queue.offer(inter_fresh);
   auto strict = queue.take_batch(0, 100.0, 0.0);
   ASSERT_EQ(strict.size(), 2u);
   EXPECT_EQ(strict[0]->run, 4u);
@@ -156,9 +121,9 @@ TEST(PendingQueue, TakeExpiredPullsOnlyOverdueDeadlines) {
   auto future = make_task(2, 4, 2);
   future->deadline_seconds = 50.0;
   auto no_deadline = make_task(3, 4, 2);
-  queue.push(overdue);
-  queue.push(future);
-  queue.push(no_deadline);
+  queue.offer(overdue);
+  queue.offer(future);
+  queue.offer(no_deadline);
 
   auto expired = queue.take_expired(10.0);
   ASSERT_EQ(expired.size(), 1u);
@@ -179,62 +144,54 @@ TEST(PendingQueue, RemoveFreesSlotAndIgnoresUnknownItems) {
   PendingQueue queue(2);
   auto a = make_task(1, 4, 2);
   auto b = make_task(2, 4, 2);
-  queue.push(a);
-  queue.push(b);
+  queue.offer(a);
+  queue.offer(b);
   EXPECT_TRUE(queue.remove(a));
   EXPECT_FALSE(queue.remove(a));  // already gone
   EXPECT_EQ(queue.size(), 1u);
-  EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // the capacity slot was freed
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), PendingQueue::Offer::kQueued);  // the capacity slot was freed
   auto batch = queue.take_batch(0);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0]->run, 2u);
 }
 
 // All three drain paths — take_batch, take_expired, remove — must free a
-// capacity slot for a blocked producer, and none may distort the
+// capacity slot for a waitlisted offer, and none may distort the
 // high-watermark statistic past the bound.
-TEST(PendingQueue, BoundedPushFreedByTakeExpired) {
+TEST(PendingQueue, BoundedOfferFreedByTakeExpired) {
   PendingQueue queue(2);
   auto overdue = make_task(1, 4, 2);
   overdue->deadline_seconds = 5.0;
-  queue.push(overdue);
-  queue.push(make_task(2, 4, 2));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(queue.offer(overdue), PendingQueue::Offer::kQueued);
+  EXPECT_EQ(queue.offer(make_task(2, 4, 2)), PendingQueue::Offer::kQueued);
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.waitlist_depth(), 1u);
 
   auto expired = queue.take_expired(10.0);  // frees the overdue job's slot
   ASSERT_EQ(expired.size(), 1u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(queue.waitlist_depth(), 0u);  // promoted into the freed slot
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.high_watermark(), 2u);  // never exceeded the bound
+  auto batch = queue.take_batch(0);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[1]->run, 3u);
 }
 
-TEST(PendingQueue, BoundedPushFreedByRemove) {
+TEST(PendingQueue, BoundedOfferFreedByRemove) {
   PendingQueue queue(2);
   auto cancelled = make_task(1, 4, 2);
-  queue.push(cancelled);
-  queue.push(make_task(2, 4, 2));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_task(3, 4, 2)));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(queue.offer(cancelled), PendingQueue::Offer::kQueued);
+  EXPECT_EQ(queue.offer(make_task(2, 4, 2)), PendingQueue::Offer::kQueued);
+  EXPECT_EQ(queue.offer(make_task(3, 4, 2)), PendingQueue::Offer::kWaitlisted);
+  EXPECT_EQ(queue.waitlist_depth(), 1u);
 
   EXPECT_TRUE(queue.remove(cancelled));  // the cancellation path frees a slot
-  producer.join();
-  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(queue.waitlist_depth(), 0u);
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.high_watermark(), 2u);
+  auto batch = queue.take_batch(0);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[1]->run, 3u);
 }
 
 TEST(PendingQueue, HighWatermarkStableAcrossAllDrainPaths) {
@@ -242,9 +199,9 @@ TEST(PendingQueue, HighWatermarkStableAcrossAllDrainPaths) {
   auto expiring = make_task(1, 4, 2);
   expiring->deadline_seconds = 1.0;
   auto removable = make_task(2, 4, 2);
-  queue.push(expiring);
-  queue.push(removable);
-  queue.push(make_task(3, 4, 2));
+  queue.offer(expiring);
+  queue.offer(removable);
+  queue.offer(make_task(3, 4, 2));
   EXPECT_EQ(queue.high_watermark(), 3u);
 
   EXPECT_EQ(queue.take_expired(2.0).size(), 1u);
@@ -404,7 +361,7 @@ TEST(PendingQueue, FirstSettlementWins) {
 TEST(PendingQueue, WaitWakesOnThreshold) {
   PendingQueue queue;
   std::thread producer([&] {
-    for (api::RunId r = 1; r <= 3; ++r) queue.push(make_task(r, 4, 2));
+    for (api::RunId r = 1; r <= 3; ++r) queue.offer(make_task(r, 4, 2));
   });
   const auto wake = queue.wait_for_batch(3, 10s);
   producer.join();
@@ -414,7 +371,7 @@ TEST(PendingQueue, WaitWakesOnThreshold) {
 
 TEST(PendingQueue, WaitWakesOnLingerWithSubThresholdBatch) {
   PendingQueue queue;
-  queue.push(make_task(1, 4, 2));
+  queue.offer(make_task(1, 4, 2));
   const auto wake = queue.wait_for_batch(100, 10ms);
   EXPECT_EQ(wake, PendingQueue::Wake::kLinger);
   EXPECT_EQ(queue.size(), 1u);  // single consumer: nothing vanished
@@ -422,7 +379,7 @@ TEST(PendingQueue, WaitWakesOnLingerWithSubThresholdBatch) {
 
 TEST(PendingQueue, WaitReportsFlushThenClosed) {
   PendingQueue queue;
-  queue.push(make_task(1, 4, 2));
+  queue.offer(make_task(1, 4, 2));
   queue.close();
   EXPECT_EQ(queue.wait_for_batch(100, 10s), PendingQueue::Wake::kFlush);
   queue.take_batch(0);
@@ -467,8 +424,8 @@ TEST(SchedulerService, ThresholdCycleFiresWithoutTimer) {
 
   auto a = make_task(1, 4, 2);
   auto b = make_task(2, 4, 2);
-  ASSERT_TRUE(service.enqueue(a));
-  ASSERT_TRUE(service.enqueue(b));
+  ASSERT_EQ(service.offer(a), PendingQueue::Offer::kQueued);
+  ASSERT_EQ(service.offer(b), PendingQueue::Offer::kQueued);
   a->await();
   b->await();
 
@@ -496,7 +453,7 @@ TEST(SchedulerService, TimerCycleAdvancesTheVirtualClockToTheDeadline) {
   SchedulerService service(config, 7, {}, engine.hooks());
 
   auto task = make_task(1, 4, 2);
-  ASSERT_TRUE(service.enqueue(task));
+  ASSERT_EQ(service.offer(task), PendingQueue::Offer::kQueued);
   task->await();
 
   EXPECT_TRUE(task->error.ok()) << task->error.to_string();
@@ -522,7 +479,7 @@ TEST(SchedulerService, ShutdownFlushesTheFinalCycle) {
   std::vector<std::shared_ptr<PendingQuantumTask>> tasks;
   for (api::RunId r = 1; r <= 3; ++r) {
     tasks.push_back(make_task(r, 4, 2));
-    ASSERT_TRUE(service.enqueue(tasks.back()));
+    ASSERT_EQ(service.offer(tasks.back()), PendingQueue::Offer::kQueued);
   }
   service.shutdown();  // must drain: close, flush one final cycle, join
 
@@ -537,7 +494,7 @@ TEST(SchedulerService, ShutdownFlushesTheFinalCycle) {
   ASSERT_EQ(stats.recent_cycles.size(), 1u);
   // The drain is reported as a flush, not mislabeled as timer/threshold.
   EXPECT_EQ(stats.recent_cycles[0].trigger, api::CycleTrigger::kFlush);
-  EXPECT_FALSE(service.enqueue(make_task(9, 4, 2)));  // closed for good
+  EXPECT_EQ(service.offer(make_task(9, 4, 2)), PendingQueue::Offer::kClosed);  // closed for good
 }
 
 // The QoS-deadline acceptance scenario at the service level: a job parked
@@ -555,8 +512,8 @@ TEST(SchedulerService, DeadlineExpiredParkedJobFailsAtCycleStart) {
   expired->deadline_seconds = 10.0;  // passes before the timer cycle
   auto alive = make_task(2, 4, 2);
   alive->deadline_seconds = 120.0;  // still good at t=60
-  ASSERT_TRUE(service.enqueue(expired));
-  ASSERT_TRUE(service.enqueue(alive));
+  ASSERT_EQ(service.offer(expired), PendingQueue::Offer::kQueued);
+  ASSERT_EQ(service.offer(alive), PendingQueue::Offer::kQueued);
   expired->await();
   alive->await();
 
@@ -591,7 +548,7 @@ TEST(SchedulerService, PriorityOrderIsolatesQueueWaits) {
   auto b2 = make_task(2, 4, 2, api::Priority::kBatch);
   auto i1 = make_task(3, 4, 2, api::Priority::kInteractive);
   auto i2 = make_task(4, 4, 2, api::Priority::kInteractive);
-  for (const auto& task : {b1, b2, i1, i2}) ASSERT_TRUE(service.enqueue(task));
+  for (const auto& task : {b1, b2, i1, i2}) ASSERT_EQ(service.offer(task), PendingQueue::Offer::kQueued);
   for (const auto& task : {b1, b2, i1, i2}) task->await();
 
   EXPECT_DOUBLE_EQ(i1->dispatched_at, 0.0);
@@ -629,15 +586,15 @@ TEST(SchedulerService, AgingRescuesStarvedLowPriorityJob) {
 
     // The batch-class job has been parked since t=0…
     auto starved = make_task(1, 4, 2, api::Priority::kBatch);
-    ASSERT_TRUE(service.enqueue(starved));
+    ASSERT_EQ(service.offer(starved), PendingQueue::Offer::kQueued);
     // …and at t=100 a fresh pair of standard jobs trips the threshold.
     engine.clock.store(100.0);
     auto fresh_a = make_task(2, 4, 2, api::Priority::kStandard);
     fresh_a->enqueued_at = 100.0;
     auto fresh_b = make_task(3, 4, 2, api::Priority::kStandard);
     fresh_b->enqueued_at = 100.0;
-    ASSERT_TRUE(service.enqueue(fresh_a));
-    ASSERT_TRUE(service.enqueue(fresh_b));
+    ASSERT_EQ(service.offer(fresh_a), PendingQueue::Offer::kQueued);
+    ASSERT_EQ(service.offer(fresh_b), PendingQueue::Offer::kQueued);
 
     starved->await();
     fresh_a->await();
@@ -668,8 +625,8 @@ TEST(SchedulerService, InfeasibleTaskFailsResourceExhausted) {
 
   auto fits = make_task(1, 4, 2);
   auto too_big = make_task(2, 20, 2);  // fits no 5-qubit QPU
-  ASSERT_TRUE(service.enqueue(fits));
-  ASSERT_TRUE(service.enqueue(too_big));
+  ASSERT_EQ(service.offer(fits), PendingQueue::Offer::kQueued);
+  ASSERT_EQ(service.offer(too_big), PendingQueue::Offer::kQueued);
   fits->await();
   too_big->await();
 
@@ -1010,9 +967,7 @@ TEST(BatchServing, ReservationDoesNotMaskQpuHealth) {
   const auto names = monitor.qpu_names();
   ASSERT_EQ(names.size(), 2u);
 
-  // Device manager takes the QPU down for health reasons (atomic flag
-  // setter — a raw qpu()/update_qpu() read-modify-write could race a
-  // concurrent reservation).
+  // Device manager takes the QPU down for health reasons.
   ASSERT_TRUE(monitor.set_qpu_online(names[0], false).has_value());
 
   // It is down, not reserved: reserve succeeds (it is not ALREADY_EXISTS).
@@ -1244,8 +1199,8 @@ TEST(SchedulerService, MidBatchFilterUsesInclusiveDeadlineBoundary) {
   boundary->deadline_seconds = 70.0;  // == the post-snapshot frontier exactly
   auto alive = make_task(2, 4, 2);
   alive->deadline_seconds = 1000.0;
-  ASSERT_TRUE(service.enqueue(boundary));
-  ASSERT_TRUE(service.enqueue(alive));
+  ASSERT_EQ(service.offer(boundary), PendingQueue::Offer::kQueued);
+  ASSERT_EQ(service.offer(alive), PendingQueue::Offer::kQueued);
   boundary->await();
   alive->await();
 
@@ -1260,7 +1215,7 @@ TEST(SchedulerService, MidBatchFilterUsesInclusiveDeadlineBoundary) {
   service.shutdown();
 }
 
-// Satellite regression: enqueue/offer against a closing queue. The service
+// Satellite regression: offer against a closing queue. The service
 // must reject the hand-off — and the orchestrator call site settles the run
 // with a typed UNAVAILABLE (covered end to end below in
 // BatchServing.ShutdownRacingAnEngineStepFailsTheRunUnavailable).
@@ -1269,7 +1224,6 @@ TEST(SchedulerService, OfferAfterShutdownIsRejectedAsClosed) {
   SchedulerServiceConfig config;
   SchedulerService service(config, 7, {}, engine.hooks());
   service.shutdown();
-  EXPECT_FALSE(service.enqueue(make_task(1, 4, 2)));
   EXPECT_EQ(service.offer(make_task(2, 4, 2)), PendingQueue::Offer::kClosed);
 }
 
@@ -1285,8 +1239,8 @@ TEST(SchedulerService, OffersBeyondCapacityWaitlistAndDrainThroughCycles) {
   config.linger = 50ms;
   SchedulerService service(config, 7, {}, engine.hooks());
 
-  // Six offers against a 2-slot queue, from this one thread: with blocking
-  // push this would deadlock (no consumer progress until we return); offer
+  // Six offers against a 2-slot queue, from this one thread: a blocking
+  // hand-off would deadlock (no consumer progress until we return); offer
   // must return immediately for all six.
   std::vector<std::shared_ptr<PendingQuantumTask>> tasks;
   for (api::RunId r = 1; r <= 6; ++r) {
