@@ -1,11 +1,13 @@
 // Micro-benchmark: NSGA-II scheduling-core throughput. Supports the §7
 // complexity claim that one Eq. 1 evaluation is O(N) in the number of jobs
-// and independent of the number of QPUs.
+// and independent of the number of QPUs, and times one full scheduling
+// cycle at the two batch sizes the end-to-end benchmark produces.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "moo/nsga2.hpp"
+#include "sched/hybrid_scheduler.hpp"
 #include "sched/problem.hpp"
 
 namespace {
@@ -62,6 +64,33 @@ void BM_Nsga2FullRun(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Nsga2FullRun)->Arg(50)->Arg(100)->Arg(200)->Unit(benchmark::kMillisecond);
+
+// One schedule_cycle with the default SchedulerConfig on an 8-QPU fleet.
+// 31 jobs is open_fresh's timer cycle, 500 is burst_analytic's batch.
+void BM_ScheduleCycle(benchmark::State& state) {
+  const auto input = make_input(static_cast<std::size_t>(state.range(0)), 8);
+  const sched::SchedulerConfig config;
+  for (auto _ : state) {
+    const auto decision = sched::schedule_cycle(input, config);
+    benchmark::DoNotOptimize(decision.assignment.data());
+  }
+}
+
+BENCHMARK(BM_ScheduleCycle)->Arg(31)->Arg(500)->Unit(benchmark::kMillisecond);
+
+// Front sort of one merged NSGA-II population (2 x 64) of two-objective
+// points.
+void BM_FastNonDominatedSort(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<std::vector<double>> objectives(static_cast<std::size_t>(state.range(0)));
+  for (auto& point : objectives) point = {rng.uniform(0.0, 500.0), rng.uniform(0.0, 1.0)};
+  for (auto _ : state) {
+    const auto ranks = moo::fast_non_dominated_sort(objectives);
+    benchmark::DoNotOptimize(ranks.data());
+  }
+}
+
+BENCHMARK(BM_FastNonDominatedSort)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -75,15 +75,4 @@ void parallel_for_blocked(std::size_t begin, std::size_t end,
   for (auto& f : futures) f.get();
 }
 
-void parallel_for_each_index(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& body,
-                             ThreadPool* pool, std::size_t min_block) {
-  parallel_for_blocked(
-      begin, end,
-      [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      },
-      pool, min_block);
-}
-
 }  // namespace qon

@@ -4,8 +4,7 @@
 // caller owns the decomposition, and the pool never spawns threads behind
 // the caller's back.
 //
-// Used to parallelize NSGA-II population evaluation, Monte-Carlo noise
-// trajectories and state-vector gate application.
+// Used to parallelize state-vector gate application.
 
 #include <atomic>
 #include <cstddef>
@@ -100,10 +99,5 @@ ThreadPool& global_thread_pool();
 void parallel_for_blocked(std::size_t begin, std::size_t end,
                           const std::function<void(std::size_t, std::size_t)>& body,
                           ThreadPool* pool = nullptr, std::size_t min_block = 1024);
-
-/// Element-wise convenience wrapper over parallel_for_blocked.
-void parallel_for_each_index(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& body,
-                             ThreadPool* pool = nullptr, std::size_t min_block = 1024);
 
 }  // namespace qon

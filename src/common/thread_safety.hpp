@@ -186,8 +186,8 @@ enum class LockRank : int {
   /// lock ever taken inside it is kLogging.
   kTraceBuffer = 880,
   /// ThreadPool::mutex_ — task queue of the worksharing pool. Inside
-  /// kEngine: NSGA-II fitness evaluation and state-vector simulation
-  /// parallel_for under the engine lock.
+  /// kEngine: state-vector simulation runs parallel_for under the engine
+  /// lock.
   kThreadPool = 900,
   /// join_mutex_ of ThreadPool / RunEngine / SchedulerService — serializes
   /// concurrent shutdown(); held only while joining, after the component's

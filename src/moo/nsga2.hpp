@@ -4,12 +4,18 @@
 // exponential distribution, polynomial mutation in a parent's vicinity, and
 // termination by generation/evaluation caps plus a sliding-window tolerance
 // test over a sequence of generations.
+//
+// Bit-identity contract: the O(P log P) two-objective front sort and the
+// rank reuse after truncation are exact shortcuts. For a given problem and
+// config, nsga2() draws from the RNG in the same order, sums in the same
+// order and passes the same inputs to every std::sort as the O(MN^2)
+// formulation (Deb's peeling sort over parents + offspring, then again over
+// the truncated population), so it returns the same front bit for bit.
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "moo/problem.hpp"
 
 namespace qon::moo {
@@ -27,7 +33,6 @@ struct Nsga2Config {
   std::size_t tolerance_window = 8;      ///< generations in the sliding window
   double tolerance = 1e-4;               ///< relative ideal-point improvement
   std::uint64_t seed = 1;
-  bool parallel_evaluation = false;      ///< evaluate population on the pool
   /// Heuristic genomes injected into the initial population (repaired
   /// first). Seeding the extremes (e.g. best-fidelity / least-busy
   /// assignments) guarantees the front covers the corners of the objective
@@ -54,7 +59,10 @@ struct Nsga2Result {
 Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config);
 
 /// Exposed for testing: fast non-dominated sort. Returns per-individual rank
-/// (0 = best front).
+/// (0 = best front). With exactly two objectives, all finite, it sweeps the
+/// points in lexicographic order and binary-searches each point's front
+/// (ENS-BS, O(P log P)); other inputs take Deb's O(MN^2) peeling sort. Both
+/// paths return the same ranks: each point's peeling level.
 std::vector<std::size_t> fast_non_dominated_sort(
     const std::vector<std::vector<double>>& objectives);
 

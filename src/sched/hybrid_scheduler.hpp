@@ -9,9 +9,8 @@
 //       heterogeneous fidelity/JCT tradeoffs. The composite is feasible
 //       per job but is a recombination NSGA-II never evaluated — several
 //       JCT-preferring jobs can pick the same fast QPU from different
-//       front schedules and serialize there; its objectives are
-//       re-evaluated for the report, and a repair/re-selection pass is a
-//       ROADMAP open item.
+//       front schedules and serialize there. Its objectives are
+//       re-evaluated for the report; no pass repairs or re-selects it.
 // Per-stage wall-clock timings are recorded (Fig. 9c).
 
 #include <vector>

@@ -8,10 +8,12 @@
 
 namespace qon::sched {
 
-/// Eq. 1 as a moo::IntegerProblem. Pre-computes each job's feasible QPU set
-/// (size + online filters); repair() snaps infeasible genes to the nearest
-/// feasible QPU. Jobs with no feasible QPU must be filtered out before
-/// construction (see preprocess_jobs).
+/// Eq. 1 as a moo::IntegerProblem. Pre-computes flat [job * Q + qpu] tables
+/// of feasibility (size + online filters), execution time and fidelity, the
+/// per-QPU queue waits, and each job's feasible QPU set; repair() clamps to
+/// [0, Q-1] and snaps infeasible genes to the nearest feasible QPU. Jobs
+/// with no feasible QPU must be filtered out before construction (see
+/// preprocess_jobs).
 class SchedulingProblem : public moo::IntegerProblem {
  public:
   explicit SchedulingProblem(const SchedulingInput& input);
@@ -22,6 +24,7 @@ class SchedulingProblem : public moo::IntegerProblem {
   std::size_t num_objectives() const override { return 2; }
 
   /// objectives[0] = mean JCT (Eq. 1 f1), objectives[1] = mean error (f2).
+  /// Allocates nothing for fleets of up to 64 QPUs.
   void evaluate(const std::vector<int>& genome,
                 std::vector<double>& objectives) const override;
 
@@ -33,10 +36,19 @@ class SchedulingProblem : public moo::IntegerProblem {
   const SchedulingInput& input() const { return *input_; }
 
  private:
-  bool feasible_on(std::size_t job, int qpu) const;
+  std::size_t cell(std::size_t job, int qpu) const {
+    return job * qpu_count_ + static_cast<std::size_t>(qpu);
+  }
+  bool feasible_on(std::size_t job, int qpu) const { return feasible_flag_[cell(job, qpu)] != 0; }
 
   const SchedulingInput* input_;
-  std::vector<std::vector<int>> feasible_;  ///< per-job feasible QPU indices
+  std::size_t qpu_count_;
+  // Flat [job * Q + qpu] tables.
+  std::vector<unsigned char> feasible_flag_;
+  std::vector<double> exec_seconds_;
+  std::vector<double> fidelity_;
+  std::vector<double> queue_wait_;          ///< per QPU
+  std::vector<std::vector<int>> feasible_;  ///< per-job feasible QPU indices, ascending
 };
 
 }  // namespace qon::sched

@@ -236,8 +236,12 @@ TEST(Stats, TimeWeightedAverageRejectsBackwardsTime) {
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for_each_index(
-      0, hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); }, &pool, 16);
+  parallel_for_blocked(
+      0, hits.size(),
+      [&hits](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      },
+      &pool, 16);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

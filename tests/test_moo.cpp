@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "common/rng.hpp"
 #include "moo/mcdm.hpp"
 #include "moo/nsga2.hpp"
 #include "moo/problem.hpp"
@@ -48,6 +50,73 @@ TEST(Sorting, FastNonDominatedSortRanks) {
   EXPECT_EQ(mixed[0], 0u);
   EXPECT_EQ(mixed[1], 0u);
   EXPECT_EQ(mixed[2], 1u);
+}
+
+// Test-local reference: peel the non-dominated set of the remaining points
+// until none remain. Points on a dominance cycle (only possible with NaN
+// objectives) are never peeled and keep rank 0, as in Deb's algorithm.
+std::vector<std::size_t> peeling_ranks(const std::vector<std::vector<double>>& objs) {
+  std::vector<std::size_t> rank(objs.size(), 0);
+  std::vector<bool> peeled(objs.size(), false);
+  for (std::size_t level = 0;; ++level) {
+    std::vector<std::size_t> front;
+    for (std::size_t i = 0; i < objs.size(); ++i) {
+      if (peeled[i]) continue;
+      bool dominated = false;
+      for (std::size_t j = 0; j < objs.size() && !dominated; ++j) {
+        dominated = j != i && !peeled[j] && dominates(objs[j], objs[i]);
+      }
+      if (!dominated) front.push_back(i);
+    }
+    if (front.empty()) return rank;
+    for (const std::size_t i : front) {
+      rank[i] = level;
+      peeled[i] = true;
+    }
+  }
+}
+
+// Points on a small integer grid, so duplicates and equal first or second
+// objectives are common. `m` objectives per point.
+std::vector<std::vector<double>> grid_points(Rng& rng, std::size_t m) {
+  const auto n = static_cast<std::size_t>(rng.uniform_int(0, 90));
+  const std::int64_t side = rng.uniform_int(1, 7);
+  std::vector<std::vector<double>> objs(n, std::vector<double>(m));
+  for (auto& point : objs) {
+    for (auto& v : point) v = 0.5 * static_cast<double>(rng.uniform_int(-side, side));
+  }
+  return objs;
+}
+
+TEST(Sorting, TwoObjectiveSweepMatchesPeelingOnTieHeavyGrids) {
+  for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
+    Rng rng(seed);
+    const auto objs = grid_points(rng, 2);
+    ASSERT_EQ(fast_non_dominated_sort(objs), peeling_ranks(objs)) << "seed " << seed;
+  }
+}
+
+TEST(Sorting, EmptyInputHasNoRanks) {
+  EXPECT_TRUE(fast_non_dominated_sort({}).empty());
+}
+
+TEST(Sorting, ThreeObjectiveAndNonFiniteInputsMatchPeeling) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {inf, -inf, nan};
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const auto three = grid_points(rng, 3);
+    ASSERT_EQ(fast_non_dominated_sort(three), peeling_ranks(three)) << "seed " << seed;
+
+    auto two = grid_points(rng, 2);
+    for (auto& point : two) {
+      for (auto& v : point) {
+        if (rng.bernoulli(0.15)) v = specials[rng.uniform_int(0, 2)];
+      }
+    }
+    ASSERT_EQ(fast_non_dominated_sort(two), peeling_ranks(two)) << "seed " << seed;
+  }
 }
 
 TEST(Sorting, CrowdingDistanceBoundariesInfinite) {

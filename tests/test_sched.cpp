@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/rng.hpp"
 #include "sched/baselines.hpp"
@@ -102,6 +104,91 @@ TEST(Problem, OfflineQpusExcluded) {
   std::vector<int> genome = {0};
   problem.repair(genome);
   EXPECT_EQ(genome[0], 1);  // snapped off the reserved QPU
+}
+
+TEST(Problem, RepairSnapsToNearestFeasibleOnMixedFleet) {
+  // Mixed sizes, QPU 1 offline, and one job whose time estimate makes QPU 5
+  // infeasible. Sizes by index: 5, 27 (offline), 10, 16, 7, 27.
+  SchedulingInput input;
+  input.qpus = {{"q0", 5, 0.0, true},  {"q1", 27, 0.0, false}, {"q2", 10, 0.0, true},
+                {"q3", 16, 0.0, true}, {"q4", 7, 0.0, true},   {"q5", 27, 0.0, true}};
+  const int qubits[] = {12, 6, 20, 3, 8};
+  for (std::size_t j = 0; j < std::size(qubits); ++j) {
+    QuantumJob job;
+    job.id = j;
+    job.qubits = qubits[j];
+    job.est_fidelity.assign(6, 0.9);
+    job.est_exec_seconds.assign(6, 1.0);
+    input.jobs.push_back(job);
+  }
+  input.jobs[4].est_exec_seconds[5] = kInfeasibleTime;  // 8 qubits: only q2, q3
+  const SchedulingProblem problem(input);
+
+  // Hand-checked cases; a tie between two feasible QPUs goes to the lower
+  // index, and out-of-range genes are clamped to [0, 5] first.
+  std::vector<int> genome = {4, 1, 0, 1, 5};
+  problem.repair(genome);
+  EXPECT_EQ(genome, (std::vector<int>{3, 2, 5, 0, 3}));
+  genome = {-7, 99, 99, 2, -1};
+  problem.repair(genome);
+  EXPECT_EQ(genome, (std::vector<int>{3, 5, 5, 2, 2}));
+
+  // Every gene, over many random genomes: the nearest feasible QPU to the
+  // clamped gene, lower index on a tie.
+  auto feasible = [&input](std::size_t j, int q) {
+    const auto& qpu = input.qpus[static_cast<std::size_t>(q)];
+    return qpu.online && input.jobs[j].qubits <= qpu.size &&
+           std::isfinite(input.jobs[j].est_exec_seconds[static_cast<std::size_t>(q)]);
+  };
+  Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<int> raw(input.jobs.size());
+    for (auto& g : raw) g = static_cast<int>(rng.uniform_int(-3, 8));
+    genome = raw;
+    problem.repair(genome);
+    for (std::size_t j = 0; j < raw.size(); ++j) {
+      const int clamped = std::clamp(raw[j], 0, 5);
+      int expected = -1;
+      for (int q = 0; q < 6; ++q) {
+        if (feasible(j, q) &&
+            (expected < 0 || std::abs(q - clamped) < std::abs(expected - clamped))) {
+          expected = q;
+        }
+      }
+      EXPECT_EQ(genome[j], expected) << "job " << j << " gene " << raw[j];
+    }
+  }
+}
+
+TEST(Problem, EvaluateMatchesDirectEq1) {
+  // 8 QPUs fit evaluate()'s stack buffer; 80 take its heap path.
+  for (const std::size_t qpus : {std::size_t{8}, std::size_t{80}}) {
+    const auto input = make_input(60, qpus, 29);
+    const SchedulingProblem problem(input);
+    Rng rng(31);
+    std::vector<double> objectives;
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<int> genome(input.jobs.size());
+      for (auto& g : genome) g = static_cast<int>(rng.uniform_int(0, qpus - 1));
+      problem.evaluate(genome, objectives);
+      // Eq. 1 term by term: JCT_i = w_{x_i} + sum_k t_k [x_i == x_k].
+      double jct = 0.0;
+      double error = 0.0;
+      for (std::size_t i = 0; i < genome.size(); ++i) {
+        const auto q = static_cast<std::size_t>(genome[i]);
+        double co_assigned = 0.0;
+        for (std::size_t k = 0; k < genome.size(); ++k) {
+          if (genome[k] == genome[i]) co_assigned += input.jobs[k].est_exec_seconds[q];
+        }
+        jct += input.qpus[q].queue_wait_seconds + co_assigned;
+        error += 1.0 - input.jobs[i].est_fidelity[q];
+      }
+      const auto n = static_cast<double>(genome.size());
+      ASSERT_EQ(objectives.size(), 2u);
+      EXPECT_NEAR(objectives[0], jct / n, 1e-9 * jct / n) << qpus << " QPUs";
+      EXPECT_NEAR(objectives[1], error / n, 1e-12) << qpus << " QPUs";
+    }
+  }
 }
 
 TEST(Problem, ThrowsWhenJobFitsNowhere) {
@@ -253,6 +340,24 @@ TEST(Scheduler, FiltersJobsThatFitNowhere) {
   EXPECT_EQ(decision.filtered_jobs, (std::vector<std::size_t>{3}));
   for (std::size_t j = 0; j < input.jobs.size(); ++j) {
     if (j != 3) EXPECT_GE(decision.assignment[j], 0);
+  }
+}
+
+TEST(Scheduler, SameSeedCyclesAreIdentical) {
+  // The benchmark's cycle sizes: ~31-job timer cycles and 500-job bursts.
+  for (const std::size_t jobs : {std::size_t{31}, std::size_t{500}}) {
+    const auto input = make_input(jobs, 8, 43);
+    const SchedulerConfig config;
+    const auto a = schedule_cycle(input, config);
+    const auto b = schedule_cycle(input, config);
+    EXPECT_EQ(a.assignment, b.assignment) << jobs << " jobs";
+    ASSERT_EQ(a.pareto_front.size(), b.pareto_front.size()) << jobs << " jobs";
+    for (std::size_t i = 0; i < a.pareto_front.size(); ++i) {
+      EXPECT_EQ(a.pareto_front[i].mean_jct, b.pareto_front[i].mean_jct);
+      EXPECT_EQ(a.pareto_front[i].mean_error, b.pareto_front[i].mean_error);
+    }
+    EXPECT_EQ(a.chosen.mean_jct, b.chosen.mean_jct);
+    EXPECT_EQ(a.nsga2_evaluations, b.nsga2_evaluations);
   }
 }
 
