@@ -1,11 +1,13 @@
 // Burst benchmark — the run engine's scale trajectory. Bursts of 1k and 5k
-// concurrent runs are fanned out on executor_threads = 2 in batch and
-// immediate mode; for each scenario we record p50/p95 end-to-end run
-// latency (virtual seconds from submit to finish) and the engine's peak
-// live-run count — the decoupling statistic: pre-engine, two executor
-// threads meant at most two runs could park quantum tasks at once, so a
-// 5000-run burst could not even form scheduling batches. Emits
-// BENCH_burst.json so future scale PRs diff against this baseline.
+// concurrent runs are fanned out on executor_threads = 2 under two
+// scheduler configs: "batch" (threshold-sized cycles of up to 500 jobs) and
+// "per-task" (queue_threshold = max_batch_size = 1, no linger: every job
+// gets its own single-job cycle). For each scenario we record p50/p95
+// end-to-end run latency (virtual seconds from submit to finish) and the
+// engine's peak live-run count — the decoupling statistic: pre-engine, two
+// executor threads meant at most two runs could park quantum tasks at
+// once, so a 5000-run burst could not even form scheduling batches. Emits
+// BENCH_burst.json so future scale changes diff against this baseline.
 
 #include <cstddef>
 #include <fstream>
@@ -35,7 +37,7 @@ struct Scenario {
   double wall_seconds = 0.0;
 };
 
-Scenario run_burst(qon::api::SchedulingMode mode, std::size_t runs) {
+Scenario run_burst(bool per_task, std::size_t runs) {
   using namespace qon;
   core::QonductorConfig config;
   config.num_qpus = 8;
@@ -43,11 +45,16 @@ Scenario run_burst(qon::api::SchedulingMode mode, std::size_t runs) {
   config.trajectory_width_limit = 0;  // analytic model: isolate orchestration cost
   config.executor_threads = 2;        // the whole point: a handful of workers
   config.retention.max_terminal_runs = runs + 8;
-  config.scheduler_service.mode = mode;
-  config.scheduler_service.queue_threshold = 200;
-  config.scheduler_service.max_batch_size = 500;
   config.scheduler_service.queue_capacity = 0;  // the burst IS the bound here
-  config.scheduler_service.linger = std::chrono::milliseconds(20);
+  if (per_task) {
+    config.scheduler_service.queue_threshold = 1;
+    config.scheduler_service.max_batch_size = 1;
+    config.scheduler_service.linger = std::chrono::milliseconds(0);
+  } else {
+    config.scheduler_service.queue_threshold = 200;
+    config.scheduler_service.max_batch_size = 500;
+    config.scheduler_service.linger = std::chrono::milliseconds(20);
+  }
   api::QonductorClient client(config);
 
   api::CreateWorkflowRequest create;
@@ -68,7 +75,7 @@ Scenario run_burst(qon::api::SchedulingMode mode, std::size_t runs) {
   if (!handles.ok()) throw std::runtime_error(handles.status().to_string());
 
   Scenario scenario;
-  scenario.mode = api::scheduling_mode_name(mode);
+  scenario.mode = per_task ? "per-task" : "batch";
   scenario.runs = runs;
   std::vector<double> latencies;
   latencies.reserve(runs);
@@ -101,8 +108,8 @@ int main() {
 
   std::vector<Scenario> scenarios;
   for (const std::size_t runs : {std::size_t{1000}, std::size_t{5000}}) {
-    scenarios.push_back(run_burst(api::SchedulingMode::kBatch, runs));
-    scenarios.push_back(run_burst(api::SchedulingMode::kImmediate, runs));
+    scenarios.push_back(run_burst(/*per_task=*/false, runs));
+    scenarios.push_back(run_burst(/*per_task=*/true, runs));
   }
 
   TextTable table({"mode", "runs", "completed", "latency p50 [s]", "latency p95 [s]",
@@ -136,8 +143,7 @@ int main() {
 
   std::size_t batch_5k_peak = 0;
   for (const auto& s : scenarios) {
-    if (s.mode == api::scheduling_mode_name(api::SchedulingMode::kBatch) &&
-        s.runs == 5000) {
+    if (s.mode == "batch" && s.runs == 5000) {
       batch_5k_peak = s.peak_live;
     }
   }

@@ -5,8 +5,9 @@
 // or the timer — assign whole batches through the hybrid scheduler
 // (NSGA-II + MCDM). getSchedulerStats shows the cycles as they happened:
 // batch sizes, queue waits, and the Fig. 9c per-stage timings. The same
-// burst is then replayed in SchedulingMode::kImmediate (the greedy
-// per-task fallback) for comparison.
+// burst is then replayed with a per-task config (queue_threshold =
+// max_batch_size = 1, no linger: one single-job cycle per task) for
+// comparison.
 
 #include <iostream>
 #include <vector>
@@ -66,14 +67,14 @@ double run_burst(qon::api::QonductorClient& client) {
 int main() {
   using namespace qon;
 
-  // --- batch mode (the default): cycles assign whole batches ------------------
+  // --- batch: cycles assign whole batches -------------------------------------
   auto batch_config = base_config();
   batch_config.scheduler_service.queue_threshold = 8;   // fire at 8 pending jobs…
   batch_config.scheduler_service.max_batch_size = 12;   // …and cap a cycle at 12
   batch_config.scheduler_service.linger = std::chrono::milliseconds(50);
   api::QonductorClient batch_client(batch_config);
 
-  std::cout << "submitting a burst of " << kRuns << " runs in batch mode...\n";
+  std::cout << "submitting a burst of " << kRuns << " runs in batch cycles...\n";
   const double batch_wall = run_burst(batch_client);
   if (batch_wall < 0.0) return 1;
 
@@ -99,35 +100,38 @@ int main() {
 
   auto waits = stats.recent_queue_waits;
   TextTable summary({"metric", "value"});
-  summary.add_row({"mode", api::scheduling_mode_name(batch_stats->config.mode)});
+  summary.add_row({"queue threshold", std::to_string(batch_stats->config.queue_threshold)});
+  summary.add_row({"max batch size", std::to_string(batch_stats->config.max_batch_size)});
   summary.add_row({"cycles", std::to_string(stats.cycles)});
   summary.add_row({"jobs scheduled", std::to_string(stats.jobs_scheduled)});
   summary.add_row({"largest batch", std::to_string(stats.max_batch_size_seen)});
   summary.add_row({"queue high watermark", std::to_string(stats.queue_high_watermark)});
   summary.add_row({"queue wait p50 [s]", TextTable::num(percentile(waits, 50.0), 1)});
   summary.add_row({"queue wait p95 [s]", TextTable::num(percentile(waits, 95.0), 1)});
-  summary.print(std::cout, "batch mode");
+  summary.print(std::cout, "batch config");
 
-  // --- immediate mode: the explicit greedy fallback ---------------------------
-  auto immediate_config = base_config();
-  immediate_config.scheduler_service.mode = core::SchedulingMode::kImmediate;
-  api::QonductorClient immediate_client(immediate_config);
+  // --- per-task: one single-job cycle per task, same serving path -----------
+  auto per_task_config = base_config();
+  per_task_config.scheduler_service.queue_threshold = 1;
+  per_task_config.scheduler_service.max_batch_size = 1;
+  per_task_config.scheduler_service.linger = std::chrono::milliseconds(0);
+  api::QonductorClient per_task_client(per_task_config);
 
-  std::cout << "\nreplaying the burst in immediate mode...\n";
-  const double immediate_wall = run_burst(immediate_client);
-  if (immediate_wall < 0.0) return 1;
-  const auto immediate_stats = immediate_client.getSchedulerStats();
+  std::cout << "\nreplaying the burst with one cycle per task...\n";
+  const double per_task_wall = run_burst(per_task_client);
+  if (per_task_wall < 0.0) return 1;
+  const auto per_task_stats = per_task_client.getSchedulerStats();
 
-  TextTable compare({"mode", "scheduling cycles", "burst wall time [ms]"});
-  compare.add_row({"batch (default)", std::to_string(stats.cycles),
+  TextTable compare({"config", "scheduling cycles", "burst wall time [ms]"});
+  compare.add_row({"batch", std::to_string(stats.cycles),
                    TextTable::num(batch_wall * 1e3, 0)});
-  compare.add_row({"immediate (fallback)",
-                   std::to_string(immediate_stats.ok() ? immediate_stats->stats.cycles : 0),
-                   TextTable::num(immediate_wall * 1e3, 0)});
-  compare.print(std::cout, "batch vs immediate");
+  compare.add_row({"per-task",
+                   std::to_string(per_task_stats.ok() ? per_task_stats->stats.cycles : 0),
+                   TextTable::num(per_task_wall * 1e3, 0)});
+  compare.print(std::cout, "batch vs per-task");
 
-  std::cout << "\nbatch mode dispatched " << stats.jobs_scheduled << " jobs in "
-            << stats.cycles << " hybrid-scheduler cycles; immediate mode ran one "
-            << "greedy single-job cycle per task.\n";
+  std::cout << "\nthe batch config dispatched " << stats.jobs_scheduled << " jobs in "
+            << stats.cycles << " hybrid-scheduler cycles; the per-task config ran one "
+            << "single-job cycle per task.\n";
   return 0;
 }

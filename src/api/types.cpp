@@ -59,12 +59,4 @@ const char* alert_state_name(AlertState state) {
   return "?";
 }
 
-const char* scheduling_mode_name(SchedulingMode mode) {
-  switch (mode) {
-    case SchedulingMode::kBatch: return "batch";
-    case SchedulingMode::kImmediate: return "immediate";
-  }
-  return "?";
-}
-
 }  // namespace qon::api

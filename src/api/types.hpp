@@ -244,20 +244,14 @@ struct ReleaseQpuResponse {
 
 // ---- scheduler service (§7 job manager) --------------------------------------
 
-/// How the orchestrator dispatches quantum tasks to the fleet.
-///   kBatch     — the default: tasks queue in the scheduler service and are
-///                assigned per scheduling cycle by the hybrid scheduler
-///                (queue-threshold OR timer trigger, §7).
-///   kImmediate — the pre-batching fallback: each task runs a single-job
-///                scheduling cycle inline and executes straight away.
-enum class SchedulingMode { kBatch, kImmediate };
-
-const char* scheduling_mode_name(SchedulingMode mode);
-
 /// Effective scheduler-service configuration, echoed by getSchedulerStats
-/// so clients can see which knobs a deployment runs with.
+/// so clients can see which knobs a deployment runs with. Quantum tasks
+/// always dispatch through scheduling cycles (queue threshold OR timer,
+/// §7); queue_threshold = max_batch_size = 1 gives every job its own
+/// cycle. The view's former `mode` field is gone without an api_version
+/// bump: its only remaining value was the zero default kBatch, so a v1
+/// reader that still expects the field reads the true answer.
 struct SchedulerConfigView {
-  SchedulingMode mode = SchedulingMode::kBatch;
   std::size_t queue_threshold = 0;  ///< trigger: fire at this queue size
   double interval_seconds = 0.0;    ///< trigger: timer on the fleet clock
   std::size_t queue_capacity = 0;   ///< pending-queue bound; 0 = unbounded

@@ -130,7 +130,7 @@ Qonductor::Qonductor(QonductorConfig config)
     init_status_ = api::InvalidArgument(
         "QonductorConfig: fidelity_weight must be in [0, 1]");
   }
-  if (init_status_.ok() && config_.scheduler_service.mode == SchedulingMode::kBatch) {
+  if (init_status_.ok()) {
     sched::SchedulerConfig cycle_config;
     cycle_config.fidelity_weight = config_.fidelity_weight;
     SchedulerServiceHooks hooks;
@@ -382,10 +382,10 @@ api::Status Qonductor::validate_invoke(const api::InvokeRequest& request,
   // Deadline-aware admission: a deadline at/before the fleet-clock
   // frontier is dead on arrival — dispatch happens at or after the
   // frontier, so such a deadline has zero scheduling slack. Every
-  // dispatch-time check (take_expired, the mid-batch filter, the immediate
-  // path) uses the same inclusive boundary: dispatch exactly at the
-  // deadline is a miss. Rejecting at submit beats parking the job until a
-  // scheduling cycle discovers the miss.
+  // dispatch-time check (take_expired, the mid-batch filter) uses the same
+  // inclusive boundary: dispatch exactly at the deadline is a miss.
+  // Rejecting at submit beats parking the job until a scheduling cycle
+  // discovers the miss.
   // Part of validation, so invokeAll stays atomic: one dead-on-arrival
   // deadline rejects the whole batch.
   if (request.preferences.deadline_seconds) {
@@ -957,7 +957,6 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     // is no longer "mid-quantum-task".
     const std::shared_ptr<PendingQuantumTask> pending = std::move(cont->parked);
     const std::shared_ptr<const QuantumTaskPrep> prep = std::move(cont->parked_prep);
-    const double ready_at = cont->parked_ready;
     cont->parked = nullptr;
     cont->parked_prep = nullptr;
     {
@@ -989,9 +988,9 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       TaskResult tr;
       {
         MutexLock lock(engine_mutex_);
-        tr = execute_quantum_locked(
-            task, *prep, static_cast<std::size_t>(pending->assigned_qpu), ready_at,
-            pending->dispatched_at);
+        tr = execute_quantum_locked(task, *prep,
+                                    static_cast<std::size_t>(pending->assigned_qpu),
+                                    pending->dispatched_at);
       }
       if (cont->trace) {
         cont->trace->record(telemetry_.tracer().span(
@@ -1029,28 +1028,25 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
   const workflow::TaskId node = cont->order[cont->cursor];
   const auto& task = cont->image->dag.task(node);
   if (config_.on_task_start) config_.on_task_start(run, task.name);
-  double ready = 0.0;
-  for (const workflow::TaskId dep : cont->image->dag.dependencies(node)) {
-    ready = std::max(ready, cont->finish[dep]);
-  }
   try {
-    if (task.kind == workflow::TaskKind::kQuantum && scheduler_service_) {
-      // Batch path (§7): the task parks in the pending queue with a resume
-      // callback; no worker blocks on the scheduling cycle.
-      return park_quantum_task(cont, task, ready);
+    if (task.kind == workflow::TaskKind::kQuantum) {
+      // §7: the task parks in the pending queue with a resume callback; no
+      // worker blocks on the scheduling cycle.
+      return park_quantum_task(cont, task);
+    }
+    double ready = 0.0;
+    for (const workflow::TaskId dep : cont->image->dag.dependencies(node)) {
+      ready = std::max(ready, cont->finish[dep]);
     }
     const double exec_wall_start =
         cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
-    api::Result<TaskResult> executed = task.kind == workflow::TaskKind::kQuantum
-                                           ? run_quantum_immediate(state, task, ready)
-                                           : run_classical_task(task, ready);
+    api::Result<TaskResult> executed = run_classical_task(task, ready);
     if (!executed.ok()) {
       return settle_task_failure(cont, task.name, executed.status());
     }
     if (cont->trace) {
       cont->trace->record(telemetry_.tracer().span(
-          task.kind == workflow::TaskKind::kQuantum ? "qpu_exec" : "task_classical",
-          executed->start, executed->end, exec_wall_start,
+          "task_classical", executed->start, executed->end, exec_wall_start,
           "resource=" + executed->resource));
     }
     record_task_result(*cont, node, *std::move(executed));
@@ -1129,7 +1125,7 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
 
 TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
                                              const QuantumTaskPrep& prep, std::size_t q,
-                                             double ready_at, double not_before) {
+                                             double dispatched_at) {
   const auto& backend = *fleet_.backends[q];
   const auto& chosen = prep.transpiled[q];
 
@@ -1137,7 +1133,7 @@ TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
   result.name = task.name;
   result.kind = workflow::TaskKind::kQuantum;
   result.resource = backend.name();
-  result.start = std::max({ready_at, qpu_available_at_[q], not_before});
+  result.start = std::max(qpu_available_at_[q], dispatched_at);
   result.end = result.start + prep.est_exec_seconds[q];
   qpu_available_at_[q] = result.end;
 
@@ -1178,8 +1174,7 @@ TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
 }
 
 StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>& cont,
-                                         const workflow::HybridTask& task,
-                                         double ready_at) {
+                                         const workflow::HybridTask& task) {
   const std::shared_ptr<api::RunState>& state = cont->state;
   // Effective per-run QoS: fidelity_weight was resolved at invoke().
   const api::JobPreferences& prefs = state->preferences;
@@ -1190,7 +1185,6 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
   pending->task_name = task.name;
   pending->qubits = task.circ.num_qubits();
   pending->shots = task.shots;
-  pending->ready_at = ready_at;
   pending->enqueued_at = fleetNow();
   // Resolved by effective_preferences() at invoke(): always set here.
   pending->fidelity_weight = *prefs.fidelity_weight;
@@ -1240,7 +1234,6 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
   // below this point may touch `cont` except through the engine.
   cont->parked = pending;
   cont->parked_prep = std::move(prep);
-  cont->parked_ready = ready_at;
   pending->on_settled([this, cont] { engine_->resume(cont); });
 
   // Non-blocking hand-off: a full queue waitlists the task (promoted into
@@ -1277,59 +1270,6 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
     scheduler_service_->remove_pending(pending);
   }
   return StepOutcome::kParked;
-}
-
-api::Result<TaskResult> Qonductor::run_quantum_immediate(
-    const std::shared_ptr<api::RunState>& state, const workflow::HybridTask& task,
-    double ready_at) {
-  const RunId run = state->id;
-  // Effective per-run QoS: fidelity_weight was resolved at invoke().
-  const api::JobPreferences& prefs = state->preferences;
-  const std::shared_ptr<const QuantumTaskPrep> prep = prepare_quantum_task(task);
-
-  // A single-job scheduling cycle inline, with queue waits measured
-  // relative to the task's own ready time. Reservation windows expire
-  // against the monotone fleet-clock frontier only — one job's late DAG
-  // ready time must not release a window early for every concurrent run.
-  MutexLock lock(engine_mutex_);
-  expire_reservations(fleet_clock_.load(std::memory_order_relaxed));
-  if (prefs.deadline_seconds) {
-    // Dispatch-time deadline check, mirroring the batch path: dispatch
-    // happens at the fleet frontier (or the task's ready time, whichever
-    // is later), and a task at or past its deadline must not consume a QPU
-    // — dispatching exactly at the deadline leaves zero slack, the same
-    // inclusive boundary the submit-time admission and cycle expiry use.
-    const double dispatch_at =
-        std::max(ready_at, fleet_clock_.load(std::memory_order_relaxed));
-    if (*prefs.deadline_seconds <= dispatch_at) {
-      return api::DeadlineExceeded(
-          "run_quantum_immediate: task '" + task.name + "' missed its deadline (t=" +
-          std::to_string(*prefs.deadline_seconds) + " s, dispatched at t=" +
-          std::to_string(dispatch_at) + " s)");
-    }
-  }
-  sched::SchedulingInput input;
-  input.qpus = snapshot_qpu_states_locked(ready_at);
-  sched::QuantumJob job;
-  job.id = run;
-  job.qubits = task.circ.num_qubits();
-  job.shots = task.shots;
-  job.fidelity_weight = *prefs.fidelity_weight;  // resolved at invoke()
-  job.est_fidelity = prep->est_fidelity;
-  job.est_exec_seconds = prep->est_exec_seconds;
-  input.jobs.push_back(std::move(job));
-
-  sched::SchedulerConfig scheduler;
-  scheduler.fidelity_weight = config_.fidelity_weight;
-  scheduler.nsga2.seed = rng_();
-  const auto decision = sched::schedule_cycle(input, scheduler);
-  if (decision.assignment.empty() || decision.assignment[0] < 0) {
-    return api::ResourceExhausted("run_quantum_immediate: task '" + task.name +
-                                  "' fits no online QPU in the fleet");
-  }
-  return execute_quantum_locked(task, *prep,
-                                static_cast<std::size_t>(decision.assignment[0]),
-                                ready_at, 0.0);
 }
 
 api::Result<TaskResult> Qonductor::run_classical_task(const workflow::HybridTask& task,

@@ -17,19 +17,18 @@
 // run to the event-driven run engine (core/run_engine.hpp) and returns an
 // api::RunHandle immediately. Each run is a RunContinuation stepped one DAG
 // node per event by a small worker pool against the fleet's virtual clock;
-// a batch-mode quantum task parks in the scheduler service with a
-// completion callback instead of blocking a worker, so thousands of
-// in-flight runs ride on executor_threads workers. All error paths on the
-// request/response surface return api::Status — no exception crosses the
-// API boundary.
+// a quantum task parks in the scheduler service with a completion callback
+// instead of blocking a worker, so thousands of in-flight runs ride on
+// executor_threads workers. All error paths on the request/response
+// surface return api::Status — no exception crosses the API boundary.
 //
-// Quantum dispatch is batch-scheduled (§7): by default each quantum task
+// Quantum dispatch is batch-scheduled (§7) on one path: every quantum task
 // parks in the scheduler service's pending queue, and a dedicated scheduler
 // thread fires scheduling cycles (queue threshold OR timer on the fleet
-// virtual clock) that assign whole batches via the hybrid scheduler.
-// getSchedulerStats exposes the cycle history; SchedulingMode::kImmediate
-// restores the old greedy per-task path. Tasks no online QPU can host fail
-// their run with the typed RESOURCE_EXHAUSTED.
+// virtual clock) that assign whole batches via the hybrid scheduler —
+// queue_threshold = max_batch_size = 1 gives each task its own cycle.
+// getSchedulerStats exposes the cycle history. Tasks no online QPU can host
+// fail their run with the typed RESOURCE_EXHAUSTED.
 //
 // Every run carries api::JobPreferences (per-job MCDM fidelity weight, an
 // optional fleet-clock deadline, a priority class): batches form in
@@ -81,7 +80,6 @@ using RunId = api::RunId;
 using WorkflowStatus = api::RunStatus;
 using TaskResult = api::TaskResult;
 using WorkflowResult = api::WorkflowResult;
-using SchedulingMode = api::SchedulingMode;
 
 /// Per-backend transpilation + resource estimates for one quantum task —
 /// everything a scheduling cycle needs to know about the job, computed
@@ -158,7 +156,7 @@ struct QonductorConfig {
   /// number of in-flight runs — a parked quantum task frees its worker, so
   /// thousands of runs can wait on a scheduling cycle over two workers.
   std::size_t executor_threads = 2;
-  /// The batch-scheduling job manager (mode, trigger thresholds, queue
+  /// The batch-scheduling job manager (trigger thresholds, batch cap, queue
   /// bound — see core::SchedulerServiceConfig). Invalid knobs surface as
   /// INVALID_ARGUMENT from invoke(), never as an exception.
   SchedulerServiceConfig scheduler_service;
@@ -213,13 +211,12 @@ class Qonductor {
   /// filters; see api::ListRunsRequest.
   api::Result<api::ListRunsResponse> listRuns(const api::ListRunsRequest& request) const;
   /// The scheduler service's effective config and cycle/queue statistics
-  /// (cycle count, batch sizes, queue depth, Fig. 9c stage timings). In
-  /// kImmediate mode the stats are all-zero.
+  /// (cycle count, batch sizes, queue depth, Fig. 9c stage timings).
   api::Result<api::GetSchedulerStatsResponse> getSchedulerStats(
       const api::GetSchedulerStatsRequest& request) const;
   /// The admission gate's counters (accepted/shed per priority class, live
   /// runs against the configured bound) plus the pending queue's capacity-
-  /// waitlist statistics. All-zero waitlist fields in kImmediate mode.
+  /// waitlist statistics.
   api::Result<api::GetAdmissionStatsResponse> getAdmissionStats(
       const api::GetAdmissionStatsRequest& request) const;
   /// The retained lifecycle trace of one run: the ordered span set
@@ -294,9 +291,9 @@ class Qonductor {
   /// event. The calibration fingerprint moves, so the transpile/prep cache
   /// invalidates itself on the next run.
   void recalibrateFleet() EXCLUDES(engine_mutex_);
-  /// The batch-scheduling job manager, null in kImmediate mode. Non-const
-  /// like monitor(): owner-level access (tests use it to force shutdown
-  /// interleavings against in-flight runs).
+  /// The batch-scheduling job manager, null when the config failed
+  /// validation. Non-const like monitor(): owner-level access (tests use it
+  /// to force shutdown interleavings against in-flight runs).
   SchedulerService* schedulerService() { return scheduler_service_.get(); }
   /// The telemetry bundle (registry + tracer) every component records into.
   obs::Telemetry& telemetry() { return telemetry_; }
@@ -337,8 +334,8 @@ class Qonductor {
   /// Advances a run by one DAG node: first event transitions kPending ->
   /// kRunning, a resume event collects the parked quantum task's verdict
   /// and executes on the assigned QPU, otherwise the cursor node runs
-  /// (classical / immediate quantum inline; batch quantum parks). Never
-  /// throws — task failures settle the run kFailed.
+  /// (classical inline; quantum parks). Never throws — task failures
+  /// settle the run kFailed.
   StepOutcome step_run_impl(const std::shared_ptr<RunContinuation>& cont);
   /// Writes the continuation's accumulated result into the run record,
   /// stamps finished_at and makes the run GC-eligible. Always returns
@@ -356,13 +353,9 @@ class Qonductor {
   /// Nothing may touch `cont` after the callback is registered — another
   /// worker may already be resuming it.
   StepOutcome park_quantum_task(const std::shared_ptr<RunContinuation>& cont,
-                                const workflow::HybridTask& task, double ready_at);
+                                const workflow::HybridTask& task);
   /// Books the finished node into the continuation and advances the cursor.
   void record_task_result(RunContinuation& cont, workflow::TaskId node, TaskResult tr);
-  /// The kImmediate fallback: a single-job scheduling cycle inline.
-  api::Result<TaskResult> run_quantum_immediate(const std::shared_ptr<api::RunState>& state,
-                                                const workflow::HybridTask& task,
-                                                double ready_at);
   api::Result<TaskResult> run_classical_task(const workflow::HybridTask& task,
                                              double ready_at);
   std::shared_ptr<const QuantumTaskPrep> prepare_quantum_task(
@@ -370,21 +363,24 @@ class Qonductor {
   /// Hash of every backend's calibration cycle — the freshness half of the
   /// prep-cache key (a recalibration invalidates all cached preps).
   std::uint64_t calibration_fingerprint() const;
-  /// Executes the prepared task on backend `q`. `not_before` floors the
-  /// start time at the dispatching cycle's fire time (0 in immediate mode).
+  /// Executes the prepared task on backend `q`. `dispatched_at` floors the
+  /// start time at the dispatching cycle's fire time — never before the
+  /// task's DAG-ready time: every predecessor advanced the fleet clock to
+  /// its end before the task parked, and a cycle dispatches at or after
+  /// that frontier.
   TaskResult execute_quantum_locked(const workflow::HybridTask& task,
                                     const QuantumTaskPrep& prep, std::size_t q,
-                                    double ready_at, double not_before)
+                                    double dispatched_at)
       REQUIRES(engine_mutex_);
   /// QPU states for a scheduling input (queue waits relative to
   /// `reference`, online/reserved flags from the monitor).
   std::vector<sched::QpuState> snapshot_qpu_states_locked(double reference) const
       REQUIRES(engine_mutex_);
   /// Releases every windowed reservation whose deadline lies at/before
-  /// `now` on the fleet virtual clock. Called right before a scheduling
-  /// snapshot (batch cycle or immediate dispatch), so the snapshotting
-  /// cycle already schedules onto the released QPUs. Acquires
-  /// reservations_mutex_ (inside engine_mutex_ in the hierarchy).
+  /// `now` on the fleet virtual clock. Called right before a cycle's
+  /// scheduling snapshot, so the snapshotting cycle already schedules onto
+  /// the released QPUs. Acquires reservations_mutex_ (inside engine_mutex_
+  /// in the hierarchy).
   void expire_reservations(double now) EXCLUDES(reservations_mutex_);
   void advance_fleet_clock(double up_to) REQUIRES(engine_mutex_);
 
@@ -441,10 +437,10 @@ class Qonductor {
   /// returned by invoke()/invokeAll() so bad scheduler knobs surface as a
   /// typed status instead of an exception crossing the API boundary.
   api::Status init_status_;
-  /// The batch-scheduling job manager (null in kImmediate mode or when the
-  /// config failed validation). Declared before engine_: runs draining
-  /// through the engine during destruction still park tasks here — and
-  /// resume through its cycles — so the service must outlive the engine.
+  /// The batch-scheduling job manager (null when the config failed
+  /// validation). Declared before engine_: runs draining through the engine
+  /// during destruction still park tasks here — and resume through its
+  /// cycles — so the service must outlive the engine.
   /// Shared so a parked run's cancel hook can hold a weak reference that
   /// outlives the orchestrator safely.
   std::shared_ptr<SchedulerService> scheduler_service_;

@@ -55,7 +55,6 @@ struct PendingQuantumTask {
   std::string task_name;
   int qubits = 0;
   int shots = 0;
-  double ready_at = 0.0;    ///< DAG-dependency ready time (fleet clock)
   double enqueued_at = 0.0; ///< fleet clock at offer (queue-wait accounting)
   // Per-job QoS (resolved by the orchestrator against config defaults).
   double fidelity_weight = 0.5;            ///< MCDM preference for this job

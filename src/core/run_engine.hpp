@@ -3,9 +3,9 @@
 // in-flight runs are driven by a handful of worker threads.
 //
 // The pre-engine executor dedicated one blocked thread to every in-flight
-// run: in batch mode the thread parked inside PendingQuantumTask::await()
-// until a scheduling cycle dispatched the task, so `executor_threads`
-// (default 2) bounded how many jobs a cycle could even see. The engine
+// run: the thread parked inside PendingQuantumTask::await() until a
+// scheduling cycle dispatched the task, so `executor_threads` (default 2)
+// bounded how many jobs a cycle could even see. The engine
 // inverts that model. Each run is an explicit state machine — a
 // RunContinuation holding the next-DAG-node cursor, per-node finish times
 // and the accumulated WorkflowResult — and a small worker pool drives those
@@ -14,11 +14,10 @@
 //   - submit() posts the run's first step event;
 //   - a worker pops an event and advances the run by one DAG node via the
 //     owner-provided step function;
-//   - a classical task (or an immediate-mode quantum task) executes inside
-//     the step and the worker reposts the continuation (kProgress), so
-//     concurrent runs interleave fairly instead of one run monopolizing a
-//     worker;
-//   - a batch-mode quantum task *registers a completion callback* with the
+//   - a classical task executes inside the step and the worker reposts
+//     the continuation (kProgress), so concurrent runs interleave fairly
+//     instead of one run monopolizing a worker;
+//   - a quantum task *registers a completion callback* with the
 //     scheduler service's pending queue and returns kParked — no thread
 //     blocks. When the scheduling cycle settles the task (dispatch, filter,
 //     deadline expiry, cancel), the callback posts a resume() event and any
@@ -96,7 +95,6 @@ struct RunContinuation {
   // resume" flag.
   std::shared_ptr<PendingQuantumTask> parked;
   std::shared_ptr<const QuantumTaskPrep> parked_prep;
-  double parked_ready = 0.0;  ///< DAG-dependency ready time of the parked node
 
   /// Latest virtual instant produced by the run's own events that is not
   /// already covered by result.makespan_seconds — e.g. the scheduling-cycle

@@ -49,7 +49,6 @@ api::Status validate_scheduler_config(const SchedulerServiceConfig& config) {
 
 api::SchedulerConfigView to_config_view(const SchedulerServiceConfig& config) {
   api::SchedulerConfigView view;
-  view.mode = config.mode;
   view.queue_threshold = config.queue_threshold;
   view.interval_seconds = config.interval_seconds;
   view.queue_capacity = config.queue_capacity;

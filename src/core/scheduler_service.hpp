@@ -52,7 +52,6 @@ namespace qon::core {
 /// INVALID_ARGUMENT through the API instead of the ScheduleTrigger
 /// constructor's std::invalid_argument crossing the boundary.
 struct SchedulerServiceConfig {
-  api::SchedulingMode mode = api::SchedulingMode::kBatch;
   /// ScheduleTrigger: fire when the pending queue reaches this size…
   std::size_t queue_threshold = 100;
   /// …or when this many virtual seconds passed since the last cycle.

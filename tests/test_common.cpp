@@ -376,7 +376,7 @@ TEST(Table, NumFormatsPrecision) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch sw;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(sw.seconds(), 0.0);
   EXPECT_GE(sw.millis(), sw.seconds());
 }

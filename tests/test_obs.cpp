@@ -2,8 +2,8 @@
 // semantics (Prometheus le-inclusive histogram buckets, counter/gauge
 // concurrency, idempotent registration), trace ring wraparound and tracer
 // retention, the Prometheus/JSON renderers, the end-to-end run-lifecycle
-// trace surface (batch AND immediate mode, both clocks on every span), the
-// getRunTrace error contract, and the stats-surface coherence guarantee:
+// trace surface (both clocks on every span), the getRunTrace error
+// contract, and the stats-surface coherence guarantee:
 // getSchedulerStats / getAdmissionStats / prepCacheHits are views over the
 // same registry instruments one getMetrics snapshot exports.
 
@@ -269,37 +269,6 @@ TEST(ObsEndToEnd, BatchModeTraceCoversSubmitToSettleOnBothClocks) {
   // The settle point sits at the run's terminal virtual time.
   const auto& settle = trace.spans[static_cast<std::size_t>(span_index(trace, "settle"))];
   EXPECT_EQ(settle.detail, "completed");
-}
-
-TEST(ObsEndToEnd, ImmediateModeRunsAreTracedToo) {
-  core::QonductorConfig config;
-  config.num_qpus = 2;
-  config.seed = 12;
-  config.trajectory_width_limit = 0;
-  config.scheduler_service.mode = api::SchedulingMode::kImmediate;
-  api::QonductorClient client(config);
-  const auto image = deploy_quantum(client, "trace-immediate");
-
-  api::InvokeRequest request;
-  request.image = image;
-  auto handle = client.invoke(request);
-  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
-  ASSERT_EQ(handle->wait(), api::RunStatus::kCompleted);
-
-  api::GetRunTraceRequest trace_request;
-  trace_request.run = handle->id();
-  auto response = client.getRunTrace(trace_request);
-  ASSERT_TRUE(response.ok()) << response.status().to_string();
-  // No park/queue_wait in immediate mode — but the lifecycle frame and the
-  // execution span are all there, ordered.
-  std::ptrdiff_t previous = -1;
-  for (const auto& name : {"submit", "qpu_exec", "settle"}) {
-    const std::ptrdiff_t index = span_index(response->trace, name);
-    ASSERT_GE(index, 0) << "missing span " << name;
-    EXPECT_GT(index, previous);
-    previous = index;
-  }
-  EXPECT_EQ(span_index(response->trace, "park"), -1);
 }
 
 TEST(ObsEndToEnd, GetRunTraceErrorContract) {

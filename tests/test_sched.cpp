@@ -339,7 +339,9 @@ TEST(Scheduler, FiltersJobsThatFitNowhere) {
   EXPECT_EQ(decision.assignment[3], -1);
   EXPECT_EQ(decision.filtered_jobs, (std::vector<std::size_t>{3}));
   for (std::size_t j = 0; j < input.jobs.size(); ++j) {
-    if (j != 3) EXPECT_GE(decision.assignment[j], 0);
+    if (j != 3) {
+      EXPECT_GE(decision.assignment[j], 0);
+    }
   }
 }
 
@@ -409,7 +411,9 @@ TEST(Baselines, RandomRespectsFeasibility) {
   const auto assignment = assign_random_feasible(input, 7);
   EXPECT_EQ(assignment[5], -1);
   for (std::size_t j = 0; j < input.jobs.size(); ++j) {
-    if (j != 5) EXPECT_GE(assignment[j], 0);
+    if (j != 5) {
+      EXPECT_GE(assignment[j], 0);
+    }
   }
 }
 

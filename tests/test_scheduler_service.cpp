@@ -4,7 +4,8 @@
 // surfacing as typed INVALID_ARGUMENT, and the batch-scheduling serving
 // path end to end — a burst of concurrent invoke()s dispatched in multiple
 // hybrid-scheduler cycles, observed through getSchedulerStats and the
-// on_task_start observer, with the kImmediate fallback kept working.
+// on_task_start observer, and the per-task config (threshold 1, batch cap
+// 1, no linger) that gives every job its own single-job cycle.
 
 #include <gtest/gtest.h>
 
@@ -679,7 +680,6 @@ TEST(SchedulerService, ValidatesConfigWithoutThrowing) {
 
   good.aging_seconds = 45.0;
   const auto view = to_config_view(good);
-  EXPECT_EQ(view.mode, api::SchedulingMode::kBatch);
   EXPECT_EQ(view.queue_threshold, good.queue_threshold);
   EXPECT_DOUBLE_EQ(view.interval_seconds, good.interval_seconds);
   EXPECT_EQ(view.queue_capacity, good.queue_capacity);
@@ -777,7 +777,6 @@ TEST(BatchServing, BurstIsDispatchedInMultipleSchedulerCycles) {
   EXPECT_EQ(by_priority, kRuns);
 
   // The config view echoes the deployment's knobs.
-  EXPECT_EQ(stats_response->config.mode, api::SchedulingMode::kBatch);
   EXPECT_EQ(stats_response->config.queue_threshold, 25u);
   EXPECT_EQ(stats_response->config.max_batch_size, 40u);
 }
@@ -1027,7 +1026,7 @@ TEST(BatchServing, BurstHitsThePrepCache) {
   config.seed = 67;
   config.trajectory_width_limit = 8;
   config.executor_threads = 1;  // sequential executors: deterministic hits
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
+  config.scheduler_service.queue_threshold = 1;  // one cycle per sequential run
   api::QonductorClient client(config);
   const auto image = deploy_quantum(client, "prep-cache", circuit::ghz(3));
 
@@ -1101,46 +1100,40 @@ TEST(BatchServing, ShutdownDrainsThePendingQueue) {
   EXPECT_EQ(rejected.status().code(), api::StatusCode::kUnavailable);
 }
 
-TEST(BatchServing, ImmediateModeIsTheExplicitFallback) {
+// Per-task dispatch is plain batch config: threshold 1, batch cap 1 and no
+// linger give every job its own single-job cycle on the scheduler thread
+// (the comparison row of bench_burst and the burst_scheduling example).
+TEST(BatchServing, PerTaskCyclesScheduleOneJobEach) {
+  constexpr std::size_t kRuns = 16;
   QonductorConfig config;
   config.num_qpus = 2;
-  config.seed = 31;
-  config.trajectory_width_limit = 8;
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
+  config.seed = 41;
+  config.trajectory_width_limit = 0;  // analytic model: fast
+  config.scheduler_service.queue_threshold = 1;
+  config.scheduler_service.max_batch_size = 1;
+  config.scheduler_service.linger = 0ms;
   api::QonductorClient client(config);
-  const auto image = deploy_quantum(client, "immediate", circuit::ghz(3));
+  const auto image = deploy_quantum(client, "per-task", circuit::ghz(3));
 
-  api::InvokeRequest request;
-  request.image = image;
-  auto handle = client.invoke(request);
-  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
-  EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
+  std::vector<api::InvokeRequest> requests(kRuns);
+  for (auto& request : requests) request.image = image;
+  auto handles = client.invokeAll(requests);
+  ASSERT_TRUE(handles.ok()) << handles.status().to_string();
+  for (const auto& handle : *handles) {
+    EXPECT_EQ(handle.wait(), api::RunStatus::kCompleted);
+  }
 
-  // No scheduler service runs: the stats surface answers with zero cycles.
   auto stats = client.getSchedulerStats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->config.mode, api::SchedulingMode::kImmediate);
-  EXPECT_EQ(stats->stats.cycles, 0u);
-  EXPECT_EQ(stats->stats.jobs_scheduled, 0u);
-}
-
-TEST(BatchServing, ImmediateModeOfflineFleetIsTypedResourceExhausted) {
-  QonductorConfig config;
-  config.num_qpus = 2;
-  config.seed = 37;
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
-  api::QonductorClient client(config);
-  const auto image = deploy_quantum(client, "immediate-offline", circuit::ghz(3));
-  take_fleet_offline(client);
-
-  api::InvokeRequest request;
-  request.image = image;
-  auto handle = client.invoke(request);
-  ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(handle->wait(), api::RunStatus::kFailed);
-  auto result = handle->result();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->error.code(), api::StatusCode::kResourceExhausted);
+  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+  EXPECT_EQ(stats->stats.cycles, kRuns);
+  EXPECT_EQ(stats->stats.jobs_scheduled, kRuns);
+  EXPECT_EQ(stats->stats.max_batch_size_seen, 1u);
+  ASSERT_EQ(stats->stats.recent_cycles.size(), kRuns);
+  for (const auto& cycle : stats->stats.recent_cycles) {
+    EXPECT_EQ(cycle.batch_size, 1u);
+    EXPECT_EQ(cycle.scheduled, 1u);
+    EXPECT_EQ(cycle.trigger, api::CycleTrigger::kThreshold);
+  }
 }
 
 TEST(BatchServing, BadSchedulerKnobsSurfaceAsInvalidArgument) {
@@ -1416,16 +1409,17 @@ TEST(AdmissionControl, InvokeAllShedsAtomically) {
 
 // ---- more end-to-end serving-path coverage -----------------------------------
 
-// Deadline-boundary regression, site 3 of 3 (the immediate path): a
-// classical prep task advances the fleet clock to exactly the quantum
-// task's deadline, so dispatch would happen AT the deadline with zero
-// slack — the run must fail DEADLINE_EXCEEDED. (Submit-time admission
-// passes: the deadline lies beyond the frontier at invoke.)
-TEST(BatchServing, ImmediateDispatchExactlyAtDeadlineIsAMiss) {
+// Deadline-boundary regression, site 3 of 3 (end to end through the
+// serving path): a classical prep task advances the fleet clock to exactly
+// the quantum task's deadline, so the cycle its park fires would dispatch
+// AT the deadline with zero slack — the run must fail DEADLINE_EXCEEDED at
+// cycle start. (Submit-time admission passes: the deadline lies beyond the
+// frontier at invoke.)
+TEST(BatchServing, DispatchExactlyAtDeadlineIsAMiss) {
   QonductorConfig config;
   config.num_qpus = 2;
   config.seed = 101;
-  config.scheduler_service.mode = SchedulingMode::kImmediate;
+  config.scheduler_service.queue_threshold = 1;
   api::QonductorClient client(config);
 
   api::CreateWorkflowRequest create;
