@@ -7,14 +7,16 @@
 //
 // Pacing modes (see PacingMode in profile.hpp):
 //
-//   lockstep — the determinism contract. One engine worker, arrivals
-//     admitted in groups of exactly queue_threshold parked tasks; after
-//     each admitted run the driver waits for the park to land in the
-//     pending queue, and after the group's threshold cycle fires it waits
-//     every member to settle before advancing the clock again. Every
-//     scheduling cycle is a threshold cycle at a deterministic virtual
-//     instant, so two campaigns with the same profile produce
-//     byte-identical stats streams and identical (wall-excluded) reports.
+//   lockstep — the determinism contract. Arrivals are admitted in groups
+//     of exactly queue_threshold parked tasks; after each admitted run the
+//     driver waits for the park to land in the pending queue, and after
+//     the group's threshold cycle fires it waits every member to settle
+//     before advancing the clock again. Every scheduling cycle is a
+//     threshold cycle at a deterministic virtual instant, the cycle books
+//     each task's QPU window at dispatch, and each execution draws from its
+//     own per-task stream — so two campaigns with the same profile produce
+//     byte-identical stats streams and identical (wall-excluded) reports
+//     at any number of engine workers.
 //
 //   windowed — throughput mode. Arrivals stream with a bounded window of
 //     outstanding runs; real-time cycle races make outcomes vary run to

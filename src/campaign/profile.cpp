@@ -338,11 +338,9 @@ void validate_profile(const CampaignProfile& profile) {
     }
   }
   if (profile.pacing == PacingMode::kLockstep) {
-    // The determinism contract: one engine worker serializes park order,
-    // and a full-queue cycle leaves nothing behind for a racy timer fire.
-    if (profile.executor_threads != 1) {
-      fail("campaign: pacing lockstep requires executor_threads == 1");
-    }
+    // The determinism contract: a full-queue cycle leaves nothing behind
+    // for a racy timer fire. Any engine worker count is fine — the driver
+    // serializes parks, and execution is order-independent.
     if (profile.scheduler.max_batch_size != 0) {
       fail("campaign: pacing lockstep requires max_batch_size == 0 "
            "(a capped cycle leaves a remainder for a nondeterministic timer fire)");

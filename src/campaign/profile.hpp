@@ -54,10 +54,10 @@
 //       attainment_target: 0.9
 //
 // Determinism contract: with `pacing: lockstep` the whole campaign is a
-// pure function of the profile (see campaign/driver.hpp), which the parser
-// enforces structurally — lockstep requires executor_threads == 1 and
-// max_batch_size == 0 so every scheduling cycle is a full-queue threshold
-// cycle at a deterministic virtual instant.
+// pure function of the profile (see campaign/driver.hpp) at any
+// executor_threads. The parser enforces the structural part — lockstep
+// requires max_batch_size == 0 so every scheduling cycle is a full-queue
+// threshold cycle at a deterministic virtual instant.
 
 #include <array>
 #include <cstdint>

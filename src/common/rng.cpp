@@ -118,4 +118,11 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
 
 Rng Rng::split() { return Rng((*this)()); }
 
+std::uint64_t derive_seed(std::uint64_t root, std::uint64_t a, std::uint64_t b) {
+  std::uint64_t x = root;
+  x = splitmix64(x) ^ a;
+  x = splitmix64(x) ^ b;
+  return splitmix64(x);
+}
+
 }  // namespace qon

@@ -82,4 +82,10 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
+/// Seed of the stream keyed by (a, b) under `root`. A pure function, so
+/// concurrent components each derive "the stream of X" (one task's
+/// execution, one calibration generation) without sharing or advancing a
+/// generator — the draws do not depend on which component ran first.
+std::uint64_t derive_seed(std::uint64_t root, std::uint64_t a, std::uint64_t b = 0);
+
 }  // namespace qon

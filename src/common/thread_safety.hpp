@@ -117,14 +117,9 @@ enum class LockRank : int {
   /// whose nesting is externally constrained (none in-tree today).
   kUnranked = 0,
 
-  /// Qonductor::engine_mutex_ — the data-plane execution lock (fleet
-  /// virtual clock, shared RNG, hidden noise). Outermost: scheduling
-  /// snapshots acquire the reservation and monitor locks inside it, and
-  /// quantum execution the thread-pool lock.
-  kEngine = 100,
-  /// Qonductor::reservations_mutex_ — §7 reservation windows. Inside
-  /// kEngine (expire_reservations runs under the snapshot's engine lock),
-  /// outside kMonitor (the flag flip happens under it).
+  /// Qonductor::reservations_mutex_ — §7 reservation windows. Outermost:
+  /// the scheduling snapshot's expiry sweep and reserveQpu/releaseQpu flip
+  /// the monitor flag under it, so it ranks outside kMonitor.
   kReservations = 200,
   /// api::RunState::mutex — one per run record. Outside kRunTable
   /// (settle_run calls mark_terminal under the record lock).
@@ -133,8 +128,8 @@ enum class LockRank : int {
   /// eviction only drops the table's own references.
   kRunTable = 400,
   /// core::SystemMonitor::mutex_ — the QPU flag table and, when
-  /// replicated, its Raft journal. Inside kEngine (scheduling snapshots)
-  /// and kReservations (reservation flag flips); a leaf otherwise.
+  /// replicated, its Raft journal. Inside kReservations (reservation flag
+  /// flips); a leaf otherwise.
   kMonitor = 500,
   /// obs::MetricsRegistry::mutex_ — metric registration + snapshot. Must
   /// rank BELOW kPendingQueue/kRunEngine/kSchedulerStats: snapshot() polls
@@ -178,18 +173,14 @@ enum class LockRank : int {
   /// obs::Tracer::mutex_ — the run-id -> trace-buffer map. Outside
   /// kTraceBuffer: getRunTrace snapshots a buffer while holding the map
   /// lock. High rank so lookups may run while holding any scheduler or
-  /// engine lock (none do today, but recording must never rank-invert).
+  /// run-engine lock (none do today, but recording must never rank-invert).
   kTracer = 860,
   /// obs::RunTraceBuffer::mutex_ — one per-run span ring. Near-leaf:
   /// spans are recorded from engine workers and the scheduler thread while
   /// those components hold their own (lower-ranked) locks, and the only
   /// lock ever taken inside it is kLogging.
   kTraceBuffer = 880,
-  /// ThreadPool::mutex_ — task queue of the worksharing pool. Inside
-  /// kEngine: state-vector simulation runs parallel_for under the engine
-  /// lock.
-  kThreadPool = 900,
-  /// join_mutex_ of ThreadPool / RunEngine / SchedulerService — serializes
+  /// join_mutex_ of RunEngine / SchedulerService — serializes
   /// concurrent shutdown(); held only while joining, after the component's
   /// own lock is released.
   kShutdownJoin = 950,

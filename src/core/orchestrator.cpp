@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "estimator/execution_model.hpp"
 #include "simulator/metrics.hpp"
 #include "transpiler/transpiler.hpp"
@@ -35,6 +36,11 @@ std::vector<std::string> backend_names(const qpu::Fleet& fleet) {
   return names;
 }
 
+/// Roots of the streams derived from the config seed: one per executed
+/// task (keyed by run and node), one per calibration generation.
+constexpr std::uint64_t kExecutionStream = 0xe8ec0a7eULL;
+constexpr std::uint64_t kCalibrationStream = 0xca1b0a7eULL;
+
 }  // namespace
 
 api::Status validate_admission_config(const AdmissionConfig& config) {
@@ -63,24 +69,15 @@ api::Status validate_admission_config(const AdmissionConfig& config) {
 
 Qonductor::Qonductor(QonductorConfig config)
     : config_(config),
-      rng_(config.seed),
       hidden_(config.seed ^ 0x9d17ULL, config.hidden_sigma),
-      fleet_(qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL)),
+      fleet_generations_(qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL)),
+      templates_(fleet().template_backends()),
       nodes_(sched::make_node_pool(config.classical_standard_nodes,
                                    config.classical_highend_nodes,
                                    config.classical_fpga_nodes)),
-      monitor_(backend_names(fleet_), config.replicated_monitor),
+      monitor_(backend_names(fleet()), config.replicated_monitor),
       run_table_(config.retention),
       telemetry_(config.telemetry) {
-  templates_ = fleet_.template_backends();
-  {
-    // Construction is single-threaded, but qpu_available_at_ is
-    // engine-guarded state: taking the (uncontended) engine lock keeps the
-    // guarded_by contract true at every access instead of carving out a
-    // trust-me exception for the constructor.
-    MutexLock lock(engine_mutex_);
-    qpu_available_at_.assign(fleet_.backends.size(), 0.0);
-  }
 
   // Registry instruments, registered family-by-family so the Prometheus
   // renderer emits one HELP/TYPE header per family. The returned pointers
@@ -136,18 +133,26 @@ Qonductor::Qonductor(QonductorConfig config)
     SchedulerServiceHooks hooks;
     hooks.now = [this] { return fleetNow(); };
     hooks.snapshot_qpus = [this](double advance_to) {
-      // The test-only wedge-injection point: BEFORE the engine lock, so a
-      // blocked hook wedges only the scheduler thread, not the data plane.
+      // The test-only wedge-injection point: a blocked hook wedges only the
+      // scheduler thread, never the workers executing dispatched tasks.
       if (config_.health.scheduler_fault_injection) {
         config_.health.scheduler_fault_injection();
       }
-      MutexLock lock(engine_mutex_);
-      advance_fleet_clock(advance_to);
-      const double now = fleet_clock_.load(std::memory_order_relaxed);
+      advanceFleetClock(advance_to);
       // Reservation time windows expire at cycle boundaries: release due
       // QPUs before snapshotting so this very cycle schedules onto them.
-      expire_reservations(now);
-      return snapshot_qpu_states_locked(now);
+      expire_reservations(fleetNow());
+      // The monitor's table is built in fleet order: flags[q] is backend q.
+      const std::vector<QpuInfo> flags = monitor_.qpus();
+      const qpu::Fleet& fleet = this->fleet();
+      std::vector<sched::QpuState> states(fleet.backends.size());
+      for (std::size_t q = 0; q < states.size(); ++q) {
+        states[q].name = fleet.backends[q]->name();
+        states[q].size = fleet.backends[q]->num_qubits();
+        // A QPU is schedulable only when healthy AND not reserved (§7).
+        states[q].online = flags[q].online && !flags[q].reserved;
+      }
+      return states;
     };
     scheduler_service_ = std::make_shared<SchedulerService>(
         config_.scheduler_service, config_.seed ^ 0x5c4edULL, cycle_config,
@@ -253,40 +258,20 @@ void Qonductor::shutdown() {
   if (scheduler_service_) scheduler_service_->shutdown();
 }
 
-void Qonductor::advance_fleet_clock(double up_to) {
-  // Callers hold engine_mutex_, so a plain read-modify-write is race-free;
-  // the atomic store publishes the frontier to lock-free readers.
-  if (up_to > fleet_clock_.load(std::memory_order_relaxed)) {
-    fleet_clock_.store(up_to, std::memory_order_release);
-  }
-}
-
 void Qonductor::advanceFleetClock(double up_to) {
-  MutexLock lock(engine_mutex_);
-  advance_fleet_clock(up_to);
+  double seen = fleet_clock_.load(std::memory_order_relaxed);
+  while (up_to > seen && !fleet_clock_.compare_exchange_weak(
+                             seen, up_to, std::memory_order_release,
+                             std::memory_order_relaxed)) {
+  }
 }
 
 void Qonductor::recalibrateFleet() {
-  MutexLock lock(engine_mutex_);
-  fleet_.recalibrate_all(rng_, fleet_clock_.load(std::memory_order_relaxed));
-}
-
-std::vector<sched::QpuState> Qonductor::snapshot_qpu_states_locked(
-    double reference) const {
-  // The monitor's table is built in fleet order: flags[q] is backend q.
-  const std::vector<QpuInfo> flags = monitor_.qpus();
-  std::vector<sched::QpuState> states;
-  states.reserve(fleet_.backends.size());
-  for (std::size_t q = 0; q < fleet_.backends.size(); ++q) {
-    sched::QpuState state;
-    state.name = fleet_.backends[q]->name();
-    state.size = fleet_.backends[q]->num_qubits();
-    state.queue_wait_seconds = std::max(0.0, qpu_available_at_[q] - reference);
-    // A QPU is schedulable only when healthy AND not reserved (§7).
-    state.online = flags[q].online && !flags[q].reserved;
-    states.push_back(std::move(state));
-  }
-  return states;
+  const double now = fleetNow();
+  fleet_generations_.publish([this, now](const qpu::FleetGenerations::Generation& displaced) {
+    Rng rng(derive_seed(config_.seed ^ kCalibrationStream, displaced.number + 1));
+    return displaced.fleet.recalibrated(rng, now);
+  });
 }
 
 // ---- v1 request/response surface ---------------------------------------------
@@ -331,7 +316,7 @@ api::Result<api::DeployResponse> Qonductor::deploy(const api::DeployRequest& req
     const auto& task = img->dag.task(t);
     if (task.kind != workflow::TaskKind::kQuantum) continue;
     bool fits = false;
-    for (const auto& backend : fleet_.backends) {
+    for (const auto& backend : fleet().backends) {
       if (task.circ.num_qubits() <= backend->num_qubits()) fits = true;
     }
     if (!fits) {
@@ -985,13 +970,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     try {
       const double exec_wall_start =
           cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
-      TaskResult tr;
-      {
-        MutexLock lock(engine_mutex_);
-        tr = execute_quantum_locked(task, *prep,
-                                    static_cast<std::size_t>(pending->assigned_qpu),
-                                    pending->dispatched_at);
-      }
+      TaskResult tr = execute_quantum(task, *prep, *pending, node);
       if (cont->trace) {
         cont->trace->record(telemetry_.tracer().span(
             "qpu_exec", tr.start, tr.end, exec_wall_start, "resource=" + tr.resource));
@@ -1056,32 +1035,22 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
   return StepOutcome::kProgress;
 }
 
-std::uint64_t Qonductor::calibration_fingerprint() const {
-  // FNV-style combine over per-backend calibration cycles: any single
-  // recalibration moves the fingerprint and invalidates the prep cache.
-  std::uint64_t fp = 1469598103934665603ULL;
-  for (const auto& backend : fleet_.backends) {
-    fp ^= backend->calibration().cycle + 0x9e3779b97f4a7c15ULL + (fp << 6) + (fp >> 2);
-  }
-  return fp;
-}
-
 std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
     const workflow::HybridTask& task) const {
-  // Pure function of the (immutable) circuit, the backends and their
-  // calibrations — so a burst of runs of one image shares a single prep
-  // instead of re-transpiling per run. Keyed by the task's address: the
-  // registry is append-only, so task addresses are stable and unique.
-  const std::uint64_t fingerprint = calibration_fingerprint();
+  // Pure function of the (immutable) circuit and one calibration generation
+  // — so a burst of runs of one image shares a single prep instead of
+  // re-transpiling per run. Keyed by the task's address: the registry is
+  // append-only, so task addresses are stable and unique.
+  const qpu::FleetGenerations::Generation& generation = fleet_generations_.current();
   {
     MutexLock lock(prep_cache_mutex_);
-    if (fingerprint != prep_cache_fingerprint_) {
+    if (generation.number > prep_cache_generation_) {
       prep_cache_.clear();  // fleet recalibrated: every estimate is stale
       prep_cache_order_.clear();
-      prep_cache_fingerprint_ = fingerprint;
+      prep_cache_generation_ = generation.number;
     }
     const auto it = prep_cache_.find(&task);
-    if (it != prep_cache_.end()) {
+    if (generation.number == prep_cache_generation_ && it != prep_cache_.end()) {
       prep_cache_hits_->inc();
       return it->second;
     }
@@ -1089,8 +1058,8 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   prep_cache_misses_->inc();
 
   auto prep = std::make_shared<QuantumTaskPrep>();
-  prep->transpiled.reserve(fleet_.backends.size());
-  for (const auto& backend : fleet_.backends) {
+  prep->transpiled.reserve(generation.fleet.backends.size());
+  for (const auto& backend : generation.fleet.backends) {
     prep->transpiled.push_back(transpiler::transpile(task.circ, *backend));
     const auto& t = prep->transpiled.back();
     const auto sig = mitigation::compute_signature(
@@ -1105,7 +1074,7 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   }
 
   MutexLock lock(prep_cache_mutex_);
-  if (fingerprint != prep_cache_fingerprint_) {
+  if (generation.number != prep_cache_generation_) {
     // Recalibrated while we were transpiling: serve this prep to the
     // caller (its estimates matched the inputs it saw) but don't cache it.
     return prep;
@@ -1123,19 +1092,23 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   return it->second;
 }
 
-TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
-                                             const QuantumTaskPrep& prep, std::size_t q,
-                                             double dispatched_at) {
-  const auto& backend = *fleet_.backends[q];
+TaskResult Qonductor::execute_quantum(const workflow::HybridTask& task,
+                                      const QuantumTaskPrep& prep,
+                                      const PendingQuantumTask& verdict,
+                                      workflow::TaskId node) {
+  const std::size_t q = static_cast<std::size_t>(verdict.assigned_qpu);
+  const auto& backend = *fleet().backends[q];
   const auto& chosen = prep.transpiled[q];
+  // The task's own stream: its outcome draws do not depend on which worker
+  // executes it or on how many executions ran before it.
+  Rng rng(derive_seed(config_.seed ^ kExecutionStream, verdict.run, node));
 
   TaskResult result;
   result.name = task.name;
   result.kind = workflow::TaskKind::kQuantum;
   result.resource = backend.name();
-  result.start = std::max(qpu_available_at_[q], dispatched_at);
-  result.end = result.start + prep.est_exec_seconds[q];
-  qpu_available_at_[q] = result.end;
+  result.start = verdict.exec_start;
+  result.end = verdict.exec_end;
 
   // Count active qubits to decide between exact trajectory simulation and
   // the analytic ground-truth model.
@@ -1157,19 +1130,19 @@ TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
   if (n_active <= config_.trajectory_width_limit && !sig.cuts_circuit) {
     sim::TrajectoryOptions opts;
     opts.delay_dephasing_residual = sig.delay_dephasing_residual;
-    result.counts = sim::run_noisy(chosen.circuit, backend, task.shots, rng_, hidden_, opts);
+    result.counts = sim::run_noisy(chosen.circuit, backend, task.shots, rng, hidden_, opts);
     const double raw =
         sim::hellinger_fidelity(result.counts, sim::ideal_distribution(task.circ));
     result.fidelity = mitigation::mitigated_fidelity(raw, sig);
   } else {
     result.fidelity = estimator::executed_fidelity(chosen.circuit, backend, sig, hidden_,
-                                                   1.08, task.shots, rng_);
+                                                   1.08, task.shots, rng);
   }
   result.cost_dollars = estimator::job_cost_dollars(
       prep.est_exec_seconds[q],
       sig.classical_preprocess_seconds + sig.classical_postprocess_seconds, task.accelerator,
       config_.plan_config.prices);
-  advance_fleet_clock(result.end);
+  advanceFleetClock(result.end);
   return result;
 }
 
@@ -1288,8 +1261,7 @@ api::Result<TaskResult> Qonductor::run_classical_task(const workflow::HybridTask
   result.cost_dollars = estimator::job_cost_dollars(0.0, result.end - result.start,
                                                     task.accelerator,
                                                     config_.plan_config.prices);
-  MutexLock lock(engine_mutex_);
-  advance_fleet_clock(result.end);
+  advanceFleetClock(result.end);
   return result;
 }
 

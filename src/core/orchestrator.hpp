@@ -22,6 +22,14 @@
 // executor_threads workers. All error paths on the request/response
 // surface return api::Status — no exception crosses the API boundary.
 //
+// Execution takes no lock. The scheduler thread owns the QPU timeline and
+// books each dispatched task's [start, end) window into its verdict; a
+// worker then executes the task as a pure step over (task, verdict, one
+// calibration generation, the task's own RNG stream), so the workers run
+// executions in parallel and the outcome does not depend on their order.
+// Calibration is published as immutable generations (recalibrateFleet),
+// and the fleet virtual clock is a lock-free monotonic max.
+//
 // Quantum dispatch is batch-scheduled (§7) on one path: every quantum task
 // parks in the scheduler service's pending queue, and a dedicated scheduler
 // thread fires scheduling cycles (queue threshold OR timer on the fleet
@@ -82,9 +90,9 @@ using TaskResult = api::TaskResult;
 using WorkflowResult = api::WorkflowResult;
 
 /// Per-backend transpilation + resource estimates for one quantum task —
-/// everything a scheduling cycle needs to know about the job, computed
-/// outside the engine lock (the inputs are immutable). Shared between the
-/// prep cache and parked continuations (run_engine.hpp forward-declares it).
+/// everything a scheduling cycle needs to know about the job, computed off
+/// every lock against one calibration generation. Shared between the prep
+/// cache and parked continuations (run_engine.hpp forward-declares it).
 struct QuantumTaskPrep {
   std::vector<transpiler::TranspileResult> transpiled;
   std::vector<double> est_fidelity;
@@ -131,8 +139,8 @@ struct HealthConfig {
   /// each getHealth call; transitions are logged at warn level.
   std::vector<obs::SloRule> alert_rules;
   /// TEST ONLY: invoked by the scheduler's QPU-snapshot hook at cycle
-  /// start, before the engine lock is taken — the wedge-injection point of
-  /// the watchdog death test. Leave unset in production configs.
+  /// start, on the scheduler thread — the wedge-injection point of the
+  /// watchdog death test. Leave unset in production configs.
   std::function<void()> scheduler_fault_injection;
 };
 
@@ -179,10 +187,10 @@ struct QonductorConfig {
 };
 
 /// The orchestrator facade. invoke() is asynchronous: the workflow DAG is
-/// executed on the executor pool, scheduling each task on the fleet / node
-/// pool and advancing the shared virtual clock under the engine lock.
-/// Concurrent clients are safe: registry, run table, monitor and fleet
-/// clock are each synchronized.
+/// executed by the run engine's workers, each task on the fleet / node pool,
+/// advancing the shared virtual clock. Concurrent clients are safe:
+/// registry, run table, monitor, calibration generations and fleet clock
+/// are each synchronized.
 class Qonductor {
  public:
   explicit Qonductor(QonductorConfig config = {});
@@ -269,7 +277,10 @@ class Qonductor {
   sched::ScheduleDecision generateSchedule(const sched::SchedulingInput& input) const;
 
   // -- introspection -------------------------------------------------------------
-  const qpu::Fleet& fleet() const { return fleet_; }
+  /// The current calibration generation of the fleet. The reference stays
+  /// valid and unchanged for the orchestrator's lifetime — a later
+  /// recalibrateFleet() publishes a new generation instead of rewriting it.
+  const qpu::Fleet& fleet() const { return fleet_generations_.current().fleet; }
   SystemMonitor& monitor() { return monitor_; }
   const std::vector<sched::ClassicalNode>& nodes() const { return nodes_; }
   /// The run table backing getRun/listRuns (eviction counters, sweep()).
@@ -281,16 +292,17 @@ class Qonductor {
   /// Current frontier of the fleet's virtual clock, in seconds: the latest
   /// task-completion time any resource has reached.
   double fleetNow() const { return fleet_clock_.load(std::memory_order_acquire); }
-  /// Advances the fleet virtual clock to at least `up_to` seconds
-  /// (monotonic max — a smaller value is a no-op). The campaign driver
-  /// uses this to pace profile arrival instants onto the same clock the
-  /// scheduler stamps submissions and deadlines against.
-  void advanceFleetClock(double up_to) EXCLUDES(engine_mutex_);
-  /// Re-draws calibration for the whole fleet at the current virtual
-  /// instant and republishes QPU state — the campaign `recalibrate` churn
-  /// event. The calibration fingerprint moves, so the transpile/prep cache
-  /// invalidates itself on the next run.
-  void recalibrateFleet() EXCLUDES(engine_mutex_);
+  /// Advances the fleet virtual clock to at least `up_to` seconds (a
+  /// lock-free monotonic max — a smaller value is a no-op). The campaign
+  /// driver uses this to pace profile arrival instants onto the same clock
+  /// the scheduler stamps submissions and deadlines against.
+  void advanceFleetClock(double up_to);
+  /// Publishes the next calibration generation of the whole fleet, drawn at
+  /// the current virtual instant from the stream of (seed, generation) —
+  /// the campaign `recalibrate` churn event. Preps and executions already
+  /// holding a generation finish on it; the prep cache invalidates itself
+  /// on the next run.
+  void recalibrateFleet();
   /// The batch-scheduling job manager, null when the config failed
   /// validation. Non-const like monitor(): owner-level access (tests use it
   /// to force shutdown interleavings against in-flight runs).
@@ -360,59 +372,44 @@ class Qonductor {
                                              double ready_at);
   std::shared_ptr<const QuantumTaskPrep> prepare_quantum_task(
       const workflow::HybridTask& task) const;
-  /// Hash of every backend's calibration cycle — the freshness half of the
-  /// prep-cache key (a recalibration invalidates all cached preps).
-  std::uint64_t calibration_fingerprint() const;
-  /// Executes the prepared task on backend `q`. `dispatched_at` floors the
-  /// start time at the dispatching cycle's fire time — never before the
-  /// task's DAG-ready time: every predecessor advanced the fleet clock to
-  /// its end before the task parked, and a cycle dispatches at or after
-  /// that frontier.
-  TaskResult execute_quantum_locked(const workflow::HybridTask& task,
-                                    const QuantumTaskPrep& prep, std::size_t q,
-                                    double dispatched_at)
-      REQUIRES(engine_mutex_);
-  /// QPU states for a scheduling input (queue waits relative to
-  /// `reference`, online/reserved flags from the monitor).
-  std::vector<sched::QpuState> snapshot_qpu_states_locked(double reference) const
-      REQUIRES(engine_mutex_);
+  /// Executes `node` of a run in the window its dispatching cycle booked
+  /// (verdict.exec_start/exec_end on verdict.assigned_qpu), on the current
+  /// calibration generation, drawing from the stream of (seed, run, node).
+  /// Lock-free; the window's start is never before the task's DAG-ready
+  /// time: every predecessor advanced the fleet clock to its end before the
+  /// task parked, and a cycle dispatches at or after that frontier.
+  TaskResult execute_quantum(const workflow::HybridTask& task, const QuantumTaskPrep& prep,
+                             const PendingQuantumTask& verdict, workflow::TaskId node);
   /// Releases every windowed reservation whose deadline lies at/before
   /// `now` on the fleet virtual clock. Called right before a cycle's
   /// scheduling snapshot, so the snapshotting cycle already schedules onto
-  /// the released QPUs. Acquires reservations_mutex_ (inside engine_mutex_
-  /// in the hierarchy).
+  /// the released QPUs.
   void expire_reservations(double now) EXCLUDES(reservations_mutex_);
-  void advance_fleet_clock(double up_to) REQUIRES(engine_mutex_);
 
   QonductorConfig config_;
-  Rng rng_ GUARDED_BY(engine_mutex_);
-  sim::HiddenNoise hidden_ GUARDED_BY(engine_mutex_);
-  qpu::Fleet fleet_;
+  /// Ground-truth noise: a pure function of (backend, calibration cycle,
+  /// tag), safe to share across executing workers.
+  const sim::HiddenNoise hidden_;
+  /// The fleet's calibration generations; fleet() is the current one.
+  qpu::FleetGenerations fleet_generations_;
   std::vector<qpu::Backend> templates_;
   std::vector<sched::ClassicalNode> nodes_;
   workflow::WorkflowRegistry registry_ GUARDED_BY(registry_mutex_);
   std::map<workflow::ImageId, bool> deployed_ GUARDED_BY(registry_mutex_);
-  /// Per-QPU online/reserved flags, built from fleet_ (declared above).
-  /// Static and calibration facts are read from fleet_.backends directly.
+  /// Per-QPU online/reserved flags, built from the fleet (declared above).
+  /// Static and calibration facts are read from fleet().backends directly.
   SystemMonitor monitor_;
   /// Owns the run records; mutable because lookups refresh LRU recency.
   /// Declared before executor_ so in-flight runs can use it during drain.
   mutable RunTable run_table_;
-  std::vector<double> qpu_available_at_ GUARDED_BY(engine_mutex_);
-  /// Monotone frontier of the virtual clock, advanced by the executor under
-  /// engine_mutex_ and read lock-free when stamping run lifecycle times.
+  /// Monotone frontier of the virtual clock: a lock-free max advanced by
+  /// executions, scheduling cycles and the campaign driver.
   std::atomic<double> fleet_clock_{0.0};
 
   /// Guards registry_ + deployed_. The registry is append-only, so image
   /// pointers obtained under this lock stay valid for the orchestrator's
   /// lifetime.
   mutable Mutex registry_mutex_{LockRank::kRegistry, "Qonductor::registry_mutex_"};
-  /// Serializes data-plane task execution: the fleet virtual clock
-  /// (qpu_available_at_), the shared RNG and the hidden-noise model.
-  /// Outermost lock of the hierarchy: scheduling snapshots take the
-  /// reservation and monitor locks inside it, execution the thread-pool
-  /// lock.
-  Mutex engine_mutex_{LockRank::kEngine, "Qonductor::engine_mutex_"};
 
   /// The telemetry bundle (registry + tracer). Declared before the
   /// scheduler service and the engine: runs draining through either during
@@ -447,8 +444,8 @@ class Qonductor {
 
   /// Cache of per-backend transpilation + estimates keyed by task identity
   /// (registry task addresses are stable — the registry is append-only)
-  /// and invalidated wholesale when the fleet calibration fingerprint
-  /// moves. A burst of runs of one image transpiles its circuits once.
+  /// and invalidated wholesale when a newer calibration generation is
+  /// published. A burst of runs of one image transpiles its circuits once.
   /// Bounded: at most kPrepCacheCapacity tasks, oldest-inserted evicted
   /// first — the registry is unbounded, so the cache must not mirror it.
   static constexpr std::size_t kPrepCacheCapacity = 512;
@@ -458,7 +455,8 @@ class Qonductor {
   /// FIFO eviction order.
   mutable std::deque<const workflow::HybridTask*> prep_cache_order_
       GUARDED_BY(prep_cache_mutex_);
-  mutable std::uint64_t prep_cache_fingerprint_ GUARDED_BY(prep_cache_mutex_) = 0;
+  /// The calibration generation every cached prep was computed against.
+  mutable std::uint64_t prep_cache_generation_ GUARDED_BY(prep_cache_mutex_) = 0;
   /// Registry counters (qon_prep_cache_{hits,misses}_total): lock-free
   /// relaxed increments on the prepare path, read coherently by snapshot().
   obs::Counter* prep_cache_hits_ = nullptr;

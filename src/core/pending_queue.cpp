@@ -4,20 +4,22 @@
 
 namespace qon::core {
 
-void PendingQuantumTask::complete(int qpu, double now) {
+bool PendingQuantumTask::complete(int qpu, double now, double start, double end) {
   std::function<void()> observer;
   {
     MutexLock lock(mutex_);
-    if (done_) return;  // already cancelled/expired: first writer won
+    if (done_) return false;  // already cancelled/expired: first writer won
     assigned_qpu = qpu;
     dispatched_at = now;
+    exec_start = start;
+    exec_end = end;
     done_ = true;
     observer = std::move(on_settled_);
   }
-  cv_.notify_all();
   // Outside the lock: the observer typically posts a run-engine resume
   // event, which may step the run on another thread immediately.
   if (observer) observer();
+  return true;
 }
 
 void PendingQuantumTask::fail(api::Status status, double now) {
@@ -30,7 +32,6 @@ void PendingQuantumTask::fail(api::Status status, double now) {
     done_ = true;
     observer = std::move(on_settled_);
   }
-  cv_.notify_all();
   if (observer) observer();
 }
 
@@ -45,11 +46,6 @@ void PendingQuantumTask::on_settled(std::function<void()> callback) {
   // Already settled (e.g. cancel raced the registration): fire immediately
   // so the caller's resume event is never lost.
   callback();
-}
-
-void PendingQuantumTask::await() {
-  MutexLock lock(mutex_);
-  while (!done_) cv_.wait(mutex_);
 }
 
 bool PendingQuantumTask::settled() const {

@@ -46,9 +46,9 @@ namespace qon::core {
 /// One quantum task parked between its run's executor and the scheduler
 /// service. The executor fills the request half before offer() (the
 /// per-backend estimates are precomputed off-lock so scheduling cycles stay
-/// cheap), waits via on_settled() or await(), and the first of
-/// {complete, fail} wins — a late completion of a task that was already
-/// cancelled or expired is a no-op.
+/// cheap), registers on_settled(), and the first of {complete, fail} wins —
+/// a late completion of a task that was already cancelled or expired is a
+/// no-op.
 struct PendingQuantumTask {
   // ---- request half: written by the executor before offer() ------------------
   api::RunId run = 0;
@@ -75,40 +75,42 @@ struct PendingQuantumTask {
   double enqueued_wall_us = 0.0;
 
   // ---- completion half: first writer wins ------------------------------------
-  /// Assigns QPU `qpu` at virtual time `now` and wakes the executor.
-  /// No-op if the task already settled (e.g. cancelled while parked).
-  void complete(int qpu, double now);
+  /// Assigns QPU `qpu` at virtual time `now` with the booked execution
+  /// window [start, end) and wakes the executor. Returns whether this call
+  /// settled the task: false (a no-op) once it already settled, e.g.
+  /// cancelled while parked — the caller then must not book the window.
+  bool complete(int qpu, double now, double start, double end);
   /// Fails the task with `status` at virtual time `now` and wakes the
   /// executor; the run ends carrying this status. No-op once settled.
   void fail(api::Status status, double now);
-  /// Executor side: blocks until complete()/fail(). After it returns,
-  /// assigned_qpu / dispatched_at / error are stable and safe to read
-  /// without the lock.
-  void await();
-  /// Non-blocking alternative to await(): registers an observer invoked
-  /// exactly once, outside the task's lock, by whichever of complete()/
-  /// fail() wins — or immediately in the caller's thread when the task has
-  /// already settled. After it fires, assigned_qpu / dispatched_at / error
-  /// are stable. The run engine uses this to post a resume event instead of
-  /// parking a thread. At most one callback may be registered per task.
+  /// Registers an observer invoked exactly once, outside the task's lock,
+  /// by whichever of complete()/fail() wins — or immediately in the
+  /// caller's thread when the task has already settled. After it fires,
+  /// the verdict fields below are stable. The run engine uses this to post
+  /// a resume event instead of parking a thread. At most one callback may
+  /// be registered per task.
   void on_settled(std::function<void()> callback);
   /// Whether complete()/fail() already happened. A settled item still
   /// physically queued is skipped by the next cycle.
   bool settled() const;
 
   // The verdict fields are deliberately NOT guarded_by(mutex_): they are
-  // written exactly once, under mutex_, before done_ flips, and the await()/
+  // written exactly once, under mutex_, before done_ flips, and the
   // on_settled() contract (release on the settling unlock, acquire on the
   // reader's lock/callback) makes them stable afterwards — readers access
   // them lock-free only after settlement. Annotating them would force every
   // post-settlement read through the lock for no added safety.
   int assigned_qpu = -1;      ///< valid iff error.ok()
   double dispatched_at = 0.0; ///< fleet clock when the cycle fired
+  /// The QPU timeline window the dispatching cycle booked for this task
+  /// (valid iff error.ok()): start = max(QPU free, dispatched_at), end =
+  /// start + the task's estimated runtime on assigned_qpu.
+  double exec_start = 0.0;
+  double exec_end = 0.0;
   api::Status error;
 
  private:
   mutable Mutex mutex_{LockRank::kPendingTask, "PendingQuantumTask::mutex_"};
-  CondVar cv_;
   /// Armed until settlement fires it (outside mutex_ — it acquires the
   /// run engine's lock).
   std::function<void()> on_settled_ GUARDED_BY(mutex_);

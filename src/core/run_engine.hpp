@@ -3,10 +3,9 @@
 // in-flight runs are driven by a handful of worker threads.
 //
 // The pre-engine executor dedicated one blocked thread to every in-flight
-// run: the thread parked inside PendingQuantumTask::await() until a
-// scheduling cycle dispatched the task, so `executor_threads` (default 2)
-// bounded how many jobs a cycle could even see. The engine
-// inverts that model. Each run is an explicit state machine — a
+// run: the thread blocked on its parked quantum task until a scheduling
+// cycle dispatched it, so `executor_threads` (default 2) bounded how many
+// jobs a cycle could even see. The engine inverts that model. Each run is an explicit state machine — a
 // RunContinuation holding the next-DAG-node cursor, per-node finish times
 // and the accumulated WorkflowResult — and a small worker pool drives those
 // machines through an event queue:
@@ -21,7 +20,9 @@
 //     scheduler service's pending queue and returns kParked — no thread
 //     blocks. When the scheduling cycle settles the task (dispatch, filter,
 //     deadline expiry, cancel), the callback posts a resume() event and any
-//     worker picks the run back up;
+//     worker picks the run back up. The resume step executes the task in
+//     the QPU window the cycle booked, holding no lock, so the workers
+//     execute quantum tasks in parallel;
 //   - kFinished retires the run (the stepper has already settled its
 //     record).
 //
@@ -114,7 +115,7 @@ class RunEngine {
 
   /// Spawns `workers` threads (min 1) executing `step` on queued events.
   /// `on_event`, when set, is invoked by the dispatching worker once per
-  /// popped event BEFORE the step runs, outside the engine lock — the
+  /// popped event BEFORE the step runs, outside the engine's lock — the
   /// orchestrator stamps its engine liveness heartbeat here, so a step
   /// function that wedges is already past its final beat and ages out.
   RunEngine(std::size_t workers, Step step, std::function<void()> on_event = {});

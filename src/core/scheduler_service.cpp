@@ -295,12 +295,16 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
     return;
   }
 
-  // Advance the fleet clock to the fire time and snapshot the QPU states
-  // (under the engine lock on the orchestrator side); the frontier may
-  // already be past fired_at, so re-read it as the cycle's dispatch time.
+  // Advance the fleet clock to the fire time and snapshot the QPU flags;
+  // the frontier may already be past fired_at, so re-read it as the
+  // cycle's dispatch time. Queue waits come from this thread's timeline.
   sched::SchedulingInput input;
   input.qpus = hooks_.snapshot_qpus(fired_at);
   const double now = std::max(fired_at, hooks_.now());
+  available_at_.resize(input.qpus.size(), 0.0);
+  for (std::size_t q = 0; q < input.qpus.size(); ++q) {
+    input.qpus[q].queue_wait_seconds = std::max(0.0, available_at_[q] - now);
+  }
 
   // The fleet frontier may have advanced past fired_at while we
   // snapshotted: a batch member whose deadline fell inside that window
@@ -450,9 +454,10 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
   };
 
   // Now wake the executors: deadline-expired jobs fail DEADLINE_EXCEEDED,
-  // assigned tasks proceed to their QPU, filtered jobs fail their run
-  // with the typed RESOURCE_EXHAUSTED. Spans are recorded per item BEFORE
-  // its settlement — the settlement edge publishes them to the resume step.
+  // assigned tasks proceed to their booked QPU window, filtered jobs fail
+  // their run with the typed RESOURCE_EXHAUSTED. Spans are recorded per
+  // item BEFORE its settlement — the settlement edge publishes them to the
+  // resume step.
   fail_expired(overdue, now);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i]->trace && cycle_error.ok()) {
@@ -485,7 +490,13 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
                                                   {"task", batch[i]->task_name},
                                                   {"qpu", decision.assignment[i]}});
       }
-      batch[i]->complete(decision.assignment[i], now);
+      // Book the timeline in batch order. Only a winning dispatch holds
+      // the slot: a task cancelled in this same instant keeps no window.
+      const int q = decision.assignment[i];
+      const std::size_t slot = static_cast<std::size_t>(q);
+      const double start = std::max(available_at_[slot], now);
+      const double end = start + batch[i]->est_exec_seconds[slot];
+      if (batch[i]->complete(q, now, start, end)) available_at_[slot] = end;
     }
   }
 }

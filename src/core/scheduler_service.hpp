@@ -9,6 +9,13 @@
 // completes each pending task with its assigned QPU. Jobs the scheduler
 // filters as infeasible (no online QPU fits) fail with RESOURCE_EXHAUSTED.
 //
+// The scheduler thread owns the QPU timeline: per-QPU `available_at`
+// instants that only it reads and writes, so they need no lock. A cycle
+// derives each QPU's queue wait from them, and at dispatch books every
+// assigned task, in batch order, into [max(available_at, now), + estimated
+// runtime) — written into the task's verdict, so execution is a pure step
+// over a window fixed before any worker runs it.
+//
 // Per-job QoS (api::JobPreferences) is honored here: batches form in
 // priority order (kInteractive > kStandard > kBatch), each job carries its
 // own MCDM fidelity weight into the cycle, and a task still parked when a
@@ -24,8 +31,8 @@
 //
 // shutdown() drains: the queue is closed, one final flush cycle dispatches
 // everything still parked, and only then is the scheduler thread joined.
-// The orchestrator shuts the service down after its executor pool, so runs
-// draining through the pool can still get their tasks scheduled.
+// The orchestrator shuts the service down after its run engine, so runs
+// draining through the engine can still get their tasks scheduled.
 
 #include <chrono>
 #include <cstddef>
@@ -90,12 +97,14 @@ api::Status validate_scheduler_config(const SchedulerServiceConfig& config);
 /// The effective-config echo getSchedulerStats serves.
 api::SchedulerConfigView to_config_view(const SchedulerServiceConfig& config);
 
-/// Callbacks tying the service to the orchestrator's engine, bundled so the
-/// service stays unit-testable against fakes.
+/// Callbacks tying the service to the orchestrator, bundled so the service
+/// stays unit-testable against fakes.
 struct SchedulerServiceHooks {
   /// Advances the fleet virtual clock to at least `advance_to` and returns
-  /// the QPU states (sizes, queue waits relative to the new now, online
-  /// flags) the cycle schedules against. Runs under the engine lock.
+  /// the QPU states (names, sizes, online flags) the cycle schedules
+  /// against, indexed like the fleet. Their queue waits are ignored: the
+  /// service fills them in from its own timeline. Called on the scheduler
+  /// thread, holding no service lock.
   std::function<std::vector<sched::QpuState>(double advance_to)> snapshot_qpus;
   /// Lock-free read of the fleet clock frontier.
   std::function<double()> now;
@@ -218,9 +227,12 @@ class SchedulerService {
   obs::Histogram* const cycle_latency_seconds_;
 
   // Owned by the scheduler thread once it starts: the trigger's last-fire
-  // state and the RNG feeding per-cycle NSGA-II seeds.
+  // state, the RNG feeding per-cycle NSGA-II seeds, and the QPU timeline —
+  // the virtual instant each QPU's last booked task ends, indexed like the
+  // snapshot (sized on the first cycle).
   sched::ScheduleTrigger trigger_;
   Rng rng_;
+  std::vector<double> available_at_;
 
   PendingQueue queue_;
 

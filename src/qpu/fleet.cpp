@@ -28,6 +28,40 @@ void Fleet::recalibrate_all(Rng& rng, double timestamp) {
   for (auto& b : backends) b->recalibrate(drift, rng, timestamp);
 }
 
+Fleet Fleet::recalibrated(Rng& rng, double timestamp) const {
+  Fleet next = *this;
+  for (auto& b : next.backends) b = std::make_shared<Backend>(*b);
+  next.recalibrate_all(rng, timestamp);
+  return next;
+}
+
+FleetGenerations::FleetGenerations(Fleet initial)
+    : current_(new Generation{0, std::move(initial), nullptr}) {}
+
+FleetGenerations::~FleetGenerations() {
+  for (const Generation* g = current_.load(); g != nullptr;) {
+    const Generation* previous = g->previous;
+    delete g;
+    g = previous;
+  }
+}
+
+void FleetGenerations::publish(const std::function<Fleet(const Generation&)>& next) {
+  const Generation* displaced = current_.load(std::memory_order_acquire);
+  for (;;) {
+    auto generation = std::make_unique<Generation>(
+        Generation{displaced->number + 1, next(*displaced), displaced});
+    // Release: the generation is fully built before any reader can load it.
+    // On failure `displaced` becomes the winner and the loop derives from it.
+    if (current_.compare_exchange_strong(displaced, generation.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      generation.release();  // owned by the chain now
+      return;
+    }
+  }
+}
+
 const std::vector<std::string>& ibm_device_names() {
   static const std::vector<std::string> kNames = {
       "auckland", "lagos",  "cairo",     "hanoi",   "kolkata", "mumbai",

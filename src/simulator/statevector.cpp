@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
-
 namespace qon::sim {
 
 using circuit::GateKind;
@@ -120,18 +118,14 @@ StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) {
 void StateVector::apply_unitary_1q(int q, const std::array<cplx, 4>& u) {
   if (q < 0 || q >= num_qubits_) throw std::out_of_range("apply_unitary_1q: bad qubit");
   const std::size_t mask = std::size_t{1} << q;
-  const std::size_t dim = amps_.size();
-  auto body = [this, mask, &u](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (i & mask) continue;
-      const std::size_t j = i | mask;
-      const cplx a0 = amps_[i];
-      const cplx a1 = amps_[j];
-      amps_[i] = u[0] * a0 + u[1] * a1;
-      amps_[j] = u[2] * a0 + u[3] * a1;
-    }
-  };
-  parallel_for_blocked(0, dim, body, nullptr, 1 << 14);
+  for (std::size_t i = 0; i < amps_.size(); ++i) {
+    if (i & mask) continue;
+    const std::size_t j = i | mask;
+    const cplx a0 = amps_[i];
+    const cplx a1 = amps_[j];
+    amps_[i] = u[0] * a0 + u[1] * a1;
+    amps_[j] = u[2] * a0 + u[3] * a1;
+  }
 }
 
 void StateVector::apply_unitary_2q(int q0, int q1, const std::array<cplx, 16>& u) {
@@ -140,26 +134,22 @@ void StateVector::apply_unitary_2q(int q0, int q1, const std::array<cplx, 16>& u
   }
   const std::size_t m0 = std::size_t{1} << q0;
   const std::size_t m1 = std::size_t{1} << q1;
-  const std::size_t dim = amps_.size();
-  auto body = [this, m0, m1, &u](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (i & (m0 | m1)) continue;
-      const std::size_t i00 = i;
-      const std::size_t i01 = i | m0;  // q0 = 1
-      const std::size_t i10 = i | m1;  // q1 = 1
-      const std::size_t i11 = i | m0 | m1;
-      const cplx a00 = amps_[i00];
-      const cplx a01 = amps_[i01];
-      const cplx a10 = amps_[i10];
-      const cplx a11 = amps_[i11];
-      // Basis order within the 4-block: (q1 q0) = 00, 01, 10, 11.
-      amps_[i00] = u[0] * a00 + u[1] * a01 + u[2] * a10 + u[3] * a11;
-      amps_[i01] = u[4] * a00 + u[5] * a01 + u[6] * a10 + u[7] * a11;
-      amps_[i10] = u[8] * a00 + u[9] * a01 + u[10] * a10 + u[11] * a11;
-      amps_[i11] = u[12] * a00 + u[13] * a01 + u[14] * a10 + u[15] * a11;
-    }
-  };
-  parallel_for_blocked(0, dim, body, nullptr, 1 << 14);
+  for (std::size_t i = 0; i < amps_.size(); ++i) {
+    if (i & (m0 | m1)) continue;
+    const std::size_t i00 = i;
+    const std::size_t i01 = i | m0;  // q0 = 1
+    const std::size_t i10 = i | m1;  // q1 = 1
+    const std::size_t i11 = i | m0 | m1;
+    const cplx a00 = amps_[i00];
+    const cplx a01 = amps_[i01];
+    const cplx a10 = amps_[i10];
+    const cplx a11 = amps_[i11];
+    // Basis order within the 4-block: (q1 q0) = 00, 01, 10, 11.
+    amps_[i00] = u[0] * a00 + u[1] * a01 + u[2] * a10 + u[3] * a11;
+    amps_[i01] = u[4] * a00 + u[5] * a01 + u[6] * a10 + u[7] * a11;
+    amps_[i10] = u[8] * a00 + u[9] * a01 + u[10] * a10 + u[11] * a11;
+    amps_[i11] = u[12] * a00 + u[13] * a01 + u[14] * a10 + u[15] * a11;
+  }
 }
 
 void StateVector::apply(const circuit::Gate& gate) {

@@ -3,8 +3,9 @@
 // basis-state index. Supports every unitary GateKind; measurements are
 // terminal and handled by sampling from the final distribution.
 //
-// Gate application is parallelized over amplitude blocks via the common
-// thread pool (worksharing, OpenMP-style).
+// Gate application is a plain sequential loop: one simulation runs on one
+// thread, and the serving path gets its parallelism from the run-engine
+// workers executing many tasks at once.
 
 #include <complex>
 #include <cstdint>

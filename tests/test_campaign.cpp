@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -373,7 +374,7 @@ TEST(CampaignProfile, MalformedProfilesSurfaceInvalidArgument) {
       "qpu");
   // The lockstep determinism contract is enforced structurally.
   expect_invalid(
-      "fleet:\n  executor_threads: 2\ntenants:\n  - name: t\n", "lockstep");
+      "scheduler:\n  max_batch_size: 10\ntenants:\n  - name: t\n", "lockstep");
   expect_invalid(
       "scheduler:\n  queue_threshold: 100\nadmission:\n  max_live_runs: 50\n"
       "tenants:\n  - name: t\n",
@@ -384,13 +385,32 @@ TEST(CampaignProfile, WindowedPacingLiftsTheLockstepConstraints) {
   const auto parsed = parse_profile(R"(
 campaign:
   pacing: windowed
+scheduler:
+  queue_threshold: 100
+  max_batch_size: 10
+admission:
+  max_live_runs: 50
+tenants:
+  - name: t
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->pacing, PacingMode::kWindowed);
+  EXPECT_EQ(parsed->scheduler.max_batch_size, 10u);
+  EXPECT_EQ(parsed->admission.max_live_runs, 50u);
+}
+
+TEST(CampaignProfile, LockstepAcceptsAnyEngineWorkerCount) {
+  // Lockstep determinism holds at any engine worker count.
+  const auto parsed = parse_profile(R"(
+campaign:
+  pacing: lockstep
 fleet:
   executor_threads: 4
 tenants:
   - name: t
 )");
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed->pacing, PacingMode::kWindowed);
+  EXPECT_EQ(parsed->pacing, PacingMode::kLockstep);
   EXPECT_EQ(parsed->executor_threads, 4u);
 }
 
@@ -630,7 +650,9 @@ TEST(CampaignDropCounters, CycleHistoryEvictionIsCounted) {
     task->est_fidelity.assign(1, 0.9);
     task->est_exec_seconds.assign(1, 2.0);
     ASSERT_EQ(service.offer(task), core::PendingQueue::Offer::kQueued);
-    task->await();
+    auto settled = std::make_shared<std::latch>(1);  // test-local latch
+    task->on_settled([settled] { settled->count_down(); });
+    settled->wait();
     ASSERT_TRUE(task->error.ok()) << task->error.to_string();
   }
   EXPECT_EQ(service.stats().recent_cycles.size(), 1u);
@@ -710,6 +732,69 @@ slo:
 
   std::remove(first_path.c_str());
   std::remove(second_path.c_str());
+}
+
+TEST(CampaignDriver, LockstepStatsStreamIsIndependentOfEngineWorkerCount) {
+  // Several groups on a small fleet, so QPU timelines carry over from one
+  // group's cycle into the next, and a mid-campaign recalibration — the
+  // stream must not depend on how many workers execute the dispatched
+  // tasks, nor on the order they happen to finish in.
+  constexpr const char* kProfile = R"(
+campaign:
+  name: e2e-workers
+  seed: 11
+  duration_hours: 0.1
+  stats_interval_seconds: 60
+arrivals:
+  process: poisson
+  rate_per_hour: 1800
+fleet:
+  num_qpus: 2
+  trajectory_width_limit: 4
+scheduler:
+  queue_threshold: 15
+tenants:
+  - name: ghz
+    weight: 0.5
+    priority: standard
+    circuit: ghz
+    width: 4
+    shots: 256
+  - name: qft
+    weight: 0.3
+    priority: interactive
+    circuit: qft
+    width: 3
+    shots: 128
+  - name: random
+    weight: 0.2
+    priority: batch
+    circuit: random
+    width: 5
+    shots: 512
+churn:
+  - at_hours: 0.05
+    action: recalibrate
+)";
+  auto parsed = parse_profile(kProfile);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  std::vector<std::string> streams;
+  for (const std::size_t workers : {1u, 4u, 4u}) {
+    parsed->executor_threads = workers;
+    const std::string path = temp_path("workers" + std::to_string(streams.size()) + ".jsonl");
+    CampaignOptions options;
+    options.stats_path = path;
+    const auto report = run_campaign(*parsed, options);
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    EXPECT_EQ(report->churn_applied, 1u);
+    EXPECT_GE(report->sched_cycles, 3u);  // at least two full groups + the flush
+    EXPECT_EQ(report->completed, report->admitted);
+    streams.push_back(slurp(path));
+    std::remove(path.c_str());
+  }
+  EXPECT_FALSE(streams[0].empty());
+  EXPECT_EQ(streams[0], streams[1]) << "1 vs 4 engine workers";
+  EXPECT_EQ(streams[1], streams[2]) << "two runs at 4 engine workers";
 }
 
 }  // namespace

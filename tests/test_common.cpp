@@ -1,11 +1,10 @@
-// Unit tests for the common substrate: RNG, statistics, thread pool, tables.
+// Unit tests for the common substrate: RNG, statistics, tables, logging.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -17,7 +16,6 @@
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 
 namespace qon {
 namespace {
@@ -148,6 +146,14 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_LT(equal, 3);
 }
 
+TEST(Rng, DerivedSeedsArePureAndKeyed) {
+  EXPECT_EQ(derive_seed(7, 1, 2), derive_seed(7, 1, 2));
+  const std::set<std::uint64_t> seeds = {derive_seed(7, 1, 2), derive_seed(7, 2, 1),
+                                         derive_seed(7, 1, 3), derive_seed(8, 1, 2),
+                                         derive_seed(7, 1)};
+  EXPECT_EQ(seeds.size(), 5u);  // every key component moves the seed
+}
+
 TEST(Stats, MeanAndStddev) {
   const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(xs), 5.0);
@@ -231,124 +237,6 @@ TEST(Stats, TimeWeightedAverageRejectsBackwardsTime) {
   TimeWeightedAverage twa;
   twa.record(5.0, 1.0);
   EXPECT_THROW(twa.record(4.0, 1.0), std::invalid_argument);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for_blocked(
-      0, hits.size(),
-      [&hits](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-      },
-      &pool, 16);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitReturnsTaskValue) {
-  ThreadPool pool(2);
-  auto answer = pool.submit([] { return 6 * 7; });
-  auto text = pool.submit([] { return std::string("qon"); });
-  EXPECT_EQ(answer.get(), 42);
-  EXPECT_EQ(text.get(), "qon");
-}
-
-TEST(ThreadPool, ParallelSumMatchesSerial) {
-  ThreadPool pool(4);
-  const std::size_t n = 100000;
-  std::vector<double> xs(n);
-  for (std::size_t i = 0; i < n; ++i) xs[i] = static_cast<double>(i % 97);
-  std::atomic<long long> par_sum{0};
-  parallel_for_blocked(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        long long local = 0;
-        for (std::size_t i = lo; i < hi; ++i) local += static_cast<long long>(xs[i]);
-        par_sum.fetch_add(local);
-      },
-      &pool, 128);
-  long long serial = 0;
-  for (double x : xs) serial += static_cast<long long>(x);
-  EXPECT_EQ(par_sum.load(), serial);
-}
-
-TEST(ThreadPool, EmptyRangeIsNoop) {
-  int calls = 0;
-  parallel_for_blocked(5, 5, [&calls](std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPool, ShutdownRejectsLateSubmissionsTyped) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.stopping());
-  pool.shutdown();
-  pool.shutdown();  // idempotent
-  EXPECT_TRUE(pool.stopping());
-  // try_submit reports the rejection as a value; submit keeps the throwing
-  // contract for call sites that treat it as a logic error.
-  auto rejected = pool.try_submit([] { return 1; });
-  EXPECT_FALSE(rejected.has_value());
-  EXPECT_THROW(pool.submit([] { return 1; }), std::logic_error);
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedTasks) {
-  std::atomic<int> executed{0};
-  std::promise<void> block;
-  auto block_future = block.get_future().share();
-  ThreadPool pool(1);
-  // First task occupies the single worker; the rest pile up in the queue.
-  pool.submit([block_future, &executed] {
-    block_future.wait();
-    ++executed;
-  });
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&executed] { ++executed; });
-  }
-  std::thread shutter([&pool] { pool.shutdown(); });  // blocks until drained
-  block.set_value();
-  shutter.join();
-  // Every accepted task ran before the workers were joined.
-  EXPECT_EQ(executed.load(), 9);
-}
-
-TEST(ThreadPool, ConcurrentSubmitVersusShutdownNeverDropsAcceptedWork) {
-  // Submitters race shutdown(): each submission must either be accepted
-  // (and then run to completion) or be rejected with nullopt — never
-  // silently dropped, never a crash or deadlock. Run under TSAN in CI.
-  constexpr int kSubmitters = 4;
-  ThreadPool pool(2);
-  std::atomic<int> accepted{0};
-  std::atomic<int> executed{0};
-  std::atomic<int> rejected{0};
-  std::vector<std::thread> submitters;
-  submitters.reserve(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    // Each submitter hammers the pool until it observes the shutdown as a
-    // rejection, so the race window is hit deterministically.
-    submitters.emplace_back([&pool, &accepted, &executed, &rejected] {
-      for (;;) {
-        auto fut = pool.try_submit([&executed] { ++executed; });
-        if (!fut.has_value()) {
-          ++rejected;
-          break;
-        }
-        ++accepted;
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  pool.shutdown();
-  for (auto& t : submitters) t.join();
-
-  EXPECT_EQ(rejected.load(), kSubmitters);  // every submitter saw the stop
-  EXPECT_EQ(executed.load(), accepted.load());
-  EXPECT_GT(accepted.load(), 0);
 }
 
 TEST(Table, RendersAlignedColumns) {

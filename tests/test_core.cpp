@@ -414,5 +414,109 @@ TEST(SystemMonitorStress, FlagFlipsDuringBatchBurstKeepTheLastWrite) {
   }
 }
 
+TEST(CalibrationGenerations, RecalibrationDuringABurstIsRaceFree) {
+  // recalibrateFleet() publishes generations while a burst preps (fresh
+  // images miss the prep cache and transpile against the fleet) and
+  // executes (trajectory simulation reads the calibration). Every run must
+  // complete; under TSAN the suite must report nothing.
+  QonductorConfig config;
+  config.num_qpus = 3;
+  config.seed = 31;
+  config.trajectory_width_limit = 6;
+  config.executor_threads = 4;
+  config.scheduler_service.queue_threshold = 8;
+  config.scheduler_service.linger = std::chrono::milliseconds(2);
+  Qonductor orchestrator(config);
+  const qpu::Fleet& initial = orchestrator.fleet();
+
+  const auto deploy_image = [&orchestrator](const std::string& name, int width) {
+    api::CreateWorkflowRequest create;
+    create.name = name;
+    create.tasks.push_back(
+        workflow::HybridTask::quantum("ghz", circuit::ghz(width), 200));
+    const auto created = orchestrator.createWorkflow(std::move(create));
+    EXPECT_TRUE(created.ok()) << created.status().to_string();
+    api::DeployRequest deploy;
+    deploy.image = created.ok() ? created->image : 0;
+    EXPECT_TRUE(orchestrator.deploy(deploy).ok());
+    return deploy.image;
+  };
+  const workflow::ImageId repeated = deploy_image("repeated", 4);
+  std::vector<api::InvokeRequest> requests;
+  for (int i = 0; i < 24; ++i) {
+    api::InvokeRequest fresh;
+    fresh.image = deploy_image("fresh-" + std::to_string(i), 3 + i % 3);
+    requests.push_back(fresh);
+    for (int r = 0; r < 3; ++r) {
+      api::InvokeRequest again;
+      again.image = repeated;
+      requests.push_back(again);
+    }
+  }
+
+  std::atomic<bool> burst_done{false};
+  std::atomic<int> published{0};
+  std::thread recalibrator([&] {
+    // Bounded: generations are retained for the orchestrator's lifetime.
+    // Relaxed counter: the test must not add synchronization between the
+    // recalibrator and the workers that the orchestrator itself lacks.
+    while (!burst_done.load() && published.load(std::memory_order_relaxed) < 1000) {
+      orchestrator.recalibrateFleet();
+      published.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (published.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  auto handles = orchestrator.invokeAll(requests);
+  ASSERT_TRUE(handles.ok()) << handles.status().to_string();
+  for (auto& handle : *handles) {
+    EXPECT_EQ(handle.wait(), api::RunStatus::kCompleted);
+  }
+  burst_done.store(true);
+  recalibrator.join();
+
+  EXPECT_GE(orchestrator.prepCacheMisses(), 24u);
+  EXPECT_GT(orchestrator.fleet().backends[0]->calibration().cycle, 0u);
+  // A published generation is never rewritten: the reference taken before
+  // the burst still reads the initial calibration.
+  EXPECT_EQ(initial.backends[0]->calibration().cycle, 0u);
+}
+
+TEST(CalibrationGenerations, RecalibrationIsAPureFunctionOfSeedAndGeneration) {
+  // Generation g draws from the stream of (seed, g): executions in between
+  // do not move it.
+  QonductorConfig config;
+  config.num_qpus = 2;
+  config.seed = 17;
+  config.scheduler_service.queue_threshold = 1;
+  Qonductor quiet(config);
+  Qonductor busy(config);
+  api::CreateWorkflowRequest create;
+  create.name = "one";
+  create.tasks.push_back(workflow::HybridTask::quantum("ghz", circuit::ghz(3), 100));
+  const auto created = busy.createWorkflow(std::move(create));
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  api::DeployRequest deploy;
+  deploy.image = created->image;
+  ASSERT_TRUE(busy.deploy(deploy).ok());
+  api::InvokeRequest invoke;
+  invoke.image = created->image;
+  auto handle = busy.invoke(invoke);
+  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+  EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
+
+  for (int g = 1; g <= 2; ++g) {
+    quiet.recalibrateFleet();
+    busy.recalibrateFleet();
+  }
+  for (std::size_t q = 0; q < 2; ++q) {
+    const qpu::CalibrationData& a = quiet.fleet().backends[q]->calibration();
+    const qpu::CalibrationData& b = busy.fleet().backends[q]->calibration();
+    EXPECT_EQ(a.cycle, 2u);
+    EXPECT_EQ(b.cycle, 2u);
+    EXPECT_DOUBLE_EQ(a.mean_gate_error_2q(), b.mean_gate_error_2q());
+    EXPECT_DOUBLE_EQ(a.mean_readout_error(), b.mean_readout_error());
+  }
+}
+
 }  // namespace
 }  // namespace qon::core

@@ -406,7 +406,7 @@ TEST(GetHealth, RejectsUnsupportedApiVersion) {
 // A scheduler cycle wedged inside its snapshot hook must be detected — and
 // named — by getHealth within the (tiny) stall budget, not discovered as a
 // hung 300 s ctest timeout. The fault injection point runs on the
-// scheduler thread at the top of every cycle, before any engine lock.
+// scheduler thread at the top of every cycle, holding no lock.
 TEST(GetHealth, WedgedSchedulerIsNamedUnhealthyWhileStalled) {
   std::atomic<bool> wedged{false};
   core::QonductorConfig config;

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -39,6 +40,14 @@ std::shared_ptr<PendingQuantumTask> make_task(
   task->est_fidelity.assign(num_qpus, 0.9);
   task->est_exec_seconds.assign(num_qpus, 2.0);
   return task;
+}
+
+/// Blocks until `task` settles: a latch over its one on_settled() slot.
+/// Returns at once when the task already settled.
+void await_settled(PendingQuantumTask& task) {
+  auto settled = std::make_shared<std::latch>(1);
+  task.on_settled([settled] { settled->count_down(); });
+  settled->wait();
 }
 
 // ---- PendingQueue ------------------------------------------------------------
@@ -351,8 +360,10 @@ TEST(PendingQueue, OldestWaitTracksTheStalestParkedItem) {
 TEST(PendingQueue, FirstSettlementWins) {
   auto task = make_task(1, 4, 2);
   task->fail(api::Cancelled("cancelled while parked"), 1.0);
-  task->complete(0, 2.0);  // a racing cycle completion must be a no-op
-  task->await();
+  // A racing cycle completion must be a no-op — and say so, so the cycle
+  // does not book a QPU window for a task that will never execute.
+  EXPECT_FALSE(task->complete(0, 2.0, 2.0, 4.0));
+  await_settled(*task);
   EXPECT_TRUE(task->settled());
   EXPECT_EQ(task->error.code(), api::StatusCode::kCancelled);
   EXPECT_LT(task->assigned_qpu, 0);
@@ -427,8 +438,8 @@ TEST(SchedulerService, ThresholdCycleFiresWithoutTimer) {
   auto b = make_task(2, 4, 2);
   ASSERT_EQ(service.offer(a), PendingQueue::Offer::kQueued);
   ASSERT_EQ(service.offer(b), PendingQueue::Offer::kQueued);
-  a->await();
-  b->await();
+  await_settled(*a);
+  await_settled(*b);
 
   EXPECT_TRUE(a->error.ok()) << a->error.to_string();
   EXPECT_TRUE(b->error.ok()) << b->error.to_string();
@@ -445,6 +456,35 @@ TEST(SchedulerService, ThresholdCycleFiresWithoutTimer) {
   service.shutdown();
 }
 
+TEST(SchedulerService, DispatchBooksBackToBackWindowsOnTheQpuTimeline) {
+  // One QPU, two threshold cycles at the same virtual instant: the cycle
+  // books each task's window in batch order, and the second cycle starts
+  // where the first one's bookings end.
+  FakeEngine engine(1);
+  SchedulerServiceConfig config;
+  config.queue_threshold = 2;
+  config.linger = 10s;
+  SchedulerService service(config, 7, {}, engine.hooks());
+
+  std::vector<std::shared_ptr<PendingQuantumTask>> tasks;
+  for (api::RunId r = 1; r <= 4; ++r) {
+    tasks.push_back(make_task(r, 4, 1));
+    ASSERT_EQ(service.offer(tasks.back()), PendingQueue::Offer::kQueued);
+    if (r % 2 == 0) {
+      await_settled(*tasks[r - 2]);
+      await_settled(*tasks[r - 1]);
+    }
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_TRUE(tasks[i]->error.ok()) << tasks[i]->error.to_string();
+    EXPECT_EQ(tasks[i]->assigned_qpu, 0);
+    EXPECT_DOUBLE_EQ(tasks[i]->dispatched_at, 0.0);
+    EXPECT_DOUBLE_EQ(tasks[i]->exec_start, 2.0 * static_cast<double>(i));
+    EXPECT_DOUBLE_EQ(tasks[i]->exec_end, 2.0 * static_cast<double>(i + 1));
+  }
+  service.shutdown();
+}
+
 TEST(SchedulerService, TimerCycleAdvancesTheVirtualClockToTheDeadline) {
   FakeEngine engine(2);
   SchedulerServiceConfig config;
@@ -455,7 +495,7 @@ TEST(SchedulerService, TimerCycleAdvancesTheVirtualClockToTheDeadline) {
 
   auto task = make_task(1, 4, 2);
   ASSERT_EQ(service.offer(task), PendingQueue::Offer::kQueued);
-  task->await();
+  await_settled(*task);
 
   EXPECT_TRUE(task->error.ok()) << task->error.to_string();
   // The linger elapsed in real time, so the cycle fired as the virtual
@@ -485,7 +525,7 @@ TEST(SchedulerService, ShutdownFlushesTheFinalCycle) {
   service.shutdown();  // must drain: close, flush one final cycle, join
 
   for (const auto& task : tasks) {
-    task->await();  // already complete — returns immediately
+    await_settled(*task);  // already complete — returns immediately
     EXPECT_TRUE(task->error.ok()) << task->error.to_string();
     EXPECT_GE(task->assigned_qpu, 0);
   }
@@ -515,8 +555,8 @@ TEST(SchedulerService, DeadlineExpiredParkedJobFailsAtCycleStart) {
   alive->deadline_seconds = 120.0;  // still good at t=60
   ASSERT_EQ(service.offer(expired), PendingQueue::Offer::kQueued);
   ASSERT_EQ(service.offer(alive), PendingQueue::Offer::kQueued);
-  expired->await();
-  alive->await();
+  await_settled(*expired);
+  await_settled(*alive);
 
   EXPECT_EQ(expired->error.code(), api::StatusCode::kDeadlineExceeded);
   EXPECT_LT(expired->assigned_qpu, 0);  // no QPU consumed
@@ -550,7 +590,7 @@ TEST(SchedulerService, PriorityOrderIsolatesQueueWaits) {
   auto i1 = make_task(3, 4, 2, api::Priority::kInteractive);
   auto i2 = make_task(4, 4, 2, api::Priority::kInteractive);
   for (const auto& task : {b1, b2, i1, i2}) ASSERT_EQ(service.offer(task), PendingQueue::Offer::kQueued);
-  for (const auto& task : {b1, b2, i1, i2}) task->await();
+  for (const auto& task : {b1, b2, i1, i2}) await_settled(*task);
 
   EXPECT_DOUBLE_EQ(i1->dispatched_at, 0.0);
   EXPECT_DOUBLE_EQ(i2->dispatched_at, 0.0);
@@ -597,9 +637,9 @@ TEST(SchedulerService, AgingRescuesStarvedLowPriorityJob) {
     ASSERT_EQ(service.offer(fresh_a), PendingQueue::Offer::kQueued);
     ASSERT_EQ(service.offer(fresh_b), PendingQueue::Offer::kQueued);
 
-    starved->await();
-    fresh_a->await();
-    fresh_b->await();
+    await_settled(*starved);
+    await_settled(*fresh_a);
+    await_settled(*fresh_b);
     service.shutdown();
 
     if (aging_on) {
@@ -628,8 +668,8 @@ TEST(SchedulerService, InfeasibleTaskFailsResourceExhausted) {
   auto too_big = make_task(2, 20, 2);  // fits no 5-qubit QPU
   ASSERT_EQ(service.offer(fits), PendingQueue::Offer::kQueued);
   ASSERT_EQ(service.offer(too_big), PendingQueue::Offer::kQueued);
-  fits->await();
-  too_big->await();
+  await_settled(*fits);
+  await_settled(*too_big);
 
   EXPECT_TRUE(fits->error.ok());
   EXPECT_GE(fits->assigned_qpu, 0);
@@ -1194,8 +1234,8 @@ TEST(SchedulerService, MidBatchFilterUsesInclusiveDeadlineBoundary) {
   alive->deadline_seconds = 1000.0;
   ASSERT_EQ(service.offer(boundary), PendingQueue::Offer::kQueued);
   ASSERT_EQ(service.offer(alive), PendingQueue::Offer::kQueued);
-  boundary->await();
-  alive->await();
+  await_settled(*boundary);
+  await_settled(*alive);
 
   EXPECT_EQ(boundary->error.code(), api::StatusCode::kDeadlineExceeded);
   EXPECT_LT(boundary->assigned_qpu, 0);  // never reached a QPU
@@ -1241,7 +1281,7 @@ TEST(SchedulerService, OffersBeyondCapacityWaitlistAndDrainThroughCycles) {
     ASSERT_NE(service.offer(tasks.back()), PendingQueue::Offer::kClosed);
   }
   for (const auto& task : tasks) {
-    task->await();
+    await_settled(*task);
     EXPECT_TRUE(task->error.ok()) << task->error.to_string();
     EXPECT_GE(task->assigned_qpu, 0);
   }
