@@ -41,6 +41,32 @@ std::vector<std::string> backend_names(const qpu::Fleet& fleet) {
 constexpr std::uint64_t kExecutionStream = 0xe8ec0a7eULL;
 constexpr std::uint64_t kCalibrationStream = 0xca1b0a7eULL;
 
+/// The mitigation signature of `task` transpiled to `physical` on `backend`.
+mitigation::MitigationSignature task_signature(const workflow::HybridTask& task,
+                                               const circuit::Circuit& physical,
+                                               const qpu::Backend& backend) {
+  return mitigation::compute_signature(
+      task.mitigation, static_cast<std::size_t>(task.circ.num_qubits()),
+      static_cast<std::size_t>(physical.depth()), physical.two_qubit_gate_count(),
+      static_cast<std::size_t>(physical.num_clbits()),
+      backend.calibration().mean_gate_error_2q(), task.accelerator);
+}
+
+/// Qubits of `physical` that some gate touches.
+int active_qubit_count(const circuit::Circuit& physical) {
+  std::vector<bool> active(static_cast<std::size_t>(physical.num_qubits()), false);
+  int n_active = 0;
+  for (const auto& g : physical.gates()) {
+    for (int i = 0; i < g.arity(); ++i) {
+      if (!active[static_cast<std::size_t>(g.qubit(i))]) {
+        active[static_cast<std::size_t>(g.qubit(i))] = true;
+        ++n_active;
+      }
+    }
+  }
+  return n_active;
+}
+
 }  // namespace
 
 api::Status validate_admission_config(const AdmissionConfig& config) {
@@ -1058,19 +1084,22 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   prep_cache_misses_->inc();
 
   auto prep = std::make_shared<QuantumTaskPrep>();
-  prep->transpiled.reserve(generation.fleet.backends.size());
+  prep->generation = generation.number;
+  const std::size_t qpus = generation.fleet.backends.size();
+  prep->transpiled.reserve(qpus);
+  prep->est_fidelity.reserve(qpus);
+  prep->est_exec_seconds.reserve(qpus);
+  prep->execution.reserve(qpus);
   for (const auto& backend : generation.fleet.backends) {
     prep->transpiled.push_back(transpiler::transpile(task.circ, *backend));
     const auto& t = prep->transpiled.back();
-    const auto sig = mitigation::compute_signature(
-        task.mitigation, static_cast<std::size_t>(task.circ.num_qubits()),
-        static_cast<std::size_t>(t.circuit.depth()), t.circuit.two_qubit_gate_count(),
-        static_cast<std::size_t>(t.circuit.num_clbits()),
-        backend->calibration().mean_gate_error_2q(), task.accelerator);
+    const auto sig = task_signature(task, t.circuit, *backend);
     prep->est_fidelity.push_back(estimator::predicted_fidelity(t.circuit, *backend, sig));
     prep->est_exec_seconds.push_back(
         transpiler::job_quantum_runtime(t.schedule, task.shots, *backend) *
         sig.quantum_runtime_multiplier);
+    prep->execution.push_back(
+        execution_record(task, t, *backend, sig, prep->est_exec_seconds.back()));
   }
 
   MutexLock lock(prep_cache_mutex_);
@@ -1092,13 +1121,40 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   return it->second;
 }
 
+QuantumExecutionRecord Qonductor::execution_record(
+    const workflow::HybridTask& task, const transpiler::TranspileResult& transpiled,
+    const qpu::Backend& backend, const mitigation::MitigationSignature& signature,
+    double est_exec_seconds) const {
+  QuantumExecutionRecord record;
+  record.signature = signature;
+  // Exact trajectory simulation when the active width fits; the analytic
+  // ground-truth model otherwise.
+  record.trajectory = active_qubit_count(transpiled.circuit) <= config_.trajectory_width_limit &&
+                      !signature.cuts_circuit;
+  if (!record.trajectory) {
+    record.mitigated_mean = estimator::executed_fidelity_mean(transpiled.circuit, backend,
+                                                              signature, hidden_, 1.08);
+  }
+  record.cost_dollars = estimator::job_cost_dollars(
+      est_exec_seconds,
+      signature.classical_preprocess_seconds + signature.classical_postprocess_seconds,
+      task.accelerator, config_.plan_config.prices);
+  return record;
+}
+
 TaskResult Qonductor::execute_quantum(const workflow::HybridTask& task,
                                       const QuantumTaskPrep& prep,
                                       const PendingQuantumTask& verdict,
                                       workflow::TaskId node) {
   const std::size_t q = static_cast<std::size_t>(verdict.assigned_qpu);
-  const auto& backend = *fleet().backends[q];
+  const qpu::FleetGenerations::Generation& generation = fleet_generations_.current();
+  const auto& backend = *generation.fleet.backends[q];
   const auto& chosen = prep.transpiled[q];
+  const QuantumExecutionRecord record =
+      generation.number == prep.generation
+          ? prep.execution[q]
+          : execution_record(task, chosen, backend, task_signature(task, chosen.circuit, backend),
+                             prep.est_exec_seconds[q]);
   // The task's own stream: its outcome draws do not depend on which worker
   // executes it or on how many executions ran before it.
   Rng rng(derive_seed(config_.seed ^ kExecutionStream, verdict.run, node));
@@ -1109,39 +1165,17 @@ TaskResult Qonductor::execute_quantum(const workflow::HybridTask& task,
   result.resource = backend.name();
   result.start = verdict.exec_start;
   result.end = verdict.exec_end;
-
-  // Count active qubits to decide between exact trajectory simulation and
-  // the analytic ground-truth model.
-  std::vector<bool> active(static_cast<std::size_t>(chosen.circuit.num_qubits()), false);
-  int n_active = 0;
-  for (const auto& g : chosen.circuit.gates()) {
-    for (int i = 0; i < g.arity(); ++i) {
-      if (!active[static_cast<std::size_t>(g.qubit(i))]) {
-        active[static_cast<std::size_t>(g.qubit(i))] = true;
-        ++n_active;
-      }
-    }
-  }
-  const auto sig = mitigation::compute_signature(
-      task.mitigation, static_cast<std::size_t>(task.circ.num_qubits()),
-      static_cast<std::size_t>(chosen.circuit.depth()), chosen.circuit.two_qubit_gate_count(),
-      static_cast<std::size_t>(chosen.circuit.num_clbits()),
-      backend.calibration().mean_gate_error_2q(), task.accelerator);
-  if (n_active <= config_.trajectory_width_limit && !sig.cuts_circuit) {
+  if (record.trajectory) {
     sim::TrajectoryOptions opts;
-    opts.delay_dephasing_residual = sig.delay_dephasing_residual;
+    opts.delay_dephasing_residual = record.signature.delay_dephasing_residual;
     result.counts = sim::run_noisy(chosen.circuit, backend, task.shots, rng, hidden_, opts);
     const double raw =
         sim::hellinger_fidelity(result.counts, sim::ideal_distribution(task.circ));
-    result.fidelity = mitigation::mitigated_fidelity(raw, sig);
+    result.fidelity = mitigation::mitigated_fidelity(raw, record.signature);
   } else {
-    result.fidelity = estimator::executed_fidelity(chosen.circuit, backend, sig, hidden_,
-                                                   1.08, task.shots, rng);
+    result.fidelity = estimator::sample_executed_fidelity(record.mitigated_mean, task.shots, rng);
   }
-  result.cost_dollars = estimator::job_cost_dollars(
-      prep.est_exec_seconds[q],
-      sig.classical_preprocess_seconds + sig.classical_postprocess_seconds, task.accelerator,
-      config_.plan_config.prices);
+  result.cost_dollars = record.cost_dollars;
   advanceFleetClock(result.end);
   return result;
 }

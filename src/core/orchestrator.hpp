@@ -73,6 +73,7 @@
 #include "obs/telemetry.hpp"
 #include "core/system_monitor.hpp"
 #include "estimator/plans.hpp"
+#include "mitigation/pipeline.hpp"
 #include "qpu/fleet.hpp"
 #include "sched/hybrid_scheduler.hpp"
 #include "simulator/noise.hpp"
@@ -89,14 +90,31 @@ using WorkflowStatus = api::RunStatus;
 using TaskResult = api::TaskResult;
 using WorkflowResult = api::WorkflowResult;
 
+/// What executing a prepped quantum task on one QPU needs beyond its
+/// transpiled circuit and the task's RNG stream: a pure function of
+/// (transpiled circuit, backend calibration, task), so it is computed once
+/// per (prep, QPU, calibration generation).
+struct QuantumExecutionRecord {
+  mitigation::MitigationSignature signature;
+  /// Ground-truth mitigated fidelity before shot noise; analytic path only.
+  double mitigated_mean = 0.0;
+  double cost_dollars = 0.0;
+  /// Trajectory-simulated (the active width fits and the circuit is not
+  /// cut) rather than run through the analytic model.
+  bool trajectory = false;
+};
+
 /// Per-backend transpilation + resource estimates for one quantum task —
 /// everything a scheduling cycle needs to know about the job, computed off
-/// every lock against one calibration generation. Shared between the prep
+/// every lock against calibration generation `generation` — plus each
+/// backend's execution record on that generation. Shared between the prep
 /// cache and parked continuations (run_engine.hpp forward-declares it).
 struct QuantumTaskPrep {
+  std::uint64_t generation = 0;
   std::vector<transpiler::TranspileResult> transpiled;
   std::vector<double> est_fidelity;
   std::vector<double> est_exec_seconds;
+  std::vector<QuantumExecutionRecord> execution;
 };
 
 /// Front-door admission control: a live-run bound checked at invoke()/
@@ -372,9 +390,20 @@ class Qonductor {
                                              double ready_at);
   std::shared_ptr<const QuantumTaskPrep> prepare_quantum_task(
       const workflow::HybridTask& task) const;
+  /// The execution record of `task` transpiled to `transpiled` on
+  /// `backend`, whose signature is `signature` and estimated quantum
+  /// runtime `est_exec_seconds`.
+  QuantumExecutionRecord execution_record(const workflow::HybridTask& task,
+                                          const transpiler::TranspileResult& transpiled,
+                                          const qpu::Backend& backend,
+                                          const mitigation::MitigationSignature& signature,
+                                          double est_exec_seconds) const;
   /// Executes `node` of a run in the window its dispatching cycle booked
   /// (verdict.exec_start/exec_end on verdict.assigned_qpu), on the current
   /// calibration generation, drawing from the stream of (seed, run, node).
+  /// Reads the prep's execution record when the prep was computed on that
+  /// generation; otherwise (a recalibration landed between park and
+  /// dispatch) it builds the record from the live generation, uncached.
   /// Lock-free; the window's start is never before the task's DAG-ready
   /// time: every predecessor advanced the fleet clock to its end before the
   /// task parked, and a cycle dispatches at or after that frontier.

@@ -35,15 +35,25 @@ double predicted_fidelity(const circuit::Circuit& physical, const qpu::Backend& 
       base_fidelity(physical, backend, signature, sim::HiddenNoise::none(), 1.0), signature);
 }
 
+double executed_fidelity_mean(const circuit::Circuit& physical, const qpu::Backend& backend,
+                              const mitigation::MitigationSignature& signature,
+                              const sim::HiddenNoise& hidden, double crosstalk_factor) {
+  return mitigation::mitigated_fidelity(
+      base_fidelity(physical, backend, signature, hidden, crosstalk_factor), signature);
+}
+
+double sample_executed_fidelity(double mean, int shots, Rng& rng) {
+  const double se =
+      std::sqrt(std::max(mean * (1.0 - mean), 1e-6) / static_cast<double>(std::max(shots, 1)));
+  return std::clamp(mean + rng.normal(0.0, se), 0.0, 1.0);
+}
+
 double executed_fidelity(const circuit::Circuit& physical, const qpu::Backend& backend,
                          const mitigation::MitigationSignature& signature,
                          const sim::HiddenNoise& hidden, double crosstalk_factor, int shots,
                          Rng& rng) {
-  const double mitigated = mitigation::mitigated_fidelity(
-      base_fidelity(physical, backend, signature, hidden, crosstalk_factor), signature);
-  const double se = std::sqrt(std::max(mitigated * (1.0 - mitigated), 1e-6) /
-                              static_cast<double>(std::max(shots, 1)));
-  return std::clamp(mitigated + rng.normal(0.0, se), 0.0, 1.0);
+  return sample_executed_fidelity(
+      executed_fidelity_mean(physical, backend, signature, hidden, crosstalk_factor), shots, rng);
 }
 
 }  // namespace qon::estimator

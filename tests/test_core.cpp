@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "circuit/library.hpp"
@@ -516,6 +517,63 @@ TEST(CalibrationGenerations, RecalibrationIsAPureFunctionOfSeedAndGeneration) {
     EXPECT_DOUBLE_EQ(a.mean_gate_error_2q(), b.mean_gate_error_2q());
     EXPECT_DOUBLE_EQ(a.mean_readout_error(), b.mean_readout_error());
   }
+}
+
+TEST(CalibrationGenerations, TaskDispatchedAfterRecalibrationExecutesOnLiveGeneration) {
+  // The first run parks (prepped on generation 0), the fleet recalibrates,
+  // and the second run's arrival fires the cycle that dispatches both: the
+  // first executes on generation 1 without a record for it, the second on
+  // the record its generation-1 prep carries. The pinned outcomes are the
+  // ones an execution that always reads the live generation produces.
+  const auto run_pair = [](bool recalibrate) {
+    QonductorConfig config;
+    config.num_qpus = 3;
+    config.seed = 43;
+    config.trajectory_width_limit = 0;  // analytic execution
+    config.scheduler_service.queue_threshold = 2;
+    config.scheduler_service.linger = std::chrono::minutes(10);
+    Qonductor orchestrator(config);
+    api::CreateWorkflowRequest create;
+    create.name = "ghz";
+    create.tasks.push_back(workflow::HybridTask::quantum("ghz", circuit::ghz(4), 1000));
+    const auto created = orchestrator.createWorkflow(std::move(create));
+    EXPECT_TRUE(created.ok()) << created.status().to_string();
+    api::DeployRequest deploy;
+    deploy.image = created.ok() ? created->image : 0;
+    EXPECT_TRUE(orchestrator.deploy(deploy).ok());
+    api::InvokeRequest invoke;
+    invoke.image = deploy.image;
+    auto first = orchestrator.invoke(invoke);
+    EXPECT_TRUE(first.ok()) << first.status().to_string();
+    while (orchestrator.getSchedulerStats({})->stats.queue_depth < 1) {
+      std::this_thread::yield();
+    }
+    if (recalibrate) orchestrator.recalibrateFleet();
+    auto second = orchestrator.invoke(invoke);
+    EXPECT_TRUE(second.ok()) << second.status().to_string();
+    std::vector<TaskResult> tasks;
+    for (const auto* handle : {&*first, &*second}) {
+      api::WorkflowResultsRequest request;
+      request.run = handle->id();
+      const auto results = orchestrator.workflowResults(request);
+      EXPECT_TRUE(results.ok()) << results.status().to_string();
+      EXPECT_EQ(results->result.status, api::RunStatus::kCompleted);
+      tasks.push_back(results->result.tasks.at(0));
+    }
+    return tasks;
+  };
+  const auto live = run_pair(true);
+  EXPECT_EQ(live[0].resource, "lagos");
+  EXPECT_EQ(live[0].fidelity, 0x1.ce62e94d814f8p-1);
+  EXPECT_EQ(live[0].cost_dollars, 0x1.c9aa5848837cp-3);
+  EXPECT_EQ(live[1].resource, "auckland");
+  EXPECT_EQ(live[1].fidelity, 0x1.9b3401f91a513p-1);
+  EXPECT_EQ(live[1].cost_dollars, 0x1.6b313ecf781bep-2);
+  // Without the recalibration the same runs read generation 0's records.
+  const auto stale = run_pair(false);
+  EXPECT_EQ(stale[0].resource, "lagos");
+  EXPECT_EQ(stale[0].fidelity, 0x1.dcf4d10655f9ep-1);
+  EXPECT_NE(stale[0].fidelity, live[0].fidelity);
 }
 
 }  // namespace

@@ -175,6 +175,33 @@ TEST(ExecutionModel, PredictionMatchesExecutionWithoutHiddenNoise) {
   EXPECT_NEAR(predicted, truth, 0.01);
 }
 
+TEST(ExecutionModel, ExecutedFidelityComposesMeanAndSample) {
+  // executed_fidelity is sample_executed_fidelity over executed_fidelity_mean,
+  // and both equal the single-function formula bit for bit: the pinned
+  // values are what that formula drew for this seed.
+  const auto fleet = qpu::make_ibm_like_fleet(1, 5);
+  const auto& backend = *fleet.backends[0];
+  const auto t = transpiler::transpile(circuit::qft(6), backend);
+  mitigation::MitigationSpec spec;
+  spec.stack = {mitigation::Technique::kZne, mitigation::Technique::kDd};
+  const auto sig = mitigation::compute_signature(
+      spec, 6, static_cast<std::size_t>(t.circuit.depth()), t.circuit.two_qubit_gate_count(),
+      static_cast<std::size_t>(t.circuit.num_clbits()),
+      backend.calibration().mean_gate_error_2q(), mitigation::Accelerator::kCpu);
+  const sim::HiddenNoise hidden(77, 0.25);
+  const double pinned[] = {0x1.1185aefd99d5ep-1, 0x1.08f9bc8d33e4p-1, 0x1.0dd81c4b915b5p-1};
+  Rng whole(123);
+  Rng split(123);
+  const double mean = executed_fidelity_mean(t.circuit, backend, sig, hidden, 1.08);
+  for (const double expected : pinned) {
+    EXPECT_EQ(executed_fidelity(t.circuit, backend, sig, hidden, 1.08, 4000, whole), expected);
+    EXPECT_EQ(sample_executed_fidelity(mean, 4000, split), expected);
+  }
+  // One normal draw per sample: both streams end in the same state.
+  EXPECT_EQ(whole(), 6230968350287952094ULL);
+  EXPECT_EQ(split(), 6230968350287952094ULL);
+}
+
 TEST(Plans, GeneratesParetoAndRecommendations) {
   const auto fleet = qpu::make_ibm_like_fleet(3, 21);
   const auto templates = fleet.template_backends();
