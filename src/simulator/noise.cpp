@@ -147,10 +147,27 @@ Counts run_noisy(const Circuit& physical, const qpu::Backend& backend, int shots
   }
   if (meas.empty()) throw std::invalid_argument("run_noisy: circuit has no measurements");
 
-  const int n_traj = std::max(1, std::min(options.trajectories, shots));
-  Counts counts;
-  for (int t = 0; t < n_traj; ++t) {
-    StateVector sv(n_active);
+  // The noise plan: everything about a gate that does not depend on the
+  // draws — the ASAP timeline (so each operand's idle gap), the idle and
+  // delay Pauli rates and the true gate error rate — computed once per call.
+  // The trajectory loop below only draws, in the same order per gate: idle
+  // operands, then the delay, then the gate, then its error.
+  enum class GateNoise : unsigned char { kNone, kOneQubit, kTwoQubit };
+  struct IdleStep {
+    int compact_q;
+    PauliErrorRates rates;
+  };
+  struct GateStep {
+    const Gate* gate;  ///< compact gate
+    std::size_t idle_end;  ///< idle steps [previous idle_end, idle_end)
+    double error_prob;
+    GateNoise noise;
+    bool unitary;
+  };
+  std::vector<IdleStep> idle_steps;
+  std::vector<GateStep> plan;
+  plan.reserve(compact.gates().size());
+  {
     std::vector<double> ready(static_cast<std::size_t>(n_active), 0.0);
     for (std::size_t gi = 0; gi < compact.gates().size(); ++gi) {
       const Gate& g = compact.gates()[gi];
@@ -173,7 +190,7 @@ Counts run_noisy(const Circuit& physical, const qpu::Backend& backend, int shots
           const double gap = start - ready[static_cast<std::size_t>(cq)];
           if (gap > 0.0) {
             const auto& qc = cal.qubits[static_cast<std::size_t>(p)];
-            apply_idle_noise(sv, cq, idle_pauli_rates(gap, qc.t1, qc.t2), rng);
+            idle_steps.push_back({cq, idle_pauli_rates(gap, qc.t1, qc.t2)});
           }
         }
       }
@@ -182,41 +199,61 @@ Counts run_noisy(const Circuit& physical, const qpu::Backend& backend, int shots
         const auto& qc = cal.qubits[static_cast<std::size_t>(pg.qubit(0))];
         auto rates = idle_pauli_rates(g.param, qc.t1, qc.t2);
         rates.p_z *= options.delay_dephasing_residual;
-        apply_idle_noise(sv, g.qubit(0), rates, rng);
+        idle_steps.push_back({g.qubit(0), rates});
       }
-      // The gate itself (unitaries only; measure handled at sampling).
-      if (g.kind != GateKind::kMeasure && g.kind != GateKind::kDelay && g.kind != GateKind::kI) {
-        sv.apply(g);
-      }
-      // Stochastic gate error.
+      GateStep step{&g, idle_steps.size(), 0.0, GateNoise::kNone,
+                    g.kind != GateKind::kMeasure && g.kind != GateKind::kDelay &&
+                        g.kind != GateKind::kI};
       if (options.gate_noise) {
         if (circuit::is_two_qubit(g.kind)) {
           double err = cal.edge(pg.qubit(0), pg.qubit(1)).gate_error_2q *
                        hidden.factor(backend.name(), cal.cycle, tag_2q(pg.qubit(0), pg.qubit(1))) *
                        options.crosstalk_factor;
-          err = std::min(err, 0.75);
-          if (rng.bernoulli(err)) {
-            // Uniform non-identity two-qubit Pauli: at least one leg non-I.
-            const int combo = static_cast<int>(rng.uniform_int(1, 15));
-            const int leg0 = combo & 3;
-            const int leg1 = (combo >> 2) & 3;
-            static const std::array<GateKind, 4> kP = {GateKind::kI, GateKind::kX, GateKind::kY,
-                                                       GateKind::kZ};
-            if (leg0 != 0) sv.apply_unitary_1q(g.qubit(0), gate_unitary_1q(kP[static_cast<std::size_t>(leg0)], 0.0));
-            if (leg1 != 0) sv.apply_unitary_1q(g.qubit(1), gate_unitary_1q(kP[static_cast<std::size_t>(leg1)], 0.0));
-          }
+          step.error_prob = std::min(err, 0.75);
+          step.noise = GateNoise::kTwoQubit;
         } else if (g.kind != GateKind::kMeasure && g.kind != GateKind::kRZ &&
                    g.kind != GateKind::kDelay && g.kind != GateKind::kBarrier) {
           const int p = pg.qubit(0);
           double err = cal.qubits[static_cast<std::size_t>(p)].gate_error_1q *
                        hidden.factor(backend.name(), cal.cycle, tag_1q(p));
-          err = std::min(err, 0.75);
-          if (rng.bernoulli(err)) apply_random_pauli(sv, g.qubit(0), rng);
+          step.error_prob = std::min(err, 0.75);
+          step.noise = GateNoise::kOneQubit;
         }
       }
+      plan.push_back(step);
       const double finish = start + dur;
       for (int i = 0; i < g.arity(); ++i) {
         ready[static_cast<std::size_t>(g.qubit(i))] = finish;
+      }
+    }
+  }
+
+  const int n_traj = std::max(1, std::min(options.trajectories, shots));
+  Counts counts;
+  for (int t = 0; t < n_traj; ++t) {
+    StateVector sv(n_active);
+    std::size_t idle = 0;
+    for (const GateStep& step : plan) {
+      for (; idle < step.idle_end; ++idle) {
+        apply_idle_noise(sv, idle_steps[idle].compact_q, idle_steps[idle].rates, rng);
+      }
+      const Gate& g = *step.gate;
+      // The gate itself (unitaries only; measure handled at sampling).
+      if (step.unitary) sv.apply(g);
+      // Stochastic gate error.
+      if (step.noise == GateNoise::kTwoQubit) {
+        if (rng.bernoulli(step.error_prob)) {
+          // Uniform non-identity two-qubit Pauli: at least one leg non-I.
+          const int combo = static_cast<int>(rng.uniform_int(1, 15));
+          const int leg0 = combo & 3;
+          const int leg1 = (combo >> 2) & 3;
+          static const std::array<GateKind, 4> kP = {GateKind::kI, GateKind::kX, GateKind::kY,
+                                                     GateKind::kZ};
+          if (leg0 != 0) sv.apply_unitary_1q(g.qubit(0), gate_unitary_1q(kP[static_cast<std::size_t>(leg0)], 0.0));
+          if (leg1 != 0) sv.apply_unitary_1q(g.qubit(1), gate_unitary_1q(kP[static_cast<std::size_t>(leg1)], 0.0));
+        }
+      } else if (step.noise == GateNoise::kOneQubit) {
+        if (rng.bernoulli(step.error_prob)) apply_random_pauli(sv, g.qubit(0), rng);
       }
     }
 

@@ -251,6 +251,33 @@ TEST_F(NoisyExecution, MoreNoiseSourcesLowerFidelity) {
   EXPECT_GT(hellinger_fidelity(partial, ideal), hellinger_fidelity(full, ideal));
 }
 
+TEST_F(NoisyExecution, SeededCountsArePinned) {
+  // A circuit with a barrier, a delay, an identity, RZ, one- and two-qubit
+  // gates: the per-call noise plan must leave the draw order untouched, so
+  // the seeded counts and the generator's final state are pinned.
+  Circuit c(4);
+  c.h(0);
+  c.cx(0, 1);
+  c.cx(1, 2);
+  c.barrier();
+  c.delay(3, 2e-6);
+  c.i(2);
+  c.rz(1, 0.3);
+  c.sx(3);
+  c.cx(2, 3);
+  c.measure_all();
+  const auto t = transpiler::transpile(c, backend_);
+  TrajectoryOptions opts;
+  opts.delay_dephasing_residual = 0.4;
+  Rng rng(21);
+  const auto counts = run_noisy(t.circuit, backend_, 300, rng, HiddenNoise(3, 0.25), opts);
+  const Counts expected = {{0u, 71u},  {2u, 4u},  {3u, 1u},  {4u, 4u},  {5u, 1u},
+                           {6u, 1u},   {7u, 71u}, {8u, 67u}, {9u, 3u},  {10u, 3u},
+                           {11u, 3u},  {12u, 3u}, {13u, 2u}, {14u, 3u}, {15u, 63u}};
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(rng(), 15543770314490236498ULL);
+}
+
 TEST_F(NoisyExecution, RunIdealMatchesIdealDistribution) {
   Rng rng(11);
   const Circuit c = circuit::ghz(4);
