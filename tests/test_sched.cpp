@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 
 #include "common/rng.hpp"
@@ -360,6 +361,115 @@ TEST(Scheduler, SameSeedCyclesAreIdentical) {
     }
     EXPECT_EQ(a.chosen.mean_jct, b.chosen.mean_jct);
     EXPECT_EQ(a.nsga2_evaluations, b.nsga2_evaluations);
+  }
+}
+
+// Burst-shaped batch: 500 jobs of 4 kinds (4 qubits each) on 8 QPUs. Jobs
+// of one kind share their per-QPU estimates, and each job carries its own
+// fidelity weight, as in a mixed-tenant burst.
+SchedulingInput make_burst_input() {
+  Rng rng(9);
+  SchedulingInput input;
+  for (std::size_t q = 0; q < 8; ++q) {
+    QpuState qpu;
+    qpu.name = "q" + std::to_string(q);
+    qpu.size = 27;
+    qpu.queue_wait_seconds = rng.uniform(0.0, 60.0);
+    input.qpus.push_back(qpu);
+  }
+  constexpr std::size_t kKinds = 4;
+  std::vector<std::vector<double>> fidelity(kKinds);
+  std::vector<std::vector<double>> exec_seconds(kKinds);
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    for (std::size_t q = 0; q < input.qpus.size(); ++q) {
+      fidelity[k].push_back(rng.uniform(0.55, 0.95));
+      exec_seconds[k].push_back(rng.uniform(0.5, 4.0));
+    }
+  }
+  const double weights[] = {0.1, 0.3, 0.5, 0.7, 0.9};
+  for (std::size_t j = 0; j < 500; ++j) {
+    QuantumJob job;
+    job.id = j;
+    job.qubits = 4;
+    job.fidelity_weight = weights[rng.uniform_int(0, 4)];
+    job.est_fidelity = fidelity[j % kKinds];
+    job.est_exec_seconds = exec_seconds[j % kKinds];
+    input.jobs.push_back(std::move(job));
+  }
+  return input;
+}
+
+// 64-bit FNV-1a over raw bytes.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+};
+
+// The scheduling kernel's exact output on fixed inputs. The values were
+// captured from the reference implementation; any change to NSGA-II's draws,
+// arithmetic or sort inputs moves at least one of them. A speed-up of the
+// kernel must leave every value unchanged.
+TEST(ScheduleCycle, SeededOutputsArePinned) {
+  auto mixed = make_input(40, 6, 71, 24);
+  mixed.qpus[2].online = false;
+  mixed.jobs[5].qubits = 30;  // fits nowhere: filtered
+  const double weights[] = {0.05, 0.5, 0.95};
+  for (std::size_t j = 0; j < mixed.jobs.size(); ++j) {
+    if (j % 4 != 3) mixed.jobs[j].fidelity_weight = weights[j % 3];
+  }
+  struct Case {
+    const char* name;
+    SchedulingInput input;
+  };
+  const Case cases[] = {{"1 job", make_input(1, 4, 61)},
+                        {"23 jobs", make_input(23, 8, 67)},
+                        {"burst 500", make_burst_input()},
+                        {"mixed offline", mixed}};
+  struct Pinned {
+    std::uint64_t assignment_hash;
+    std::uint64_t front_hash;
+    std::size_t generations;
+  };
+  const Pinned expected[4][4] = {
+      {{0xad2aca7747985764ULL, 0x13cb642729c77099ULL, 6},
+       {0xad2aca7747985764ULL, 0x13cb642729c77099ULL, 6},
+       {0xad2aca7747985764ULL, 0x13cb642729c77099ULL, 6},
+       {0xad2aca7747985764ULL, 0x13cb642729c77099ULL, 6}},
+      {{0xac4cbdcd9e236d26ULL, 0x7018a93580d4f673ULL, 14},
+       {0xcb971af85613b3f6ULL, 0x549fba744c1e2fb8ULL, 15},
+       {0x834e4d7062bba796ULL, 0xd0247dc5e86bcb50ULL, 6},
+       {0x6b7f740dcbf21204ULL, 0x5bfd417629f8e802ULL, 10}},
+      {{0xaf883709ea17e2e1ULL, 0x9553f5f4c3f084b5ULL, 6},
+       {0x2f6ac5f7f327dd73ULL, 0x2b6a8f69fd935c1bULL, 6},
+       {0x8a7ae3fbd9d0b867ULL, 0xb704e0c0b28f16b6ULL, 6},
+       {0x87a65fa4cf7dad37ULL, 0x16295c554ec4ba33ULL, 6}},
+      {{0x92084882a3a4a2c6ULL, 0xcfd3561d862c46c6ULL, 6},
+       {0xf0a2c02854632ed1ULL, 0xa76325ce29928d77ULL, 19},
+       {0x1beaacee5f2a46b5ULL, 0xc033025d3a865ea6ULL, 10},
+       {0x9957ff3777fa1ee2ULL, 0xb5a75f5732bc0f89ULL, 9}},
+  };
+  const std::uint64_t seeds[] = {1, 2, 17, 4242};
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    for (std::size_t s = 0; s < std::size(seeds); ++s) {
+      SchedulerConfig config;
+      config.nsga2.seed = seeds[s];
+      const auto decision = schedule_cycle(cases[c].input, config);
+      Fnv1a assignment;
+      for (const int q : decision.assignment) assignment.bytes(&q, sizeof q);
+      Fnv1a front;
+      for (const auto& point : decision.pareto_front) {
+        front.bytes(&point.mean_jct, sizeof point.mean_jct);
+        front.bytes(&point.mean_error, sizeof point.mean_error);
+      }
+      const Pinned& want = expected[c][s];
+      EXPECT_EQ(assignment.h, want.assignment_hash) << cases[c].name << ", seed " << seeds[s];
+      EXPECT_EQ(front.h, want.front_hash) << cases[c].name << ", seed " << seeds[s];
+      EXPECT_EQ(decision.nsga2_generations, want.generations)
+          << cases[c].name << ", seed " << seeds[s];
+    }
   }
 }
 
