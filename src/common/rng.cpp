@@ -14,8 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -23,37 +21,7 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(sm);
 }
 
-std::uint64_t Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = (~0ULL) - (~0ULL) % span;
-  std::uint64_t r;
-  do {
-    r = (*this)();
-  } while (r >= limit);
-  return lo + static_cast<std::int64_t>(r % span);
-}
 
 double Rng::normal() {
   if (has_cached_normal_) {
@@ -74,13 +42,6 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
-double Rng::exponential(double lambda) {
-  if (lambda <= 0.0) throw std::invalid_argument("Rng::exponential: lambda must be > 0");
-  double u = uniform();
-  while (u <= 1e-300) u = uniform();
-  return -std::log(u) / lambda;
-}
-
 std::uint64_t Rng::poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean must be >= 0");
   if (mean == 0.0) return 0;
@@ -98,8 +59,6 @@ std::uint64_t Rng::poisson(double mean) {
   const double draw = normal(mean, std::sqrt(mean));
   return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
 }
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   double total = 0.0;

@@ -7,7 +7,10 @@
 // The generator is xoshiro256** (public domain, Blackman & Vigna), seeded via
 // splitmix64 so that small seed integers produce well-mixed state.
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace qon {
@@ -29,13 +32,33 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   /// Next raw 64-bit value.
-  std::uint64_t operator()();
+  std::uint64_t operator()() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
+
+  /// uniform() redrawn while it is <= 1e-300, i.e. while it is 0: a uniform
+  /// double in (0, 1), the draw exponential() takes its logarithm of.
+  double uniform_positive() {
+    std::uint64_t k;
+    do {
+      k = (*this)() >> 11;
+    } while (k == 0);
+    return static_cast<double>(k) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -50,14 +73,34 @@ class Rng {
   double lognormal(double mu, double sigma);
 
   /// Exponential with rate lambda (mean 1/lambda).
-  double exponential(double lambda);
+  double exponential(double lambda) {
+    if (lambda <= 0.0) throw std::invalid_argument("Rng::exponential: lambda must be > 0");
+    return exponential_quantile(uniform_positive(), lambda);
+  }
+
+  /// The exponential variate exponential() returns for the draw u.
+  static double exponential_quantile(double u, double lambda) { return -std::log(u) / lambda; }
 
   /// Poisson-distributed count with the given mean (Knuth for small means,
   /// normal approximation above 64).
   std::uint64_t poisson(double mean);
 
   /// Bernoulli trial with probability p of returning true.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
+
+  /// The integer threshold t for which bernoulli_below(t) returns what
+  /// bernoulli(p) would for every draw: with k = raw >> 11, uniform() is
+  /// k * 2^-53, which is below p exactly when k < ceil(p * 2^53). A NaN or
+  /// non-positive p gives 0 (never true), p >= 1 gives 2^53 (always true).
+  static std::uint64_t bernoulli_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// One Bernoulli trial against a threshold from bernoulli_threshold(),
+  /// for loops whose probability does not change. Consumes one draw.
+  bool bernoulli_below(std::uint64_t threshold) { return ((*this)() >> 11) < threshold; }
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
@@ -81,6 +124,72 @@ class Rng {
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+/// Rng::uniform_int(lo, hi) with its span and rejection limit computed
+/// once, for loops that draw many times from one range: the same draws and
+/// the same results. The remainder r % span is taken without a division,
+/// through a precomputed 65-bit reciprocal (the branch-free unsigned
+/// algorithm of libdivide), which is exact for every 64-bit r. Building one
+/// costs a 128-bit division, so build one per distinct range.
+class UniformInt {
+ public:
+  /// Requires lo <= hi.
+  UniformInt(std::int64_t lo, std::int64_t hi)
+      : lo_(lo), span_(static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1) {
+    if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
+    if (span_ < 2) return;  // 0: the full 64-bit range; 1: a single value
+    // Rejection sampling to avoid modulo bias.
+    limit_ = (~0ULL) - (~0ULL) % span_;
+    const int log2_span = 63 - std::countl_zero(span_);
+    if ((span_ & (span_ - 1)) == 0) {
+      shift_ = log2_span - 1;  // magic_ 0: the quotient is (r >> 1) >> shift_
+      return;
+    }
+    // floor(2^(64 + log2_span) / span) fits in 64 bits, doubled and rounded
+    // up to the 65-bit reciprocal whose top bit the algorithm adds back.
+    const unsigned __int128 scaled = static_cast<unsigned __int128>(1) << (64 + log2_span);
+    std::uint64_t magic = static_cast<std::uint64_t>(scaled / span_);
+    const std::uint64_t rem = static_cast<std::uint64_t>(scaled % span_);
+    magic += magic;
+    const std::uint64_t twice_rem = rem + rem;
+    if (twice_rem >= span_ || twice_rem < rem) magic += 1;
+    magic_ = magic + 1;
+    shift_ = log2_span;
+  }
+
+  std::int64_t operator()(Rng& rng) const {
+    if (span_ == 0) return static_cast<std::int64_t>(rng());
+    std::uint64_t r;
+    do {
+      r = rng();
+    } while (r >= limit_);
+    if (span_ == 1) return lo_;
+    const auto high = static_cast<std::uint64_t>((static_cast<unsigned __int128>(r) * magic_) >> 64);
+    const std::uint64_t quotient = (((r - high) >> 1) + high) >> shift_;
+    // Unsigned, so that lo + offset wraps into range instead of overflowing.
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo_) + (r - quotient * span_));
+  }
+
+ private:
+  std::int64_t lo_;
+  std::uint64_t span_;
+  std::uint64_t limit_ = ~0ULL;  // span 1: (~0) % 1 is 0
+  std::uint64_t magic_ = 0;
+  int shift_ = 0;
+};
+
+inline std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
+  if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (span == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
+  // Rejection sampling to avoid modulo bias.
+  const std::uint64_t limit = (~0ULL) - (~0ULL) % span;
+  std::uint64_t r;
+  do {
+    r = (*this)();
+  } while (r >= limit);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r % span);
+}
 
 /// Seed of the stream keyed by (a, b) under `root`. A pure function, so
 /// concurrent components each derive "the stream of X" (one task's

@@ -1,11 +1,14 @@
 #include "moo/nsga2.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace qon::moo {
 
@@ -220,93 +223,309 @@ std::vector<double> crowding_distance(const std::vector<std::vector<double>>& ob
 
 namespace {
 
+// static_cast<int>(std::lround(x)) without the libm call: the nearest
+// integer, halves away from zero, converted through long. Below 2^52 in
+// magnitude the conversion truncates exactly and x minus its truncation is
+// exact; larger and non-finite values take std::lround itself.
+int round_half_away(double x) {
+  if (!(std::abs(x) < 0x1.0p52)) return static_cast<int>(std::lround(x));
+  long r = static_cast<long>(x);
+  const double frac = x - static_cast<double>(r);
+  if (frac >= 0.5) {
+    ++r;
+  } else if (frac <= -0.5) {
+    --r;
+  }
+  return static_cast<int>(r);
+}
+
+constexpr double kBand = 1e-9;  // relative fallback band around each T_j
+constexpr std::size_t kMaxRowBands = 16;
+constexpr long long kMaxRows = 64;
+constexpr std::uint64_t kOctaves = 53;  // u >= 2^-53 lies in one of 53 octaves
+constexpr int kScanRow = -1;            // Octave::above: scan the row instead
+
+}  // namespace
+
+// The table is exact wherever the formula's floating-point error is smaller
+// than the distance between the exact child position and the nearest
+// rounding boundary. Outside the band, u differs from every T_j by a factor
+// of at least 1 + 1e-9, so beta = -log(u) / lambda differs from its boundary
+// value by more than ~1e-9 / lambda and the position by more than
+// ~1e-9 |d| / (2 lambda). The formula's error (log, division, two products,
+// one sum) is below 6 * 2^-53 (1 + beta) max(|a|, |b|), and on a row's
+// reachable thresholds lambda * beta <= -log(2^-54) < 38. Both meet, with a
+// 1.5x margin, when max(|a|, |b|) (lambda + 38) <= 5e5. For d = 0 the
+// position a must stay within 0.5 of the result for every u >= 2^-53
+// (beta <= 36.8 / lambda): max(|a|, |b|) (lambda + 38) <= 5e14 lambda.
+CrossoverSpread::CrossoverSpread(double lambda, long long max_span) : lambda_(lambda) {
+  if (!(lambda > 0.0)) throw std::invalid_argument("CrossoverSpread: lambda must be > 0");
+  const double gene_limit = std::min(5e5, 5e14 * lambda) / (lambda + 38.0);
+  max_gene_ = static_cast<int>(std::min(gene_limit, 1e6));
+  const long long rows = std::clamp(max_span, 0LL, kMaxRows);
+  row_begin_.push_back(0);
+  for (long long d = 0; d <= rows; ++d) {
+    const std::size_t begin = bands_.size();
+    bool capped = false;
+    const int even = d % 2 == 0 ? 1 : 0;
+    for (int j = even; d > 0; ++j) {
+      if (bands_.size() - begin == kMaxRowBands) {
+        capped = true;
+        break;
+      }
+      const double t =
+          std::exp(-lambda * static_cast<double>(2 * j - even) / static_cast<double>(d));
+      if (t < 0x1.0p-54) break;
+      bands_.push_back({t * (1.0 - kBand), t * (1.0 + kBand)});
+    }
+    row_begin_.push_back(bands_.size());
+    row_capped_.push_back(capped);
+    // Octave o holds u in [2^-(o+1), 2^-o). Bands wholly above it count for
+    // every such u; at most one band may cross it, or the row is scanned.
+    // Past a capped row's last band, thresholds are unknown: scan too. Both
+    // the bands and the octaves descend, so one sweep finds each octave's.
+    const std::size_t end = bands_.size();
+    std::size_t above = begin;
+    double high = 1.0;
+    for (std::uint64_t o = 0; o < kOctaves; ++o, high /= 2.0) {
+      const double low = high / 2.0;
+      while (above < end && bands_[above].lo >= high) ++above;
+      std::size_t crossing = above;
+      while (crossing < end && bands_[crossing].hi >= low) ++crossing;
+      Octave octave{0, 0, static_cast<int>(above - begin)};
+      if (crossing - above == 1) {
+        octave.lo = std::bit_cast<std::uint64_t>(bands_[above].lo);
+        octave.hi = std::bit_cast<std::uint64_t>(bands_[above].hi);
+      }
+      if (crossing - above > 1 || (capped && low <= bands_.back().hi)) octave.above = kScanRow;
+      octaves_.push_back(octave);
+    }
+  }
+}
+
+std::pair<int, int> CrossoverSpread::formula(int a, int b, double u) const {
+  const double beta = Rng::exponential_quantile(u, lambda_);
+  const double x = static_cast<double>(a);
+  const double y = static_cast<double>(b);
+  return {round_half_away(0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)),
+          round_half_away(0.5 * ((1.0 - beta) * x + (1.0 + beta) * y))};
+}
+
+std::pair<int, int> CrossoverSpread::scan(int a, int b, double u) const {
+  if (!(u >= 0x1.0p-53 && u < 1.0)) return formula(a, b, u);
+  const int d = a - b;
+  const std::size_t row = static_cast<std::size_t>(d < 0 ? -d : d);
+  const Band* band = bands_.data() + row_begin_[row];
+  const Band* const end = bands_.data() + row_begin_[row + 1];
+  int at_or_above = 0;
+  for (; band != end; ++band, ++at_or_above) {
+    if (u > band->hi) break;
+    if (u > band->lo) return formula(a, b, u);
+  }
+  if (band == end && row_capped_[row]) return formula(a, b, u);
+  return place(a, b, at_or_above);
+}
+
+std::pair<int, int> CrossoverSpread::children(int a, int b, double u) const {
+  if (a < -max_gene_ || a > max_gene_ || b < -max_gene_ || b > max_gene_) {
+    return formula(a, b, u);
+  }
+  const int d = a - b;
+  const std::size_t row = static_cast<std::size_t>(d < 0 ? -d : d);
+  if (row >= row_capped_.size()) return formula(a, b, u);
+  // u in [2^-(o+1), 2^-o) has biased exponent 1022 - o; u outside [2^-53, 1)
+  // (or NaN) wraps o past the table and takes the scan's range check.
+  const std::uint64_t o = 1022 - (std::bit_cast<std::uint64_t>(u) >> 52);
+  if (o >= kOctaves) return scan(a, b, u);
+  const Octave& octave = octaves_[row * kOctaves + o];
+  if (octave.above == kScanRow) return scan(a, b, u);
+  // Positive doubles order as their bit patterns, which stay below 2^63, so
+  // x <= y is the sign of y - x: arithmetic the compiler cannot turn into a
+  // branch on a random outcome. Only the rare in-band case branches.
+  const auto at_or_below = [](std::uint64_t x, std::uint64_t y) {
+    return static_cast<int>(1 + (static_cast<std::int64_t>(y - x) >> 63));
+  };
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
+  const int counts = at_or_below(bits, octave.lo);
+  if (at_or_below(bits, octave.hi) != counts) return formula(a, b, u);
+  return place(a, b, octave.above + counts);
+}
+
+namespace {
+
+// The variation operators' per-run constants.
+struct Operators {
+  std::vector<int> lower;  ///< inclusive per-variable bounds
+  std::vector<int> upper;
+  std::uint64_t crossover;       ///< bernoulli_threshold(crossover_prob)
+  std::uint64_t gene_crossover;  ///< bernoulli_threshold(crossover_rate_per_gene)
+  std::uint64_t mutation;        ///< bernoulli_threshold(per-gene mutation probability)
+  double mutation_exponent;      ///< 1 / (eta + 1)
+  CrossoverSpread spread;
+};
+
 // Binary tournament: lower rank wins; ties broken by larger crowding.
-const Individual& tournament(std::span<const Individual> pop, Rng& rng) {
-  const auto& a = pop[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(pop.size()) - 1))];
-  const auto& b = pop[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(pop.size()) - 1))];
+const Individual& tournament(std::span<const Individual> pop, const UniformInt& pick, Rng& rng) {
+  const auto& a = pop[static_cast<std::size_t>(pick(rng))];
+  const auto& b = pop[static_cast<std::size_t>(pick(rng))];
   if (a.rank != b.rank) return a.rank < b.rank ? a : b;
   return a.crowding >= b.crowding ? a : b;
 }
 
+// Indices of the genes an offspring's operators changed, with room for
+// every gene twice (crossover, then mutation). append_if writes
+// unconditionally and advances only when asked, so the crossover loop does
+// not branch on whether a gene changed.
+class TouchedGenes {
+ public:
+  explicit TouchedGenes(std::size_t n_vars) : genes_(2 * n_vars) {}
+
+  void clear() { size_ = 0; }
+  void append_if(std::size_t i, bool changed) {
+    genes_[size_] = i;
+    size_ += changed ? 1 : 0;
+  }
+  void assign(const TouchedGenes& other) {
+    std::copy_n(other.genes_.begin(), other.size_, genes_.begin());
+    size_ = other.size_;
+  }
+  std::span<const std::size_t> genes() const { return {genes_.data(), size_}; }
+
+ private:
+  std::vector<std::size_t> genes_;
+  std::size_t size_ = 0;
+};
+
 // Crossover with exponentially distributed spread (paper §7): children are
 // placed at 0.5((1±beta) p1 + (1∓beta) p2) with beta ~ Exp(lambda), rounded
-// back to integers.
+// back to integers (read from ops.spread). Genes whose children differ from
+// the parents' genes are appended to `touched`.
 void exponential_crossover(const std::vector<int>& p1, const std::vector<int>& p2,
-                           std::vector<int>& c1, std::vector<int>& c2,
-                           const Nsga2Config& cfg, Rng& rng) {
+                           std::vector<int>& c1, std::vector<int>& c2, const Operators& ops,
+                           Rng& rng, TouchedGenes& touched) {
   c1 = p1;
   c2 = p2;
-  if (!rng.bernoulli(cfg.crossover_prob)) return;
+  if (!rng.bernoulli_below(ops.crossover)) return;
   for (std::size_t i = 0; i < p1.size(); ++i) {
-    if (!rng.bernoulli(cfg.crossover_rate_per_gene)) continue;
-    const double beta = rng.exponential(cfg.exponential_lambda);
-    const double a = static_cast<double>(p1[i]);
-    const double b = static_cast<double>(p2[i]);
-    const double child1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b);
-    const double child2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b);
-    c1[i] = static_cast<int>(std::lround(child1));
-    c2[i] = static_cast<int>(std::lround(child2));
+    if (!rng.bernoulli_below(ops.gene_crossover)) continue;
+    const double u = rng.uniform_positive();
+    const auto [child1, child2] = ops.spread.children(p1[i], p2[i], u);
+    c1[i] = child1;
+    c2[i] = child2;
+    touched.append_if(i, (child1 != p1[i]) | (child2 != p2[i]));
   }
 }
 
-// Inclusive per-variable bounds, read once per run.
-struct Bounds {
-  std::vector<int> lower;
-  std::vector<int> upper;
-};
-
 // Polynomial mutation (Deb): perturbs within the parent's vicinity with a
-// polynomial probability distribution of index eta.
-void polynomial_mutation(std::vector<int>& genome, const Bounds& bounds,
-                         const Nsga2Config& cfg, Rng& rng) {
-  const double p_gene = cfg.mutation_prob_per_gene > 0.0
-                            ? cfg.mutation_prob_per_gene
-                            : 1.0 / static_cast<double>(genome.size());
+// polynomial probability distribution of index eta. Mutated genes are
+// appended to `touched`.
+void polynomial_mutation(std::vector<int>& genome, const Operators& ops, Rng& rng,
+                         TouchedGenes& touched) {
   for (std::size_t i = 0; i < genome.size(); ++i) {
-    if (!rng.bernoulli(p_gene)) continue;
-    const double lo = bounds.lower[i];
-    const double hi = bounds.upper[i];
+    if (!rng.bernoulli_below(ops.mutation)) continue;
+    const double lo = ops.lower[i];
+    const double hi = ops.upper[i];
     if (hi <= lo) continue;
     const double x = genome[i];
     const double u = rng.uniform();
-    const double eta = cfg.mutation_eta;
     double delta;
     if (u < 0.5) {
-      delta = std::pow(2.0 * u, 1.0 / (eta + 1.0)) - 1.0;
+      delta = std::pow(2.0 * u, ops.mutation_exponent) - 1.0;
     } else {
-      delta = 1.0 - std::pow(2.0 * (1.0 - u), 1.0 / (eta + 1.0));
+      delta = 1.0 - std::pow(2.0 * (1.0 - u), ops.mutation_exponent);
     }
-    genome[i] = static_cast<int>(std::lround(x + delta * (hi - lo)));
+    genome[i] = round_half_away(x + delta * (hi - lo));
+    touched.append_if(i, true);
   }
 }
 
-void evaluate_population(std::span<Individual> pop, const IntegerProblem& problem,
-                         std::size_t& evaluations) {
-  for (auto& ind : pop) problem.evaluate(ind.genome, ind.objectives);
-  evaluations += pop.size();
+void repair_touched(const IntegerProblem& problem, std::vector<int>& genome,
+                    const TouchedGenes& touched) {
+  for (const std::size_t i : touched.genes()) genome[i] = problem.repair_gene(i, genome[i]);
 }
 
-}  // namespace
+// Batch-evaluates the individuals whose genome and objective vectors the two
+// pointer lists name.
+struct EvaluationBatch {
+  std::vector<const std::vector<int>*> genomes;
+  std::vector<std::vector<double>*> objectives;
 
-Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
+  explicit EvaluationBatch(std::span<Individual> pop) {
+    for (auto& ind : pop) {
+      genomes.push_back(&ind.genome);
+      objectives.push_back(&ind.objectives);
+    }
+  }
+
+  void run(const IntegerProblem& problem, std::size_t& evaluations) const {
+    problem.evaluate_batch(genomes, objectives);
+    evaluations += genomes.size();
+  }
+};
+
+void validate(const IntegerProblem& problem, const Nsga2Config& config) {
   if (problem.num_variables() == 0) {
     throw std::invalid_argument("nsga2: problem has no variables");
   }
   if (config.population_size < 4) {
     throw std::invalid_argument("nsga2: population_size must be >= 4");
   }
+  if (!(config.exponential_lambda > 0.0)) {
+    throw std::invalid_argument("nsga2: exponential_lambda must be > 0");
+  }
+  if (!(config.mutation_eta >= 0.0)) {
+    throw std::invalid_argument("nsga2: mutation_eta must be >= 0");
+  }
+  if (!(config.crossover_prob >= 0.0 && config.crossover_prob <= 1.0)) {
+    throw std::invalid_argument("nsga2: crossover_prob must lie in [0, 1]");
+  }
+  if (!(config.crossover_rate_per_gene >= 0.0 && config.crossover_rate_per_gene <= 1.0)) {
+    throw std::invalid_argument("nsga2: crossover_rate_per_gene must lie in [0, 1]");
+  }
+  if (!(config.mutation_prob_per_gene <= 1.0)) {
+    throw std::invalid_argument("nsga2: mutation_prob_per_gene must be <= 1");
+  }
+  if (config.tolerance_window < 1) {
+    throw std::invalid_argument("nsga2: tolerance_window must be >= 1");
+  }
+}
+
+Operators make_operators(const IntegerProblem& problem, const Nsga2Config& config) {
+  const std::size_t n_vars = problem.num_variables();
+  std::vector<int> lower(n_vars);
+  std::vector<int> upper(n_vars);
+  long long max_span = 0;
+  for (std::size_t i = 0; i < n_vars; ++i) {
+    lower[i] = problem.lower_bound(i);
+    upper[i] = problem.upper_bound(i);
+    if (lower[i] > upper[i]) {
+      throw std::invalid_argument("nsga2: variable " + std::to_string(i) +
+                                  " has lower_bound > upper_bound");
+    }
+    max_span = std::max(max_span, static_cast<long long>(upper[i]) - lower[i]);
+  }
+  const double p_gene = config.mutation_prob_per_gene > 0.0
+                            ? config.mutation_prob_per_gene
+                            : 1.0 / static_cast<double>(n_vars);
+  return {std::move(lower),
+          std::move(upper),
+          Rng::bernoulli_threshold(config.crossover_prob),
+          Rng::bernoulli_threshold(config.crossover_rate_per_gene),
+          Rng::bernoulli_threshold(p_gene),
+          1.0 / (config.mutation_eta + 1.0),
+          CrossoverSpread(config.exponential_lambda, max_span)};
+}
+
+}  // namespace
+
+Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
+  validate(problem, config);
+  const Operators ops = make_operators(problem, config);
   Rng rng(config.seed);
   Nsga2Result result;
   const std::size_t pop_size = config.population_size;
   const std::size_t n_vars = problem.num_variables();
   const std::size_t n_objs = problem.num_objectives();
-  Bounds bounds{std::vector<int>(n_vars), std::vector<int>(n_vars)};
-  for (std::size_t i = 0; i < n_vars; ++i) {
-    bounds.lower[i] = problem.lower_bound(i);
-    bounds.upper[i] = problem.upper_bound(i);
-  }
 
   // merged[0, P) is the population, merged[P, 2P) the offspring. After
   // environmental selection the truncated tail's buffers are reused for the
@@ -318,23 +537,34 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
   }
   const std::span<Individual> pop(merged.data(), pop_size);
   const std::span<Individual> offspring(merged.data() + pop_size, pop_size);
+  const EvaluationBatch pop_batch(pop);
+  const EvaluationBatch offspring_batch(offspring);
   Individual spare;  // an odd population's unused second child
   SortScratch scratch;
+  TouchedGenes touched1(n_vars);
+  TouchedGenes touched2(n_vars);
 
   // Random-integer initialization within bounds, with caller-provided
   // heuristic seeds occupying the first slots.
+  std::vector<UniformInt> init_draw;
+  init_draw.reserve(n_vars);
+  for (std::size_t i = 0; i < n_vars; ++i) {
+    if (i > 0 && ops.lower[i] == ops.lower[i - 1] && ops.upper[i] == ops.upper[i - 1]) {
+      init_draw.push_back(init_draw.back());
+    } else {
+      init_draw.emplace_back(ops.lower[i], ops.upper[i]);
+    }
+  }
   for (std::size_t p = 0; p < pop_size; ++p) {
     auto& ind = pop[p];
     if (p < config.initial_genomes.size() && config.initial_genomes[p].size() == n_vars) {
       ind.genome = config.initial_genomes[p];
     } else {
-      for (std::size_t i = 0; i < n_vars; ++i) {
-        ind.genome[i] = static_cast<int>(rng.uniform_int(bounds.lower[i], bounds.upper[i]));
-      }
+      for (std::size_t i = 0; i < n_vars; ++i) ind.genome[i] = static_cast<int>(init_draw[i](rng));
     }
     problem.repair(ind.genome);
   }
-  evaluate_population(pop, problem, result.evaluations);
+  pop_batch.run(problem, result.evaluations);
   assign_ranks_and_crowding(pop, scratch);
 
   // Sliding-window tolerance bookkeeping: track the ideal point (per-
@@ -351,23 +581,28 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
   };
   ideal_history.push_back(ideal_point());
 
+  const UniformInt pick(0, static_cast<std::int64_t>(pop_size) - 1);
   for (std::size_t gen = 0; gen < config.max_generations; ++gen) {
     if (result.evaluations >= config.max_evaluations) break;
     ++result.generations;
 
     // Offspring via tournament + exponential crossover + polynomial mutation.
+    // Untouched genes are copies of repaired parent genes, so only the
+    // touched ones need repair_gene.
     for (std::size_t filled = 0; filled < pop_size; filled += 2) {
-      const auto& p1 = tournament(pop, rng);
-      const auto& p2 = tournament(pop, rng);
+      const auto& p1 = tournament(pop, pick, rng);
+      const auto& p2 = tournament(pop, pick, rng);
       Individual& c1 = offspring[filled];
       Individual& c2 = filled + 1 < pop_size ? offspring[filled + 1] : spare;
-      exponential_crossover(p1.genome, p2.genome, c1.genome, c2.genome, config, rng);
-      polynomial_mutation(c1.genome, bounds, config, rng);
-      polynomial_mutation(c2.genome, bounds, config, rng);
-      problem.repair(c1.genome);
-      problem.repair(c2.genome);
+      touched1.clear();
+      exponential_crossover(p1.genome, p2.genome, c1.genome, c2.genome, ops, rng, touched1);
+      touched2.assign(touched1);
+      polynomial_mutation(c1.genome, ops, rng, touched1);
+      polynomial_mutation(c2.genome, ops, rng, touched2);
+      repair_touched(problem, c1.genome, touched1);
+      repair_touched(problem, c2.genome, touched2);
     }
-    evaluate_population(offspring, problem, result.evaluations);
+    offspring_batch.run(problem, result.evaluations);
 
     // Environmental selection over parents + offspring. Truncation keeps a
     // prefix in rank order, so every dominator of a kept individual (which

@@ -5,14 +5,32 @@
 // termination by generation/evaluation caps plus a sliding-window tolerance
 // test over a sequence of generations.
 //
-// Bit-identity contract: the O(P log P) two-objective front sort and the
-// rank reuse after truncation are exact shortcuts. For a given problem and
-// config, nsga2() draws from the RNG in the same order, sums in the same
-// order and passes the same inputs to every std::sort as the O(MN^2)
-// formulation (Deb's peeling sort over parents + offspring, then again over
-// the truncated population), so it returns the same front bit for bit.
+// Bit-identity contract: for a given problem and config, nsga2() draws from
+// the RNG in the same order, sums in the same order and passes the same
+// inputs to every std::sort as the textbook formulation: Deb's O(MN^2)
+// peeling sort over parents + offspring and again over the truncated
+// population, a uniform() < p comparison per Bernoulli trial, a fresh
+// uniform_int per draw, the lround crossover and mutation formulas, repair()
+// of every offspring gene, and one evaluate() per genome. It therefore
+// returns the same front bit for bit. Each shortcut is exact by construction:
+//   - The two-objective front sort is O(P log P) ENS-BS, and the ranks of
+//     the truncated population are reused rather than recomputed.
+//   - A Bernoulli trial whose probability is fixed for the run compares the
+//     raw draw against Rng::bernoulli_threshold(p); uniform_int ranges are
+//     hoisted into UniformInt (initial population, tournaments).
+//   - std::lround is replaced by a round-half-away helper that equals
+//     static_cast<int>(std::lround(x)) for every double.
+//   - Only the genes crossover or mutation touched are repaired, which
+//     relies on IntegerProblem::repair_gene's per-gene, idempotent contract.
+//   - The crossover children are read from a CrossoverSpread table; a draw
+//     within a relative 1e-9 of a table threshold, past the table's row, or
+//     on genes too large for that band to cover the formula's rounding error
+//     evaluates the formula instead.
+//   - Genomes are evaluated through IntegerProblem::evaluate_batch, which
+//     must equal evaluate() on every genome.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -55,8 +73,79 @@ struct Nsga2Result {
 };
 
 /// Runs NSGA-II on `problem`. The returned front is sorted by the first
-/// objective (ascending) for deterministic downstream selection.
+/// objective (ascending) for deterministic downstream selection. Throws
+/// std::invalid_argument before drawing anything unless: the problem has
+/// variables and lower_bound(i) <= upper_bound(i) for each; population_size
+/// >= 4; exponential_lambda > 0; mutation_eta >= 0; crossover_prob and
+/// crossover_rate_per_gene lie in [0, 1]; mutation_prob_per_gene <= 1; and
+/// tolerance_window >= 1.
 Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config);
+
+/// Exposed for testing: exponential crossover (§7) on one gene, read from a
+/// table. For parent genes a, b and the uniform draw u in (0, 1) behind
+/// beta = -log(u) / lambda (Rng::exponential), the formula is
+///   child1 = lround(0.5 ((1 + beta) a + (1 - beta) b)),
+///   child2 = lround(0.5 ((1 - beta) a + (1 + beta) b)).
+/// With d = a - b != 0, child1 = (a + b + sgn(d) [d odd]) / 2 + sgn(d) J and
+/// child2 = a + b - child1, where J counts the thresholds
+/// T_j = exp(-lambda (2j - [d even]) / |d|), j >= 1, at or above u; d = 0
+/// gives (a, a). J is read from the octave of u: few thresholds share one.
+/// children() returns the formula's result for every input: it evaluates
+/// the formula itself when u lies within a relative 1e-9 of a threshold (for
+/// odd d also of T_0 = 1), when u runs past the row of |d|, and when |d|
+/// exceeds the table or |a| or |b| exceeds max_gene().
+class CrossoverSpread {
+ public:
+  /// One row per |d| in [0, min(max_span, 64)]. Requires lambda > 0.
+  CrossoverSpread(double lambda, long long max_span);
+
+  /// Requires u in (0, 1); the table serves u in [2^-53, 1), the range of
+  /// Rng::uniform_positive, and evaluates the formula for any other u.
+  std::pair<int, int> children(int a, int b, double u) const;
+
+  /// Largest |gene| the table serves: the formula's rounding error there is
+  /// far below the distance the 1e-9 band keeps u from a threshold.
+  int max_gene() const { return max_gene_; }
+
+ private:
+  struct Band {
+    double lo;  ///< T_j (1 - 1e-9); u at or below it counts T_j
+    double hi;  ///< T_j (1 + 1e-9); u above it does not
+  };
+  /// u within one octave [2^-(o+1), 2^-o) of a row: `above` thresholds
+  /// count for every such u, and at most one band crosses the octave; lo and
+  /// hi are its edges' bit patterns (0, 0 if none). above < 0: scan the
+  /// row's bands instead.
+  struct Octave {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    int above;
+  };
+
+  std::pair<int, int> formula(int a, int b, double u) const;
+  std::pair<int, int> scan(int a, int b, double u) const;
+  /// The children when `at_or_above` thresholds of row |a - b| are >= u.
+  /// Branch-free: with m = 0 for d >= 0 and -1 for d < 0, (x ^ m) - m is
+  /// sgn(d) x, and a + b + sgn(d) [d odd] is even, so >> 1 halves it exactly.
+  static std::pair<int, int> place(int a, int b, int at_or_above) {
+    const int d = a - b;
+    const int m = d >> 31;
+    const int odd = d & 1;
+    const int child1 = ((a + b + ((odd ^ m) - m)) >> 1) + (((at_or_above - odd) ^ m) - m);
+    return {child1, a + b - child1};
+  }
+
+  double lambda_;
+  int max_gene_ = 0;
+  /// Row |d| is bands_[row_begin_[|d|], row_begin_[|d| + 1]): the bands of
+  /// T_(d even ? 1 : 0), T_(next), ... in decreasing order, down to the last
+  /// T_j >= 2^-54 (u >= 2^-53 stops there) or cut off after 16 bands, in
+  /// which case row_capped_[|d|] is set. Row 0 (a == b) is empty.
+  std::vector<Band> bands_;
+  std::vector<std::size_t> row_begin_;
+  std::vector<bool> row_capped_;
+  std::vector<Octave> octaves_;  ///< [|d| * 53 + o]
+};
 
 /// Exposed for testing: fast non-dominated sort. Returns per-individual rank
 /// (0 = best front). With exactly two objectives, all finite, it sweeps the

@@ -1,13 +1,24 @@
 #include "moo/problem.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace qon::moo {
 
-void IntegerProblem::repair(std::vector<int>& genome) const {
-  for (std::size_t i = 0; i < genome.size(); ++i) {
-    genome[i] = std::clamp(genome[i], lower_bound(i), upper_bound(i));
+void IntegerProblem::evaluate_batch(std::span<const std::vector<int>* const> genomes,
+                                    std::span<std::vector<double>* const> objectives) const {
+  if (genomes.size() != objectives.size()) {
+    throw std::invalid_argument("IntegerProblem: evaluate_batch span sizes differ");
   }
+  for (std::size_t k = 0; k < genomes.size(); ++k) evaluate(*genomes[k], *objectives[k]);
+}
+
+int IntegerProblem::repair_gene(std::size_t i, int value) const {
+  return std::clamp(value, lower_bound(i), upper_bound(i));
+}
+
+void IntegerProblem::repair(std::vector<int>& genome) const {
+  for (std::size_t i = 0; i < genome.size(); ++i) genome[i] = repair_gene(i, genome[i]);
 }
 
 bool dominates(const std::vector<double>& a, const std::vector<double>& b) {

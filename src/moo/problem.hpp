@@ -4,6 +4,7 @@
 // index assigned to job i. All objectives are minimized.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace qon::moo {
@@ -28,9 +29,24 @@ class IntegerProblem {
   virtual void evaluate(const std::vector<int>& genome,
                         std::vector<double>& objectives) const = 0;
 
-  /// Optional repair hook: clamp/adjust a genome into feasibility.
-  /// Default: clamp to bounds.
-  virtual void repair(std::vector<int>& genome) const;
+  /// Evaluates genomes[k] into objectives[k] for every k (the spans have
+  /// equal length). Must give exactly what evaluate() gives for each genome;
+  /// an override exists only to be faster, e.g. by interleaving several
+  /// genomes' sums. Default: one evaluate() call per genome.
+  virtual void evaluate_batch(std::span<const std::vector<int>* const> genomes,
+                              std::span<std::vector<double>* const> objectives) const;
+
+  /// Repair hook for one gene: the feasible value gene i takes in place of
+  /// `value`. Default: clamp to [lower_bound(i), upper_bound(i)].
+  ///
+  /// Contract: the result depends only on (i, value), and repairing a
+  /// repaired value returns it unchanged (idempotence). NSGA-II relies on
+  /// both: it repairs only the genes crossover or mutation touched, since
+  /// every other gene is a copy of an already repaired parent gene.
+  virtual int repair_gene(std::size_t i, int value) const;
+
+  /// Applies repair_gene() to every gene of `genome`.
+  void repair(std::vector<int>& genome) const;
 };
 
 /// True when objective vector `a` Pareto-dominates `b` (<= everywhere,

@@ -48,59 +48,98 @@ int SchedulingProblem::upper_bound(std::size_t) const {
   return static_cast<int>(qpu_count_) - 1;
 }
 
-void SchedulingProblem::repair(std::vector<int>& genome) const {
-  const int max_qpu = static_cast<int>(qpu_count_) - 1;
-  for (std::size_t j = 0; j < genome.size(); ++j) {
-    const int gene = std::clamp(genome[j], 0, max_qpu);
-    genome[j] = gene;
-    if (feasible_on(j, gene)) continue;
-    // Snap to the nearest feasible QPU index (deterministic: the lower
-    // index wins a tie).
-    int best = feasible_[j].front();
-    int best_dist = std::abs(best - gene);
-    for (int q : feasible_[j]) {
-      const int d = std::abs(q - gene);
-      if (d < best_dist) {
-        best = q;
-        best_dist = d;
-      }
+int SchedulingProblem::repair_gene(std::size_t job, int qpu) const {
+  const int gene = std::clamp(qpu, 0, static_cast<int>(qpu_count_) - 1);
+  if (feasible_on(job, gene)) return gene;
+  // Snap to the nearest feasible QPU index (deterministic: the lower index
+  // wins a tie).
+  int best = feasible_[job].front();
+  int best_dist = std::abs(best - gene);
+  for (int q : feasible_[job]) {
+    const int d = std::abs(q - gene);
+    if (d < best_dist) {
+      best = q;
+      best_dist = d;
     }
-    genome[j] = best;
+  }
+  return best;
+}
+
+// Eq. 1, computed in O(N + Q) per genome: the co-assignment sum
+//   sum_k t_k [x_i == x_k]
+// is the per-QPU total execution time of the assignment. The lanes are
+// independent genomes interleaved job by job: each lane adds in the same
+// order as a lone evaluation, so its result is bit-identical to Lanes = 1,
+// and the lanes' dependent add chains overlap in the pipeline.
+template <std::size_t Lanes>
+void SchedulingProblem::eq1(const std::vector<int>* const* genomes,
+                            std::vector<double>* const* objectives) const {
+  const std::size_t n = input_->jobs.size();
+  const int* gene[Lanes];
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    if (genomes[l]->size() != n) throw std::invalid_argument("SchedulingProblem: genome size");
+    gene[l] = genomes[l]->data();
+  }
+
+  // Per-lane, per-QPU execution totals: lane l's row starts at l * Q.
+  constexpr std::size_t kStackQpus = 64;
+  double stack_exec[Lanes * kStackQpus];
+  std::vector<double> heap_exec;
+  double* qpu_exec = stack_exec;
+  if (qpu_count_ > kStackQpus) {
+    heap_exec.assign(Lanes * qpu_count_, 0.0);
+    qpu_exec = heap_exec.data();
+  } else {
+    std::fill_n(stack_exec, Lanes * qpu_count_, 0.0);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t l = 0; l < Lanes; ++l) {
+      const int q = gene[l][k];
+      qpu_exec[l * qpu_count_ + static_cast<std::size_t>(q)] += exec_seconds_[cell(k, q)];
+    }
+  }
+  // Job i's JCT is queue_wait[q] + qpu_exec[q] for its QPU q: one value per
+  // (lane, QPU), computed once instead of once per job.
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    for (std::size_t q = 0; q < qpu_count_; ++q) qpu_exec[l * qpu_count_ + q] += queue_wait_[q];
+  }
+  double jct_sum[Lanes];
+  double error_sum[Lanes];
+  std::fill_n(jct_sum, Lanes, 0.0);
+  std::fill_n(error_sum, Lanes, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t l = 0; l < Lanes; ++l) {
+      const int q = gene[l][i];
+      jct_sum[l] += qpu_exec[l * qpu_count_ + static_cast<std::size_t>(q)];
+      error_sum[l] += 1.0 - fidelity_[cell(i, q)];
+    }
+  }
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    std::vector<double>& out = *objectives[l];
+    out.resize(2);
+    out[0] = jct_sum[l] / static_cast<double>(n);
+    out[1] = error_sum[l] / static_cast<double>(n);
   }
 }
 
 void SchedulingProblem::evaluate(const std::vector<int>& genome,
                                  std::vector<double>& objectives) const {
-  const std::size_t n = input_->jobs.size();
-  if (genome.size() != n) throw std::invalid_argument("SchedulingProblem: genome size");
+  const std::vector<int>* g = &genome;
+  std::vector<double>* o = &objectives;
+  eq1<1>(&g, &o);
+}
 
-  // Eq. 1, computed in O(N + Q): the co-assignment sum
-  //   sum_k t_k [x_i == x_k]
-  // is the per-QPU total execution time of the assignment.
-  constexpr std::size_t kStackQpus = 64;
-  double stack_exec[kStackQpus];
-  std::vector<double> heap_exec;
-  double* qpu_exec = stack_exec;
-  if (qpu_count_ > kStackQpus) {
-    heap_exec.assign(qpu_count_, 0.0);
-    qpu_exec = heap_exec.data();
-  } else {
-    std::fill_n(stack_exec, qpu_count_, 0.0);
+void SchedulingProblem::evaluate_batch(std::span<const std::vector<int>* const> genomes,
+                                       std::span<std::vector<double>* const> objectives) const {
+  if (genomes.size() != objectives.size()) {
+    throw std::invalid_argument("SchedulingProblem: evaluate_batch span sizes differ");
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    const int q = genome[k];
-    qpu_exec[q] += exec_seconds_[cell(k, q)];
+  constexpr std::size_t kLanes = 4;
+  std::size_t k = 0;
+  for (; k + kLanes <= genomes.size(); k += kLanes) {
+    eq1<kLanes>(genomes.data() + k, objectives.data() + k);
   }
-  double jct_sum = 0.0;
-  double error_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int q = genome[i];
-    jct_sum += queue_wait_[static_cast<std::size_t>(q)] + qpu_exec[q];
-    error_sum += 1.0 - fidelity_[cell(i, q)];
-  }
-  objectives.resize(2);
-  objectives[0] = jct_sum / static_cast<double>(n);
-  objectives[1] = error_sum / static_cast<double>(n);
+  for (; k < genomes.size(); ++k) eq1<1>(genomes.data() + k, objectives.data() + k);
 }
 
 double SchedulingProblem::mean_execution_time(const std::vector<int>& genome) const {

@@ -10,10 +10,10 @@ namespace qon::sched {
 
 /// Eq. 1 as a moo::IntegerProblem. Pre-computes flat [job * Q + qpu] tables
 /// of feasibility (size + online filters), execution time and fidelity, the
-/// per-QPU queue waits, and each job's feasible QPU set; repair() clamps to
-/// [0, Q-1] and snaps infeasible genes to the nearest feasible QPU. Jobs
-/// with no feasible QPU must be filtered out before construction (see
-/// preprocess_jobs).
+/// per-QPU queue waits, and each job's feasible QPU set; repair_gene()
+/// clamps to [0, Q-1] and snaps an infeasible gene to the nearest feasible
+/// QPU. Jobs with no feasible QPU must be filtered out before construction
+/// (see preprocess_jobs).
 class SchedulingProblem : public moo::IntegerProblem {
  public:
   explicit SchedulingProblem(const SchedulingInput& input);
@@ -28,7 +28,12 @@ class SchedulingProblem : public moo::IntegerProblem {
   void evaluate(const std::vector<int>& genome,
                 std::vector<double>& objectives) const override;
 
-  void repair(std::vector<int>& genome) const override;
+  /// evaluate() four genomes per pass, then one at a time for the rest.
+  /// Bit-identical to evaluate() on each genome.
+  void evaluate_batch(std::span<const std::vector<int>* const> genomes,
+                      std::span<std::vector<double>* const> objectives) const override;
+
+  int repair_gene(std::size_t job, int qpu) const override;
 
   /// Mean execution time of the assignment (Fig. 10a's metric).
   double mean_execution_time(const std::vector<int>& genome) const;
@@ -40,6 +45,10 @@ class SchedulingProblem : public moo::IntegerProblem {
     return job * qpu_count_ + static_cast<std::size_t>(qpu);
   }
   bool feasible_on(std::size_t job, int qpu) const { return feasible_flag_[cell(job, qpu)] != 0; }
+
+  // Eq. 1 for `Lanes` genomes at once; see problem.cpp.
+  template <std::size_t Lanes>
+  void eq1(const std::vector<int>* const* genomes, std::vector<double>* const* objectives) const;
 
   const SchedulingInput* input_;
   std::size_t qpu_count_;

@@ -5,10 +5,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -144,6 +147,64 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (parent() == child()) ++equal;
   }
   EXPECT_LT(equal, 3);
+}
+
+TEST(Rng, ThresholdBernoulliMatchesUniformCompare) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {0.0, 1e-300, 1.0 / 500.0, 0.5, 1.0, 2.0, nan,
+                         std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0), 0x1.0p-53}) {
+    Rng compare(77);
+    Rng threshold(77);
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(threshold.bernoulli_below(t), compare.uniform() < p) << "p " << p << ", draw " << i;
+    }
+    EXPECT_EQ(threshold(), compare()) << "p " << p;  // same final state
+  }
+  // At the grid points k * 2^-53 the draw k - 1 is below p and the draw k
+  // is not; just above them the draw k is below p too.
+  for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{12345}, (std::uint64_t{1} << 52)}) {
+    const double p = static_cast<double>(k) * 0x1.0p-53;
+    EXPECT_EQ(Rng::bernoulli_threshold(p), k);
+    EXPECT_EQ(Rng::bernoulli_threshold(std::nextafter(p, 1.0)), k + 1);
+  }
+}
+
+// The original per-call uniform_int: the span and rejection limit are
+// computed on every draw.
+std::int64_t reference_uniform_int(Rng& rng, std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  if (span == 0) return static_cast<std::int64_t>(rng());
+  const std::uint64_t limit = (~0ULL) - (~0ULL) % span;
+  std::uint64_t r;
+  do {
+    r = rng();
+  } while (r >= limit);
+  return lo + static_cast<std::int64_t>(r % span);
+}
+
+TEST(Rng, HoistedUniformIntMatchesUniformInt) {
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0}, {0, 7}, {-5, 5}, {0, 63}, {3, 1000003},
+      // span 2^62 + 1: about three quarters of the raw draws are rejected
+      {0, std::int64_t{1} << 62},
+      {-big - 1, big}};  // the full 64-bit range
+  for (const auto& [lo, hi] : ranges) {
+    Rng reference(91);
+    Rng member(91);
+    Rng hoisted(91);
+    const UniformInt draw(lo, hi);
+    for (int i = 0; i < 5000; ++i) {
+      const std::int64_t want = reference_uniform_int(reference, lo, hi);
+      ASSERT_EQ(member.uniform_int(lo, hi), want) << "[" << lo << ", " << hi << "], draw " << i;
+      ASSERT_EQ(draw(hoisted), want) << "[" << lo << ", " << hi << "], draw " << i;
+    }
+    const std::uint64_t next = reference();
+    EXPECT_EQ(member(), next);  // same final state
+    EXPECT_EQ(hoisted(), next);
+  }
+  EXPECT_THROW(UniformInt(3, 2), std::invalid_argument);
 }
 
 TEST(Rng, DerivedSeedsArePureAndKeyed) {

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "moo/mcdm.hpp"
@@ -227,9 +229,103 @@ TEST(Nsga2, ValidatesConfig) {
   Nsga2Config config;
   config.population_size = 2;
   EXPECT_THROW(nsga2(problem, config), std::invalid_argument);
+
+  // Every other invalid field is rejected up front too, before any
+  // generation runs.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [&problem](auto mutate) {
+    Nsga2Config bad;
+    mutate(bad);
+    return [&problem, bad] { nsga2(problem, bad); };
+  };
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.exponential_lambda = 0.0; })(),
+               std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.exponential_lambda = -3.0; })(),
+               std::invalid_argument);
+  EXPECT_THROW(rejects([&](Nsga2Config& c) { c.exponential_lambda = nan; })(),
+               std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.mutation_eta = -2.0; })(), std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.mutation_eta = -0.5; })(), std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.crossover_prob = 1.5; })(), std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.crossover_prob = -0.1; })(), std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.crossover_rate_per_gene = 2.0; })(),
+               std::invalid_argument);
+  EXPECT_THROW(rejects([&](Nsga2Config& c) { c.crossover_rate_per_gene = nan; })(),
+               std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.mutation_prob_per_gene = 1.5; })(),
+               std::invalid_argument);
+  EXPECT_THROW(rejects([](Nsga2Config& c) { c.tolerance_window = 0; })(), std::invalid_argument);
+
+  // The boundary values are valid.
+  Nsga2Config edge;
+  edge.max_generations = 3;
+  edge.crossover_prob = 1.0;
+  edge.crossover_rate_per_gene = 0.0;
+  edge.mutation_prob_per_gene = 1.0;
+  edge.mutation_eta = 0.0;
+  edge.tolerance_window = 1;
+  EXPECT_NO_THROW(nsga2(problem, edge));
 }
 
-// Constrained problem: only even genes are feasible; repair() enforces it.
+// The textbook exponential crossover on one gene, as std::lround computes it.
+std::pair<int, int> spread_formula(int a, int b, double u, double lambda) {
+  const double beta = -std::log(u) / lambda;
+  const double x = a;
+  const double y = b;
+  return {static_cast<int>(std::lround(0.5 * ((1.0 + beta) * x + (1.0 - beta) * y))),
+          static_cast<int>(std::lround(0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)))};
+}
+
+TEST(Nsga2, SpreadTableMatchesExponentialFormula) {
+  for (const double lambda : {0.5, 3.0, 10.0}) {
+    const CrossoverSpread spread(lambda, 15);
+    // Draws on a grid, at both ends of (0, 1), and 1 to 4 ulp either side of
+    // every threshold the table holds (T_0 = 1 included) and a few past it.
+    std::vector<double> draws = {0x1.0p-53, 1e-12, 1e-6};
+    for (int i = 0; i < 512; ++i) draws.push_back((i + 0.5) / 512.0);
+    for (int d = 1; d <= 15; ++d) {
+      const int even = d % 2 == 0 ? 1 : 0;
+      for (int j = even; j <= 24; ++j) {  // rows stop after 16 thresholds
+        const double t = std::exp(-lambda * static_cast<double>(2 * j - even) / d);
+        if (t < 0x1.0p-54) break;
+        double below = t;
+        double above = t;
+        for (int ulp = 1; ulp <= 4; ++ulp) {
+          below = std::nextafter(below, 0.0);
+          above = std::nextafter(above, 2.0);
+          draws.push_back(below);
+          if (above < 1.0) draws.push_back(above);
+        }
+        draws.push_back(t);
+      }
+    }
+    for (int a = -7; a <= 8; ++a) {
+      for (int b = -7; b <= 8; ++b) {
+        for (const double u : draws) {
+          if (!(u > 0.0 && u < 1.0)) continue;
+          ASSERT_EQ(spread.children(a, b, u), spread_formula(a, b, u, lambda))
+              << "lambda " << lambda << ", a " << a << ", b " << b << ", u " << u;
+        }
+      }
+    }
+    // Genes at and beyond the table's limits, and spans past its rows.
+    const int big = spread.max_gene();
+    const int extremes[] = {big,     big - 7, -big, -big + 3, big + 1, -big - 1,
+                            1 << 30, -(1 << 30), std::numeric_limits<int>::max(),
+                            std::numeric_limits<int>::min()};
+    for (const int a : extremes) {
+      for (const int b : {a, a - 1, a + 1, a - 4, 0, 17}) {
+        for (const double u : draws) {
+          if (!(u > 0.0 && u < 1.0)) continue;
+          ASSERT_EQ(spread.children(a, b, u), spread_formula(a, b, u, lambda))
+              << "lambda " << lambda << ", a " << a << ", b " << b << ", u " << u;
+        }
+      }
+    }
+  }
+}
+
+// Constrained problem: only even genes are feasible; repair_gene() enforces it.
 class EvenOnly : public IntegerProblem {
  public:
   std::size_t num_variables() const override { return 3; }
@@ -240,9 +336,9 @@ class EvenOnly : public IntegerProblem {
     o = {static_cast<double>(g[0] + g[1] + g[2]),
          30.0 - static_cast<double>(g[0] + g[1] + g[2])};
   }
-  void repair(std::vector<int>& g) const override {
-    IntegerProblem::repair(g);
-    for (auto& x : g) x -= x % 2;
+  int repair_gene(std::size_t i, int x) const override {
+    x = IntegerProblem::repair_gene(i, x);
+    return x - x % 2;
   }
 };
 

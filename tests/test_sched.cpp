@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -188,6 +189,39 @@ TEST(Problem, EvaluateMatchesDirectEq1) {
       ASSERT_EQ(objectives.size(), 2u);
       EXPECT_NEAR(objectives[0], jct / n, 1e-9 * jct / n) << qpus << " QPUs";
       EXPECT_NEAR(objectives[1], error / n, 1e-12) << qpus << " QPUs";
+    }
+  }
+}
+
+TEST(Problem, BatchEvaluationMatchesSingleBitForBit) {
+  // 8 QPUs fit the stack buffer; 65 take the heap path. Batch sizes that are
+  // not multiples of 4 exercise the one-genome tail.
+  for (const std::size_t qpus : {std::size_t{8}, std::size_t{65}}) {
+    const auto input = make_input(37, qpus, 83);
+    const SchedulingProblem problem(input);
+    Rng rng(89);
+    for (const std::size_t count : {1, 3, 4, 5, 7, 9, 13, 64}) {
+      std::vector<std::vector<int>> genomes(count, std::vector<int>(input.jobs.size()));
+      for (auto& genome : genomes) {
+        for (auto& g : genome) g = static_cast<int>(rng.uniform_int(0, qpus - 1));
+      }
+      std::vector<std::vector<double>> batch(count);
+      std::vector<const std::vector<int>*> genome_ptrs;
+      std::vector<std::vector<double>*> objective_ptrs;
+      for (std::size_t k = 0; k < count; ++k) {
+        genome_ptrs.push_back(&genomes[k]);
+        objective_ptrs.push_back(&batch[k]);
+      }
+      problem.evaluate_batch(genome_ptrs, objective_ptrs);
+      for (std::size_t k = 0; k < count; ++k) {
+        std::vector<double> single;
+        problem.evaluate(genomes[k], single);
+        ASSERT_EQ(batch[k].size(), 2u);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[k][0]), std::bit_cast<std::uint64_t>(single[0]))
+            << qpus << " QPUs, batch of " << count << ", genome " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[k][1]), std::bit_cast<std::uint64_t>(single[1]))
+            << qpus << " QPUs, batch of " << count << ", genome " << k;
+      }
     }
   }
 }
