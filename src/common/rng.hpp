@@ -127,34 +127,15 @@ class Rng {
 
 /// Rng::uniform_int(lo, hi) with its span and rejection limit computed
 /// once, for loops that draw many times from one range: the same draws and
-/// the same results. The remainder r % span is taken without a division,
-/// through a precomputed 65-bit reciprocal (the branch-free unsigned
-/// algorithm of libdivide), which is exact for every 64-bit r. Building one
-/// costs a 128-bit division, so build one per distinct range.
+/// the same results, with one division per draw instead of two.
 class UniformInt {
  public:
   /// Requires lo <= hi.
   UniformInt(std::int64_t lo, std::int64_t hi)
       : lo_(lo), span_(static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1) {
     if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-    if (span_ < 2) return;  // 0: the full 64-bit range; 1: a single value
-    // Rejection sampling to avoid modulo bias.
-    limit_ = (~0ULL) - (~0ULL) % span_;
-    const int log2_span = 63 - std::countl_zero(span_);
-    if ((span_ & (span_ - 1)) == 0) {
-      shift_ = log2_span - 1;  // magic_ 0: the quotient is (r >> 1) >> shift_
-      return;
-    }
-    // floor(2^(64 + log2_span) / span) fits in 64 bits, doubled and rounded
-    // up to the 65-bit reciprocal whose top bit the algorithm adds back.
-    const unsigned __int128 scaled = static_cast<unsigned __int128>(1) << (64 + log2_span);
-    std::uint64_t magic = static_cast<std::uint64_t>(scaled / span_);
-    const std::uint64_t rem = static_cast<std::uint64_t>(scaled % span_);
-    magic += magic;
-    const std::uint64_t twice_rem = rem + rem;
-    if (twice_rem >= span_ || twice_rem < rem) magic += 1;
-    magic_ = magic + 1;
-    shift_ = log2_span;
+    // Rejection sampling to avoid modulo bias; span 0 is the full 64-bit range.
+    limit_ = span_ == 0 ? 0 : (~0ULL) - (~0ULL) % span_;
   }
 
   std::int64_t operator()(Rng& rng) const {
@@ -163,32 +144,18 @@ class UniformInt {
     do {
       r = rng();
     } while (r >= limit_);
-    if (span_ == 1) return lo_;
-    const auto high = static_cast<std::uint64_t>((static_cast<unsigned __int128>(r) * magic_) >> 64);
-    const std::uint64_t quotient = (((r - high) >> 1) + high) >> shift_;
     // Unsigned, so that lo + offset wraps into range instead of overflowing.
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo_) + (r - quotient * span_));
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo_) + r % span_);
   }
 
  private:
   std::int64_t lo_;
   std::uint64_t span_;
-  std::uint64_t limit_ = ~0ULL;  // span 1: (~0) % 1 is 0
-  std::uint64_t magic_ = 0;
-  int shift_ = 0;
+  std::uint64_t limit_;
 };
 
 inline std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = (~0ULL) - (~0ULL) % span;
-  std::uint64_t r;
-  do {
-    r = (*this)();
-  } while (r >= limit);
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r % span);
+  return UniformInt(lo, hi)(*this);
 }
 
 /// Seed of the stream keyed by (a, b) under `root`. A pure function, so

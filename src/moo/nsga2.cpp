@@ -243,7 +243,17 @@ constexpr double kBand = 1e-9;  // relative fallback band around each T_j
 constexpr std::size_t kMaxRowBands = 16;
 constexpr long long kMaxRows = 64;
 constexpr std::uint64_t kOctaves = 53;  // u >= 2^-53 lies in one of 53 octaves
-constexpr int kScanRow = -1;            // Octave::above: scan the row instead
+
+// The children when `at_or_above` thresholds of row |a - b| are >= u.
+// Branch-free: with m = 0 for d >= 0 and -1 for d < 0, (x ^ m) - m is
+// sgn(d) x, and a + b + sgn(d) [d odd] is even, so >> 1 halves it exactly.
+std::pair<int, int> place(int a, int b, int at_or_above) {
+  const int d = a - b;
+  const int m = d >> 31;
+  const int odd = d & 1;
+  const int child1 = ((a + b + ((odd ^ m) - m)) >> 1) + (((at_or_above - odd) ^ m) - m);
+  return {child1, a + b - child1};
+}
 
 }  // namespace
 
@@ -262,42 +272,50 @@ CrossoverSpread::CrossoverSpread(double lambda, long long max_span) : lambda_(la
   if (!(lambda > 0.0)) throw std::invalid_argument("CrossoverSpread: lambda must be > 0");
   const double gene_limit = std::min(5e5, 5e14 * lambda) / (lambda + 38.0);
   max_gene_ = static_cast<int>(std::min(gene_limit, 1e6));
-  const long long rows = std::clamp(max_span, 0LL, kMaxRows);
-  row_begin_.push_back(0);
-  for (long long d = 0; d <= rows; ++d) {
-    const std::size_t begin = bands_.size();
+  rows_ = static_cast<std::size_t>(std::clamp(max_span, 0LL, kMaxRows)) + 1;
+  octaves_.reserve(rows_ * kOctaves);
+  // One row's bands [T_j (1 - 1e-9), T_j (1 + 1e-9)], T_j descending: j from
+  // 0 for odd d (T_0 = 1), from 1 for even d, down to the last T_j >= 2^-54
+  // (u >= 2^-53 never reaches below it) or cut off after 16. Row 0 (a == b)
+  // has none.
+  struct Band {
+    double lo;
+    double hi;
+  };
+  std::vector<Band> bands;
+  for (std::size_t d = 0; d < rows_; ++d) {
+    bands.clear();
     bool capped = false;
     const int even = d % 2 == 0 ? 1 : 0;
     for (int j = even; d > 0; ++j) {
-      if (bands_.size() - begin == kMaxRowBands) {
+      if (bands.size() == kMaxRowBands) {
         capped = true;
         break;
       }
       const double t =
           std::exp(-lambda * static_cast<double>(2 * j - even) / static_cast<double>(d));
       if (t < 0x1.0p-54) break;
-      bands_.push_back({t * (1.0 - kBand), t * (1.0 + kBand)});
+      bands.push_back({t * (1.0 - kBand), t * (1.0 + kBand)});
     }
-    row_begin_.push_back(bands_.size());
-    row_capped_.push_back(capped);
     // Octave o holds u in [2^-(o+1), 2^-o). Bands wholly above it count for
-    // every such u; at most one band may cross it, or the row is scanned.
-    // Past a capped row's last band, thresholds are unknown: scan too. Both
-    // the bands and the octaves descend, so one sweep finds each octave's.
-    const std::size_t end = bands_.size();
-    std::size_t above = begin;
+    // every such u, and at most one band may cross it. Where two cross, or
+    // at or below a capped row's last band (past which thresholds are
+    // unknown), the octave's band is the whole octave: the formula decides.
+    // Both the bands and the octaves descend, so one sweep finds each's.
+    std::size_t above = 0;
     double high = 1.0;
     for (std::uint64_t o = 0; o < kOctaves; ++o, high /= 2.0) {
       const double low = high / 2.0;
-      while (above < end && bands_[above].lo >= high) ++above;
+      while (above < bands.size() && bands[above].lo >= high) ++above;
       std::size_t crossing = above;
-      while (crossing < end && bands_[crossing].hi >= low) ++crossing;
-      Octave octave{0, 0, static_cast<int>(above - begin)};
-      if (crossing - above == 1) {
-        octave.lo = std::bit_cast<std::uint64_t>(bands_[above].lo);
-        octave.hi = std::bit_cast<std::uint64_t>(bands_[above].hi);
+      while (crossing < bands.size() && bands[crossing].hi >= low) ++crossing;
+      Octave octave{0, 0, static_cast<int>(above)};
+      if (crossing - above > 1 || (capped && low <= bands.back().hi)) {
+        octave.hi = std::bit_cast<std::uint64_t>(1.0);
+      } else if (crossing - above == 1) {
+        octave.lo = std::bit_cast<std::uint64_t>(bands[above].lo);
+        octave.hi = std::bit_cast<std::uint64_t>(bands[above].hi);
       }
-      if (crossing - above > 1 || (capped && low <= bands_.back().hi)) octave.above = kScanRow;
       octaves_.push_back(octave);
     }
   }
@@ -311,41 +329,25 @@ std::pair<int, int> CrossoverSpread::formula(int a, int b, double u) const {
           round_half_away(0.5 * ((1.0 - beta) * x + (1.0 + beta) * y))};
 }
 
-std::pair<int, int> CrossoverSpread::scan(int a, int b, double u) const {
-  if (!(u >= 0x1.0p-53 && u < 1.0)) return formula(a, b, u);
-  const int d = a - b;
-  const std::size_t row = static_cast<std::size_t>(d < 0 ? -d : d);
-  const Band* band = bands_.data() + row_begin_[row];
-  const Band* const end = bands_.data() + row_begin_[row + 1];
-  int at_or_above = 0;
-  for (; band != end; ++band, ++at_or_above) {
-    if (u > band->hi) break;
-    if (u > band->lo) return formula(a, b, u);
-  }
-  if (band == end && row_capped_[row]) return formula(a, b, u);
-  return place(a, b, at_or_above);
-}
-
 std::pair<int, int> CrossoverSpread::children(int a, int b, double u) const {
   if (a < -max_gene_ || a > max_gene_ || b < -max_gene_ || b > max_gene_) {
     return formula(a, b, u);
   }
   const int d = a - b;
   const std::size_t row = static_cast<std::size_t>(d < 0 ? -d : d);
-  if (row >= row_capped_.size()) return formula(a, b, u);
+  if (row >= rows_) return formula(a, b, u);
   // u in [2^-(o+1), 2^-o) has biased exponent 1022 - o; u outside [2^-53, 1)
-  // (or NaN) wraps o past the table and takes the scan's range check.
-  const std::uint64_t o = 1022 - (std::bit_cast<std::uint64_t>(u) >> 52);
-  if (o >= kOctaves) return scan(a, b, u);
+  // (or NaN) wraps o past the table.
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
+  const std::uint64_t o = 1022 - (bits >> 52);
+  if (o >= kOctaves) return formula(a, b, u);
   const Octave& octave = octaves_[row * kOctaves + o];
-  if (octave.above == kScanRow) return scan(a, b, u);
   // Positive doubles order as their bit patterns, which stay below 2^63, so
   // x <= y is the sign of y - x: arithmetic the compiler cannot turn into a
   // branch on a random outcome. Only the rare in-band case branches.
   const auto at_or_below = [](std::uint64_t x, std::uint64_t y) {
     return static_cast<int>(1 + (static_cast<std::int64_t>(y - x) >> 63));
   };
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
   const int counts = at_or_below(bits, octave.lo);
   if (at_or_below(bits, octave.hi) != counts) return formula(a, b, u);
   return place(a, b, octave.above + counts);
@@ -412,7 +414,7 @@ void exponential_crossover(const std::vector<int>& p1, const std::vector<int>& p
     const auto [child1, child2] = ops.spread.children(p1[i], p2[i], u);
     c1[i] = child1;
     c2[i] = child2;
-    touched.append_if(i, (child1 != p1[i]) | (child2 != p2[i]));
+    touched.append_if(i, ((child1 ^ p1[i]) | (child2 ^ p2[i])) != 0);
   }
 }
 
@@ -451,6 +453,8 @@ struct EvaluationBatch {
   std::vector<std::vector<double>*> objectives;
 
   explicit EvaluationBatch(std::span<Individual> pop) {
+    genomes.reserve(pop.size());
+    objectives.reserve(pop.size());
     for (auto& ind : pop) {
       genomes.push_back(&ind.genome);
       objectives.push_back(&ind.objectives);

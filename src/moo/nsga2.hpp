@@ -16,16 +16,18 @@
 //   - The two-objective front sort is O(P log P) ENS-BS, and the ranks of
 //     the truncated population are reused rather than recomputed.
 //   - A Bernoulli trial whose probability is fixed for the run compares the
-//     raw draw against Rng::bernoulli_threshold(p); uniform_int ranges are
-//     hoisted into UniformInt (initial population, tournaments).
+//     raw draw against Rng::bernoulli_threshold(p). The initial population's
+//     and the tournaments' uniform_int ranges are hoisted into UniformInt,
+//     whose precomputed reciprocal gives the same remainder as r % span.
 //   - std::lround is replaced by a round-half-away helper that equals
 //     static_cast<int>(std::lround(x)) for every double.
 //   - Only the genes crossover or mutation touched are repaired, which
 //     relies on IntegerProblem::repair_gene's per-gene, idempotent contract.
-//   - The crossover children are read from a CrossoverSpread table; a draw
-//     within a relative 1e-9 of a table threshold, past the table's row, or
-//     on genes too large for that band to cover the formula's rounding error
-//     evaluates the formula instead.
+//   - The crossover children are read from a CrossoverSpread table, which
+//     evaluates the formula instead for a draw within a relative 1e-9 of a
+//     table threshold (the fallback band) or past the table's row, and for
+//     genes too large for that band to cover the formula's rounding error.
+//     Genes on which the parents agree still draw their coin and u.
 //   - Genomes are evaluated through IntegerProblem::evaluate_batch, which
 //     must equal evaluate() on every genome.
 
@@ -89,18 +91,20 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config);
 /// With d = a - b != 0, child1 = (a + b + sgn(d) [d odd]) / 2 + sgn(d) J and
 /// child2 = a + b - child1, where J counts the thresholds
 /// T_j = exp(-lambda (2j - [d even]) / |d|), j >= 1, at or above u; d = 0
-/// gives (a, a). J is read from the octave of u: few thresholds share one.
-/// children() returns the formula's result for every input: it evaluates
-/// the formula itself when u lies within a relative 1e-9 of a threshold (for
-/// odd d also of T_0 = 1), when u runs past the row of |d|, and when |d|
-/// exceeds the table or |a| or |b| exceeds max_gene().
+/// gives (a, a). J is read from the octave [2^-(o+1), 2^-o) that holds u:
+/// per row of |d|, each octave stores how many thresholds lie above it and
+/// the one threshold inside it, if any. children() returns the formula's
+/// result for every input: it evaluates the formula itself when u lies
+/// within a relative 1e-9 of a threshold (for odd d also of T_0 = 1), in an
+/// octave that holds two thresholds or lies past a row cut off after 16, and
+/// when |d| > 64 or |a| or |b| exceeds max_gene().
 class CrossoverSpread {
  public:
   /// One row per |d| in [0, min(max_span, 64)]. Requires lambda > 0.
   CrossoverSpread(double lambda, long long max_span);
 
-  /// Requires u in (0, 1); the table serves u in [2^-53, 1), the range of
-  /// Rng::uniform_positive, and evaluates the formula for any other u.
+  /// The table serves u in [2^-53, 1), the range of
+  /// Rng::uniform_positive; any other u takes the formula.
   std::pair<int, int> children(int a, int b, double u) const;
 
   /// Largest |gene| the table serves: the formula's rounding error there is
@@ -108,14 +112,10 @@ class CrossoverSpread {
   int max_gene() const { return max_gene_; }
 
  private:
-  struct Band {
-    double lo;  ///< T_j (1 - 1e-9); u at or below it counts T_j
-    double hi;  ///< T_j (1 + 1e-9); u above it does not
-  };
-  /// u within one octave [2^-(o+1), 2^-o) of a row: `above` thresholds
-  /// count for every such u, and at most one band crosses the octave; lo and
-  /// hi are its edges' bit patterns (0, 0 if none). above < 0: scan the
-  /// row's bands instead.
+  /// The octave [2^-(o+1), 2^-o) of one row: `above` thresholds count for
+  /// every u in it, and lo, hi are the bit patterns of the one band that
+  /// crosses it (0, 0 if none). An octave the table cannot decide has the
+  /// whole octave as its band, so every u there takes the formula.
   struct Octave {
     std::uint64_t lo;
     std::uint64_t hi;
@@ -123,27 +123,10 @@ class CrossoverSpread {
   };
 
   std::pair<int, int> formula(int a, int b, double u) const;
-  std::pair<int, int> scan(int a, int b, double u) const;
-  /// The children when `at_or_above` thresholds of row |a - b| are >= u.
-  /// Branch-free: with m = 0 for d >= 0 and -1 for d < 0, (x ^ m) - m is
-  /// sgn(d) x, and a + b + sgn(d) [d odd] is even, so >> 1 halves it exactly.
-  static std::pair<int, int> place(int a, int b, int at_or_above) {
-    const int d = a - b;
-    const int m = d >> 31;
-    const int odd = d & 1;
-    const int child1 = ((a + b + ((odd ^ m) - m)) >> 1) + (((at_or_above - odd) ^ m) - m);
-    return {child1, a + b - child1};
-  }
 
   double lambda_;
   int max_gene_ = 0;
-  /// Row |d| is bands_[row_begin_[|d|], row_begin_[|d| + 1]): the bands of
-  /// T_(d even ? 1 : 0), T_(next), ... in decreasing order, down to the last
-  /// T_j >= 2^-54 (u >= 2^-53 stops there) or cut off after 16 bands, in
-  /// which case row_capped_[|d|] is set. Row 0 (a == b) is empty.
-  std::vector<Band> bands_;
-  std::vector<std::size_t> row_begin_;
-  std::vector<bool> row_capped_;
+  std::size_t rows_ = 0;         ///< rows |d| = 0 .. rows_ - 1
   std::vector<Octave> octaves_;  ///< [|d| * 53 + o]
 };
 

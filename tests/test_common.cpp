@@ -171,16 +171,17 @@ TEST(Rng, ThresholdBernoulliMatchesUniformCompare) {
 }
 
 // The original per-call uniform_int: the span and rejection limit are
-// computed on every draw.
+// computed on every draw. Unsigned arithmetic, so wide ranges do not
+// overflow.
 std::int64_t reference_uniform_int(Rng& rng, std::int64_t lo, std::int64_t hi) {
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(rng());
   const std::uint64_t limit = (~0ULL) - (~0ULL) % span;
   std::uint64_t r;
   do {
     r = rng();
   } while (r >= limit);
-  return lo + static_cast<std::int64_t>(r % span);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r % span);
 }
 
 TEST(Rng, HoistedUniformIntMatchesUniformInt) {

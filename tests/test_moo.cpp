@@ -314,11 +314,17 @@ TEST(Nsga2, SpreadTableMatchesExponentialFormula) {
                             1 << 30, -(1 << 30), std::numeric_limits<int>::max(),
                             std::numeric_limits<int>::min()};
     for (const int a : extremes) {
-      for (const int b : {a, a - 1, a + 1, a - 4, 0, 17}) {
-        for (const double u : draws) {
-          if (!(u > 0.0 && u < 1.0)) continue;
-          ASSERT_EQ(spread.children(a, b, u), spread_formula(a, b, u, lambda))
-              << "lambda " << lambda << ", a " << a << ", b " << b << ", u " << u;
+      for (const long long offset : {0LL, -1LL, 1LL, -4LL}) {
+        const long long near = a + offset;
+        if (near < std::numeric_limits<int>::min() || near > std::numeric_limits<int>::max()) {
+          continue;
+        }
+        for (const int b : {static_cast<int>(near), 0, 17}) {
+          for (const double u : draws) {
+            if (!(u > 0.0 && u < 1.0)) continue;
+            ASSERT_EQ(spread.children(a, b, u), spread_formula(a, b, u, lambda))
+                << "lambda " << lambda << ", a " << a << ", b " << b << ", u " << u;
+          }
         }
       }
     }
