@@ -1,6 +1,7 @@
 // Micro-benchmark: NSGA-II scheduling-core throughput. Supports the §7
 // complexity claim that one Eq. 1 evaluation is O(N) in the number of jobs
-// and independent of the number of QPUs, and times one full scheduling
+// and independent of the number of QPUs, times it one genome at a time and
+// four genomes per pass (an offspring batch), and times one full scheduling
 // cycle, averaged over 16 NSGA-II seeds, at the two batch sizes the
 // end-to-end benchmark produces and on a burst-shaped batch.
 
@@ -34,22 +35,62 @@ sched::SchedulingInput make_input(std::size_t jobs, std::size_t qpus) {
   return input;
 }
 
+// One NSGA-II offspring batch: 64 repaired random genomes.
+std::vector<std::vector<int>> make_genomes(const sched::SchedulingProblem& problem,
+                                           std::size_t jobs) {
+  Rng rng(5);
+  std::vector<std::vector<int>> genomes(64, std::vector<int>(jobs));
+  for (auto& genome : genomes) {
+    for (auto& g : genome) g = static_cast<int>(rng.uniform_int(0, 7));
+    problem.repair(genome);
+  }
+  return genomes;
+}
+
+// Eq. 1 one genome at a time (evaluate()). Counter: wall seconds per genome.
 void BM_Eq1Evaluation(benchmark::State& state) {
   const auto input = make_input(static_cast<std::size_t>(state.range(0)), 8);
   const sched::SchedulingProblem problem(input);
-  Rng rng(5);
-  std::vector<int> genome(input.jobs.size());
-  for (auto& g : genome) g = static_cast<int>(rng.uniform_int(0, 7));
-  problem.repair(genome);
+  const auto genomes = make_genomes(problem, input.jobs.size());
   std::vector<double> objectives;
+  std::size_t k = 0;
   for (auto _ : state) {
-    problem.evaluate(genome, objectives);
+    problem.evaluate(genomes[k], objectives);
     benchmark::DoNotOptimize(objectives.data());
+    k = (k + 1) % genomes.size();
   }
   state.SetComplexityN(state.range(0));
+  state.counters["s_per_genome"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 BENCHMARK(BM_Eq1Evaluation)->RangeMultiplier(2)->Range(32, 512)->Complexity(benchmark::oN);
+
+// The same 64 genomes per iteration through evaluate_batch(), which runs
+// Eq. 1 on four genomes per pass. Counter: wall seconds per genome, to set
+// beside BM_Eq1Evaluation's.
+void BM_Eq1EvaluationBatch(benchmark::State& state) {
+  const auto input = make_input(static_cast<std::size_t>(state.range(0)), 8);
+  const sched::SchedulingProblem problem(input);
+  const auto genomes = make_genomes(problem, input.jobs.size());
+  std::vector<std::vector<double>> objectives(genomes.size());
+  std::vector<const std::vector<int>*> genome_ptrs;
+  std::vector<std::vector<double>*> objective_ptrs;
+  for (std::size_t k = 0; k < genomes.size(); ++k) {
+    genome_ptrs.push_back(&genomes[k]);
+    objective_ptrs.push_back(&objectives[k]);
+  }
+  for (auto _ : state) {
+    problem.evaluate_batch(genome_ptrs, objective_ptrs);
+    benchmark::DoNotOptimize(objectives.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["s_per_genome"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * genomes.size()),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_Eq1EvaluationBatch)->RangeMultiplier(2)->Range(32, 512);
 
 void BM_Nsga2FullRun(benchmark::State& state) {
   const auto input = make_input(static_cast<std::size_t>(state.range(0)), 8);
