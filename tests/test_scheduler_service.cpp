@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <deque>
 #include <latch>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -396,6 +401,249 @@ TEST(PendingQueue, WaitReportsFlushThenClosed) {
   EXPECT_EQ(queue.wait_for_batch(100, 10s), PendingQueue::Wake::kFlush);
   queue.take_batch(0);
   EXPECT_EQ(queue.wait_for_batch(100, 10s), PendingQueue::Wake::kClosed);
+}
+
+/// Reference model of the pending queue as two containers: queued lanes
+/// plus a separate per-priority capacity waitlist, promoted highest lane
+/// first (FIFO within a lane) whenever a slot frees. Single-threaded, no
+/// locks: MatchesTwoContainerReference holds the real queue to it.
+class TwoContainerReference {
+ public:
+  using Item = PendingQueue::Item;
+
+  explicit TwoContainerReference(std::size_t capacity) : capacity_(capacity) {}
+
+  PendingQueue::Offer offer(Item item) {
+    if (closed_) return PendingQueue::Offer::kClosed;
+    const auto lane = static_cast<std::size_t>(item->priority);
+    if (capacity_ == 0 || size() < capacity_) {
+      lanes_[lane].push_back(std::move(item));
+      high_watermark_ = std::max(high_watermark_, size());
+      return PendingQueue::Offer::kQueued;
+    }
+    waitlist_[lane].push_back(std::move(item));
+    ++waitlist_parks_;
+    waitlist_high_watermark_ = std::max(waitlist_high_watermark_, waitlist_depth());
+    return PendingQueue::Offer::kWaitlisted;
+  }
+
+  std::vector<Item> take_batch(std::size_t max, double now, double aging_seconds) {
+    const std::size_t n = max == 0 ? size() : std::min(max, size());
+    std::vector<Item> batch;
+    bool any_aged = false;
+    if (aging_seconds > 0.0) {
+      for (std::size_t lane = 0; lane + 1 < lanes_.size(); ++lane) {
+        for (const auto& item : lanes_[lane]) {
+          any_aged = any_aged || now - item->enqueued_at > aging_seconds;
+        }
+      }
+    }
+    if (!any_aged) {
+      for (std::size_t lane = lanes_.size(); lane-- > 0;) {
+        while (!lanes_[lane].empty() && batch.size() < n) {
+          batch.push_back(lanes_[lane].front());
+          lanes_[lane].pop_front();
+        }
+      }
+    } else {
+      // Rank by (effective lane desc, enqueue time asc), stable over the
+      // lane-desc/FIFO collection order; an aged item competes one lane up.
+      struct Candidate {
+        std::size_t effective;
+        std::size_t lane;
+        std::size_t index;
+      };
+      std::vector<Candidate> candidates;
+      for (std::size_t lane = lanes_.size(); lane-- > 0;) {
+        for (std::size_t i = 0; i < lanes_[lane].size(); ++i) {
+          const bool aged = lane + 1 < lanes_.size() &&
+                            now - lanes_[lane][i]->enqueued_at > aging_seconds;
+          candidates.push_back({aged ? lane + 1 : lane, lane, i});
+        }
+      }
+      std::stable_sort(candidates.begin(), candidates.end(),
+                       [this](const Candidate& a, const Candidate& b) {
+                         if (a.effective != b.effective) return a.effective > b.effective;
+                         return lanes_[a.lane][a.index]->enqueued_at <
+                                lanes_[b.lane][b.index]->enqueued_at;
+                       });
+      candidates.resize(n);
+      std::array<std::vector<bool>, api::kNumPriorities> taken;
+      for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+        taken[lane].assign(lanes_[lane].size(), false);
+      }
+      for (const auto& c : candidates) {
+        batch.push_back(lanes_[c.lane][c.index]);
+        taken[c.lane][c.index] = true;
+      }
+      for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+        std::deque<Item> kept;
+        for (std::size_t i = 0; i < lanes_[lane].size(); ++i) {
+          if (!taken[lane][i]) kept.push_back(lanes_[lane][i]);
+        }
+        lanes_[lane] = std::move(kept);
+      }
+    }
+    promote(/*ignore_capacity=*/false);
+    return batch;
+  }
+
+  std::vector<Item> take_expired(double now) {
+    std::vector<Item> expired;
+    for (auto* lanes : {&lanes_, &waitlist_}) {  // queued first, then waitlisted
+      for (auto& lane : *lanes) {
+        for (auto it = lane.begin(); it != lane.end();) {
+          if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
+            expired.push_back(*it);
+            it = lane.erase(it);
+          } else {
+            ++it;
+          }
+        }
+      }
+    }
+    promote(/*ignore_capacity=*/false);
+    return expired;
+  }
+
+  bool remove(const Item& item) {
+    const auto lane = static_cast<std::size_t>(item->priority);
+    if (const auto it = std::find(lanes_[lane].begin(), lanes_[lane].end(), item);
+        it != lanes_[lane].end()) {
+      lanes_[lane].erase(it);
+      promote(/*ignore_capacity=*/false);
+      return true;
+    }
+    const auto it = std::find(waitlist_[lane].begin(), waitlist_[lane].end(), item);
+    if (it == waitlist_[lane].end()) return false;
+    waitlist_[lane].erase(it);
+    return true;
+  }
+
+  void close() {
+    closed_ = true;
+    promote(/*ignore_capacity=*/true);
+  }
+
+  std::size_t size() const {
+    std::size_t total = 0;
+    for (const auto& lane : lanes_) total += lane.size();
+    return total;
+  }
+  std::size_t waitlist_depth() const {
+    std::size_t total = 0;
+    for (const auto& lane : waitlist_) total += lane.size();
+    return total;
+  }
+  std::size_t high_watermark() const { return high_watermark_; }
+  std::size_t waitlist_high_watermark() const { return waitlist_high_watermark_; }
+  std::uint64_t waitlist_parks() const { return waitlist_parks_; }
+
+  double oldest_wait_seconds(double now) const {
+    double oldest_enqueue = -1.0;
+    for (const auto* lanes : {&lanes_, &waitlist_}) {
+      for (const auto& lane : *lanes) {
+        for (const Item& item : lane) {
+          if (oldest_enqueue < 0.0 || item->enqueued_at < oldest_enqueue) {
+            oldest_enqueue = item->enqueued_at;
+          }
+        }
+      }
+    }
+    return oldest_enqueue < 0.0 ? 0.0 : std::max(0.0, now - oldest_enqueue);
+  }
+
+ private:
+  using Lanes = std::array<std::deque<Item>, api::kNumPriorities>;
+
+  void promote(bool ignore_capacity) {
+    for (std::size_t lane = waitlist_.size(); lane-- > 0;) {
+      while (!waitlist_[lane].empty() &&
+             (ignore_capacity || capacity_ == 0 || size() < capacity_)) {
+        lanes_[lane].push_back(waitlist_[lane].front());
+        waitlist_[lane].pop_front();
+        high_watermark_ = std::max(high_watermark_, size());
+      }
+    }
+  }
+
+  const std::size_t capacity_;
+  Lanes lanes_;
+  Lanes waitlist_;
+  bool closed_ = false;
+  std::size_t high_watermark_ = 0;
+  std::size_t waitlist_high_watermark_ = 0;
+  std::uint64_t waitlist_parks_ = 0;
+};
+
+std::vector<api::RunId> run_ids(const std::vector<PendingQueue::Item>& items) {
+  std::vector<api::RunId> ids;
+  for (const auto& item : items) ids.push_back(item->run);
+  return ids;
+}
+
+// Seeded random offer / take_batch (with and without aging) / take_expired
+// / remove / close sequences over capacities 0-8: every return value and
+// every counter of the queue must match the two-container reference after
+// every operation. Enqueue times are non-negative, as the fleet clock is.
+TEST(PendingQueue, MatchesTwoContainerReference) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto uniform = [&rng](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    const std::size_t capacity = seed % 9;
+    PendingQueue queue(capacity);
+    TwoContainerReference reference(capacity);
+    std::vector<PendingQueue::Item> offered;  // remove() targets, taken or not
+    api::RunId next_run = 1;
+    for (int op = 0; op < 300; ++op) {
+      const auto dice = rng() % 100;
+      if (dice < 45) {
+        auto task = make_task(next_run++, 4, 2,
+                              static_cast<api::Priority>(rng() % api::kNumPriorities));
+        task->enqueued_at = uniform(0.0, 100.0);
+        if (rng() % 10 < 3) task->deadline_seconds = uniform(0.0, 150.0);
+        offered.push_back(task);
+        ASSERT_EQ(queue.offer(task), reference.offer(task))
+            << "offer, seed " << seed << " op " << op;
+      } else if (dice < 65) {
+        const std::size_t max = rng() % 5;
+        const double now = uniform(0.0, 150.0);
+        const double aging = rng() % 2 == 0 ? uniform(1.0, 60.0) : 0.0;
+        ASSERT_EQ(run_ids(queue.take_batch(max, now, aging)),
+                  run_ids(reference.take_batch(max, now, aging)))
+            << "take_batch, seed " << seed << " op " << op;
+      } else if (dice < 75) {
+        const double now = uniform(0.0, 150.0);
+        ASSERT_EQ(run_ids(queue.take_expired(now)), run_ids(reference.take_expired(now)))
+            << "take_expired, seed " << seed << " op " << op;
+      } else if (dice < 99) {
+        // Mostly an item offered earlier (queued, waitlisted or long gone),
+        // sometimes one that was never offered at all.
+        const auto target = offered.empty() || rng() % 10 == 0
+                                ? make_task(0, 4, 2)
+                                : offered[rng() % offered.size()];
+        ASSERT_EQ(queue.remove(target), reference.remove(target))
+            << "remove, seed " << seed << " op " << op;
+      } else if (rng() % 2 == 0) {
+        queue.close();
+        reference.close();
+      }
+      ASSERT_EQ(queue.size(), reference.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(queue.high_watermark(), reference.high_watermark())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(queue.waitlist_depth(), reference.waitlist_depth())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(queue.waitlist_high_watermark(), reference.waitlist_high_watermark())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(queue.waitlist_parks(), reference.waitlist_parks())
+          << "seed " << seed << " op " << op;
+      const double now = uniform(0.0, 200.0);
+      ASSERT_EQ(queue.oldest_wait_seconds(now), reference.oldest_wait_seconds(now))
+          << "seed " << seed << " op " << op;
+    }
+  }
 }
 
 // ---- SchedulerService on fake hooks ------------------------------------------
