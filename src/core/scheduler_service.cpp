@@ -1,6 +1,7 @@
 #include "core/scheduler_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -28,8 +29,11 @@ api::Status validate_scheduler_config(const SchedulerServiceConfig& config) {
   if (config.queue_threshold == 0) {
     return api::InvalidArgument("scheduler config: queue_threshold must be > 0");
   }
-  if (!(config.interval_seconds > 0.0)) {
-    return api::InvalidArgument("scheduler config: interval_seconds must be > 0");
+  if (!(config.interval_seconds > 0.0) || !std::isfinite(config.interval_seconds)) {
+    // An infinite interval would fire the first timer cycle at t = inf and
+    // push the fleet clock there, killing every later deadline.
+    return api::InvalidArgument(
+        "scheduler config: interval_seconds must be finite and > 0");
   }
   if (config.linger.count() < 0) {
     return api::InvalidArgument("scheduler config: linger must be >= 0");

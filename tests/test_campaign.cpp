@@ -372,6 +372,10 @@ TEST(CampaignProfile, MalformedProfilesSurfaceInvalidArgument) {
   expect_invalid(
       "churn:\n  - at_hours: 1\n    action: qpu_offline\ntenants:\n  - name: t\n",
       "qpu");
+  // yamlite reads doubles with std::stod, which accepts "inf": an infinite
+  // timer interval would fire the first cycle at t = inf.
+  expect_invalid("scheduler:\n  interval_seconds: inf\ntenants:\n  - name: t\n",
+                 "interval_seconds");
   // The lockstep determinism contract is enforced structurally.
   expect_invalid(
       "scheduler:\n  max_batch_size: 10\ntenants:\n  - name: t\n", "lockstep");

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <latch>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -943,6 +944,11 @@ TEST(SchedulerService, ValidatesConfigWithoutThrowing) {
   SchedulerServiceConfig bad_interval;
   bad_interval.interval_seconds = 0.0;
   EXPECT_EQ(validate_scheduler_config(bad_interval).code(),
+            api::StatusCode::kInvalidArgument);
+  // An infinite interval would fire the first timer cycle at t = inf.
+  SchedulerServiceConfig infinite_interval;
+  infinite_interval.interval_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(validate_scheduler_config(infinite_interval).code(),
             api::StatusCode::kInvalidArgument);
 
   SchedulerServiceConfig negative_linger;
