@@ -148,15 +148,11 @@ enum class LockRank : int {
   /// OUTSIDE it (the fleet probe takes kMonitor=500, which would otherwise
   /// rank-invert).
   kHealth = 570,
-  /// core::PendingQueue::mutex_ — the scheduler service's pending queue.
-  /// Never held while settling a task (settlement happens after take).
+  /// core::PendingQueue::mutex_ — the scheduler service's pending queue,
+  /// queued and capacity-waitlisted items alike, so waitlist membership
+  /// and queue capacity change in one critical section. Never held while
+  /// settling a task (settlement happens after take).
   kPendingQueue = 600,
-  /// core::PendingQueue::waitlist_mutex_ — the queue-capacity waitlist.
-  /// Inside kPendingQueue: offer() decides full-vs-queued and the drain
-  /// paths (take_batch/take_expired/remove/close) promote waiters under the
-  /// queue lock, so waitlist membership and capacity change atomically.
-  /// Outside kPendingTask: waitlisted items are never settled under it.
-  kQueueWaitlist = 620,
   /// core::PendingQuantumTask::mutex_ — one per parked task; settlement
   /// observers fire outside it (they acquire kRunEngine).
   kPendingTask = 650,

@@ -1,6 +1,8 @@
 #include "core/pending_queue.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 
 namespace qon::core {
 
@@ -57,8 +59,16 @@ PendingQueue::PendingQueue(std::size_t capacity) : capacity_(capacity) {}
 
 std::size_t PendingQueue::size_locked() const {
   std::size_t total = 0;
-  for (const auto& lane : lanes_) total += lane.size();
+  for (const std::size_t queued : queued_) total += queued;
   return total;
+}
+
+std::size_t PendingQueue::waitlist_depth_locked() const {
+  std::size_t depth = 0;
+  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+    depth += lanes_[lane].size() - queued_[lane];
+  }
+  return depth;
 }
 
 PendingQueue::Offer PendingQueue::offer(Item item) {
@@ -66,23 +76,20 @@ PendingQueue::Offer PendingQueue::offer(Item item) {
   {
     MutexLock lock(mutex_);
     if (closed_) return Offer::kClosed;
-    if (capacity_ == 0 || size_locked() < capacity_) {
-      lanes_[static_cast<std::size_t>(item->priority)].push_back(
-          std::move(item));
+    // The full-check and the insert are one step under the queue lock, so
+    // a racing take_batch() can never drain the queue between them and
+    // strand a parked item (an empty queue never fires a cycle).
+    const auto lane = static_cast<std::size_t>(item->priority);
+    queued = capacity_ == 0 || size_locked() < capacity_;
+    lanes_[lane].push_back(std::move(item));
+    if (queued) {
+      // Not full, so no lane holds a waiter: the item joins the prefix.
+      ++queued_[lane];
       high_watermark_ = std::max(high_watermark_, size_locked());
-      queued = true;
     } else {
-      // Full: park on the waitlist *while still holding the queue lock* —
-      // if we released it first, a racing take_batch() could drain both
-      // the queue and the (still-empty) waitlist before this item landed,
-      // stranding it forever (an empty queue never fires a cycle).
-      MutexLock wl(waitlist_mutex_);
-      waitlist_[static_cast<std::size_t>(item->priority)].push_back(
-          std::move(item));
       ++waitlist_parks_;
-      std::size_t depth = 0;
-      for (const auto& lane : waitlist_) depth += lane.size();
-      waitlist_high_watermark_ = std::max(waitlist_high_watermark_, depth);
+      waitlist_high_watermark_ =
+          std::max(waitlist_high_watermark_, waitlist_depth_locked());
     }
   }
   if (queued) consumer_cv_.notify_one();
@@ -91,23 +98,18 @@ PendingQueue::Offer PendingQueue::offer(Item item) {
 
 void PendingQueue::promote_waitlist_locked(bool ignore_capacity) {
   bool promoted = false;
-  {
-    MutexLock wl(waitlist_mutex_);
-    // Highest class first (kInteractive = last lane index), FIFO within a
-    // class — the same drain order take_batch uses for the queue proper.
-    for (std::size_t lane = waitlist_.size(); lane-- > 0;) {
-      auto& waiters = waitlist_[lane];
-      while (!waiters.empty() &&
-             (ignore_capacity || capacity_ == 0 ||
-              size_locked() < capacity_)) {
-        lanes_[lane].push_back(std::move(waiters.front()));
-        waiters.pop_front();
-        high_watermark_ = std::max(high_watermark_, size_locked());
-        promoted = true;
-      }
+  // Highest class first (kInteractive = last lane index), FIFO within a
+  // class — the same drain order take_batch uses for the queue proper.
+  for (std::size_t lane = lanes_.size(); lane-- > 0;) {
+    while (queued_[lane] < lanes_[lane].size() &&
+           (ignore_capacity || capacity_ == 0 || size_locked() < capacity_)) {
+      ++queued_[lane];
+      promoted = true;
     }
   }
-  if (promoted) consumer_cv_.notify_one();
+  if (!promoted) return;
+  high_watermark_ = std::max(high_watermark_, size_locked());
+  consumer_cv_.notify_one();
 }
 
 std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double now,
@@ -125,8 +127,8 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
     bool any_aged = false;
     if (aging_seconds > 0.0) {
       for (std::size_t lane = 0; lane + 1 < lanes_.size() && !any_aged; ++lane) {
-        for (const auto& item : lanes_[lane]) {
-          if (now - item->enqueued_at > aging_seconds) {
+        for (std::size_t i = 0; i < queued_[lane]; ++i) {
+          if (now - lanes_[lane][i]->enqueued_at > aging_seconds) {
             any_aged = true;
             break;
           }
@@ -138,9 +140,10 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
       // lane index), FIFO within a lane.
       for (std::size_t lane = lanes_.size(); lane-- > 0 && batch.size() < n;) {
         auto& items = lanes_[lane];
-        while (!items.empty() && batch.size() < n) {
+        while (queued_[lane] > 0 && batch.size() < n) {
           batch.push_back(std::move(items.front()));
           items.pop_front();
+          --queued_[lane];
         }
       }
     } else {
@@ -158,7 +161,7 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
       std::vector<Candidate> candidates;
       candidates.reserve(size_locked());
       for (std::size_t lane = lanes_.size(); lane-- > 0;) {
-        for (std::size_t i = 0; i < lanes_[lane].size(); ++i) {
+        for (std::size_t i = 0; i < queued_[lane]; ++i) {
           std::size_t effective = lane;
           if (lane + 1 < lanes_.size() &&
               now - lanes_[lane][i]->enqueued_at > aging_seconds) {
@@ -175,7 +178,8 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
       candidates.resize(n);
       for (const auto& c : candidates) batch.push_back(lanes_[c.lane][c.index]);
       // Compact each touched lane in one pass (middle-of-deque erases
-      // would make a big cycle quadratic under the queue lock).
+      // would make a big cycle quadratic under the queue lock). Only the
+      // queued prefix is ever taken; the waitlisted suffix is kept whole.
       std::array<std::vector<std::size_t>, api::kNumPriorities> taken;
       for (const auto& c : candidates) taken[c.lane].push_back(c.index);
       for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
@@ -191,6 +195,7 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
           }
         }
         lanes_[lane] = std::move(kept);
+        queued_[lane] -= taken[lane].size();
       }
     }
     // Refill freed slots from the capacity waitlist.
@@ -201,57 +206,49 @@ std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double
 
 std::vector<PendingQueue::Item> PendingQueue::take_expired(double now) {
   std::vector<Item> expired;
+  // A waitlisted job's deadline keeps ticking while it waits for a capacity
+  // slot, so the sweep covers whole lanes; waitlisted items are returned
+  // after every queued one.
+  std::vector<Item> expired_waitlisted;
   MutexLock lock(mutex_);
-  for (auto& lane : lanes_) {
-    for (auto it = lane.begin(); it != lane.end();) {
+  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+    auto& items = lanes_[lane];
+    for (std::size_t i = 0; i < items.size();) {
       // Inclusive boundary: dispatch exactly at the deadline leaves zero
       // slack, which the at/before contract counts as a miss — matching
       // the submit-time admission check.
-      if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
-        expired.push_back(std::move(*it));
-        it = lane.erase(it);
+      if (!(items[i]->deadline_seconds && *items[i]->deadline_seconds <= now)) {
+        ++i;
+        continue;
+      }
+      if (i < queued_[lane]) {
+        expired.push_back(std::move(items[i]));
+        --queued_[lane];
       } else {
-        ++it;
+        expired_waitlisted.push_back(std::move(items[i]));
       }
+      items.erase(items.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
-  {
-    // A waitlisted job's deadline keeps ticking while it waits for a
-    // capacity slot — sweep the waitlist too so it fails DEADLINE_EXCEEDED
-    // this cycle instead of after an arbitrarily long park.
-    MutexLock wl(waitlist_mutex_);
-    for (auto& lane : waitlist_) {
-      for (auto it = lane.begin(); it != lane.end();) {
-        if ((*it)->deadline_seconds && *(*it)->deadline_seconds <= now) {
-          expired.push_back(std::move(*it));
-          it = lane.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
+  expired.insert(expired.end(), std::make_move_iterator(expired_waitlisted.begin()),
+                 std::make_move_iterator(expired_waitlisted.end()));
   promote_waitlist_locked();
   return expired;
 }
 
 bool PendingQueue::remove(const Item& item) {
   MutexLock lock(mutex_);
-  auto& lane = lanes_[static_cast<std::size_t>(item->priority)];
-  const auto it = std::find(lane.begin(), lane.end(), item);
-  if (it != lane.end()) {
-    lane.erase(it);
+  const auto lane = static_cast<std::size_t>(item->priority);
+  auto& items = lanes_[lane];
+  const auto it = std::find(items.begin(), items.end(), item);
+  if (it == items.end()) return false;
+  const bool queued = static_cast<std::size_t>(it - items.begin()) < queued_[lane];
+  items.erase(it);
+  // Pulling a waitlisted item frees no queue slot, so no promotion follows.
+  if (queued) {
+    --queued_[lane];
     promote_waitlist_locked();
-    return true;
   }
-  // Not queued — a cancelled run's task may still be parked on the
-  // capacity waitlist. Pulling it from there frees no queue slot, so no
-  // promotion follows.
-  MutexLock wl(waitlist_mutex_);
-  auto& waiters = waitlist_[static_cast<std::size_t>(item->priority)];
-  const auto wit = std::find(waiters.begin(), waiters.end(), item);
-  if (wit == waiters.end()) return false;
-  waiters.erase(wit);
   return true;
 }
 
@@ -267,11 +264,6 @@ void PendingQueue::close() {
   consumer_cv_.notify_all();
 }
 
-bool PendingQueue::closed() const {
-  MutexLock lock(mutex_);
-  return closed_;
-}
-
 std::size_t PendingQueue::size() const {
   MutexLock lock(mutex_);
   return size_locked();
@@ -283,19 +275,17 @@ std::size_t PendingQueue::high_watermark() const {
 }
 
 std::size_t PendingQueue::waitlist_depth() const {
-  MutexLock wl(waitlist_mutex_);
-  std::size_t depth = 0;
-  for (const auto& lane : waitlist_) depth += lane.size();
-  return depth;
+  MutexLock lock(mutex_);
+  return waitlist_depth_locked();
 }
 
 std::size_t PendingQueue::waitlist_high_watermark() const {
-  MutexLock wl(waitlist_mutex_);
+  MutexLock lock(mutex_);
   return waitlist_high_watermark_;
 }
 
 std::uint64_t PendingQueue::waitlist_parks() const {
-  MutexLock wl(waitlist_mutex_);
+  MutexLock lock(mutex_);
   return waitlist_parks_;
 }
 
@@ -306,16 +296,6 @@ double PendingQueue::oldest_wait_seconds(double now) const {
     for (const Item& item : lane) {
       if (oldest_enqueue < 0.0 || item->enqueued_at < oldest_enqueue) {
         oldest_enqueue = item->enqueued_at;
-      }
-    }
-  }
-  {
-    MutexLock wl(waitlist_mutex_);
-    for (const auto& lane : waitlist_) {
-      for (const Item& item : lane) {
-        if (oldest_enqueue < 0.0 || item->enqueued_at < oldest_enqueue) {
-          oldest_enqueue = item->enqueued_at;
-        }
       }
     }
   }

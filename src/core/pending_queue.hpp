@@ -167,8 +167,9 @@ class PendingQueue {
   std::vector<Item> take_batch(std::size_t max = 0, double now = 0.0,
                                double aging_seconds = 0.0);
 
-  /// Removes and returns every item (queued or waitlisted) whose
-  /// deadline_seconds lies at or before `now` — called at cycle start so
+  /// Removes and returns every item whose deadline_seconds lies at or
+  /// before `now`: queued items first, then waitlisted ones, each part
+  /// lowest class first and FIFO within a class. Called at cycle start so
   /// expired jobs fail DEADLINE_EXCEEDED instead of consuming batch slots
   /// and QPUs. The boundary is inclusive: a job dispatched exactly at its
   /// deadline has zero slack, which the at/before contract counts as a miss
@@ -182,16 +183,14 @@ class PendingQueue {
 
   /// Stops accepting offers and wakes the scheduler. Idempotent.
   void close();
-  bool closed() const;
 
   std::size_t size() const;
   bool empty() const { return size() == 0; }
   /// Virtual-clock age of the oldest item parked anywhere in the queue
-  /// (lanes or capacity waitlist) at `now`; 0 when nothing is parked. The
+  /// (queued or waitlisted) at `now`; 0 when nothing is parked. The
   /// queue-stall SLI: a growing oldest-wait with a beating scheduler means
   /// cycles are firing but never draining this job's class.
   double oldest_wait_seconds(double now) const;
-  std::size_t capacity() const { return capacity_; }
   /// Largest size() ever observed — the Fig. 9b stability statistic.
   std::size_t high_watermark() const;
 
@@ -211,34 +210,32 @@ class PendingQueue {
   Wake wait_for_batch(std::size_t threshold, std::chrono::milliseconds linger);
 
  private:
-  // Priority lanes, drained highest first. Indexed by api::Priority.
-  using Lanes = std::array<std::deque<Item>, api::kNumPriorities>;
-
   std::size_t size_locked() const REQUIRES(mutex_);
+  std::size_t waitlist_depth_locked() const REQUIRES(mutex_);
 
-  /// Moves waitlisted items into their queue lanes, highest class first and
-  /// FIFO within a class, while capacity allows (`ignore_capacity` lifts the
-  /// bound for the close() flush). Runs under the queue lock so a freed slot
-  /// and its refill are one atomic step; wakes the scheduler when anything
-  /// promotes.
+  /// Moves waitlisted items into the queue, highest class first and FIFO
+  /// within a class, while capacity allows (`ignore_capacity` lifts the
+  /// bound for the close() flush). Runs under the queue lock so a freed
+  /// slot and its refill are one atomic step; wakes the scheduler when
+  /// anything promotes.
   void promote_waitlist_locked(bool ignore_capacity = false) REQUIRES(mutex_);
 
   const std::size_t capacity_;
   mutable Mutex mutex_{LockRank::kPendingQueue, "PendingQueue::mutex_"};
   CondVar consumer_cv_; ///< the scheduler thread
-  Lanes lanes_ GUARDED_BY(mutex_);
+  /// One lane per api::Priority, drained highest first. A lane holds its
+  /// queued items first and its waitlisted items after them, each part in
+  /// offer order; queued_[lane] counts the queued prefix. An offer
+  /// waitlists only while the queue is full, and a full queue admits no
+  /// direct offer until the waitlist has drained into it, so within a lane
+  /// every queued item was offered before every waitlisted one — promoting
+  /// a lane's oldest waiter is one increment of its queued_ count.
+  std::array<std::deque<Item>, api::kNumPriorities> lanes_ GUARDED_BY(mutex_);
+  std::array<std::size_t, api::kNumPriorities> queued_ GUARDED_BY(mutex_) = {};
   std::size_t high_watermark_ GUARDED_BY(mutex_) = 0;
+  std::size_t waitlist_high_watermark_ GUARDED_BY(mutex_) = 0;
+  std::uint64_t waitlist_parks_ GUARDED_BY(mutex_) = 0;
   bool closed_ GUARDED_BY(mutex_) = false;
-
-  /// Capacity waitlist: offers that found the queue full park here instead
-  /// of blocking their thread. Its mutex ranks inside kPendingQueue (see
-  /// LockRank::kQueueWaitlist) — every access nests under mutex_ except the
-  /// three read-only accessors.
-  mutable Mutex waitlist_mutex_{LockRank::kQueueWaitlist,
-                                "PendingQueue::waitlist_mutex_"};
-  Lanes waitlist_ GUARDED_BY(waitlist_mutex_);
-  std::size_t waitlist_high_watermark_ GUARDED_BY(waitlist_mutex_) = 0;
-  std::uint64_t waitlist_parks_ GUARDED_BY(waitlist_mutex_) = 0;
 };
 
 }  // namespace qon::core
