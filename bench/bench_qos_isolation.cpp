@@ -2,9 +2,11 @@
 // kInteractive / kStandard / kBatch runs) floods the pending queue, and
 // priority-ordered batch formation decides who rides the early scheduling
 // cycles. Emits BENCH_qos_isolation.json with per-priority p50/p95 queue
-// waits (virtual seconds between enqueue and dispatch) so future PRs can
-// diff the isolation the priority classes actually deliver.
+// waits (virtual seconds between enqueue and dispatch, read from every
+// run's queue_wait trace span) so future PRs can diff the isolation the
+// priority classes actually deliver.
 
+#include <array>
 #include <cstddef>
 #include <fstream>
 #include <iostream>
@@ -74,10 +76,21 @@ int main() {
   }
   const api::SchedulerStats& stats = response->stats;
 
+  // Every run's queue wait, from its queue_wait trace span, per class.
+  std::vector<double> all_waits;
+  std::array<std::vector<double>, api::kNumPriorities> waits_by_priority;
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    const auto p = static_cast<std::size_t>(requests[i].preferences.priority);
+    for (const double wait : bench::queue_waits(client, (*handles)[i].id())) {
+      all_waits.push_back(wait);
+      waits_by_priority[p].push_back(wait);
+    }
+  }
+
   TextTable table({"priority", "jobs", "wait p50 [s, virtual]", "wait p95 [s, virtual]"});
   std::string json_classes;
   for (std::size_t p = api::kNumPriorities; p-- > 0;) {
-    const auto& waits = stats.recent_queue_waits_by_priority[p];
+    const auto& waits = waits_by_priority[p];
     const char* name = api::priority_name(static_cast<api::Priority>(p));
     const double p50 = waits.empty() ? 0.0 : percentile(waits, 50.0);
     const double p95 = waits.empty() ? 0.0 : percentile(waits, 95.0);
@@ -95,7 +108,7 @@ int main() {
   summary.add_row({"scheduling cycles", std::to_string(stats.cycles)});
   summary.add_row({"largest batch", std::to_string(stats.max_batch_size_seen)});
   summary.add_row({"overall wait p50 [s]",
-                   TextTable::num(percentile(stats.recent_queue_waits, 50.0), 2)});
+                   TextTable::num(percentile(all_waits, 50.0), 2)});
   summary.add_row({"burst wall time [s]", TextTable::num(wall_seconds, 2)});
   summary.print(std::cout, "mixed-priority burst");
 
@@ -112,8 +125,8 @@ int main() {
        << "  \"by_priority\": {\n"
        << json_classes << "\n"
        << "  },\n"
-       << "  \"overall_wait_p50_s\": " << percentile(stats.recent_queue_waits, 50.0) << ",\n"
-       << "  \"overall_wait_p95_s\": " << percentile(stats.recent_queue_waits, 95.0) << ",\n"
+       << "  \"overall_wait_p50_s\": " << percentile(all_waits, 50.0) << ",\n"
+       << "  \"overall_wait_p95_s\": " << percentile(all_waits, 95.0) << ",\n"
        << "  \"burst_wall_seconds\": " << wall_seconds << "\n"
        << "}\n";
   std::cout << "\nwrote " << json_path << "\n";

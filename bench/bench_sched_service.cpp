@@ -2,7 +2,8 @@
 // live serving path (not the cloudsim replay of Fig. 9b). A burst of
 // concurrent runs floods the pending queue; the scheduler service batches
 // them into hybrid-scheduler cycles. Emits BENCH_sched_service.json with
-// p50/p95 queue wait (virtual seconds between enqueue and dispatch) and
+// p50/p95 queue wait (virtual seconds between enqueue and dispatch, read
+// from every run's queue_wait trace span) and
 // p50/p95 cycle latency (real seconds per scheduling cycle), so future PRs
 // can diff the serving path's scheduling overhead against this baseline.
 
@@ -78,7 +79,10 @@ int main() {
     optimize_seconds.push_back(cycle.optimize_seconds);
     batch_sum += static_cast<double>(cycle.batch_size);
   }
-  const auto& waits = stats.recent_queue_waits;
+  std::vector<double> waits;
+  for (const auto& handle : *handles) {
+    for (const double wait : bench::queue_waits(client, handle.id())) waits.push_back(wait);
+  }
   const double mean_batch =
       stats.cycles > 0 ? batch_sum / static_cast<double>(stats.cycles) : 0.0;
 

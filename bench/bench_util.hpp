@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "api/client.hpp"
 #include "common/table.hpp"
 
 namespace qon::bench {
@@ -39,6 +41,22 @@ inline std::string artifact_path(const std::string& name) {
   std::string path(dir);
   if (path.back() != '/') path += '/';
   return path + name;
+}
+
+/// The virtual queue waits (enqueue to cycle verdict, seconds) of run
+/// `run`'s quantum tasks: the extents of the `queue_wait` spans in its
+/// trace. Empty when the trace is unavailable (tracing off, or the run
+/// evicted from the tracer's retention window).
+inline std::vector<double> queue_waits(const api::QonductorClient& client, api::RunId run) {
+  std::vector<double> waits;
+  api::GetRunTraceRequest request;
+  request.run = run;
+  const auto response = client.getRunTrace(request);
+  if (!response.ok()) return waits;
+  for (const auto& span : response->trace.spans) {
+    if (span.name == "queue_wait") waits.push_back(span.virtual_end - span.virtual_start);
+  }
+  return waits;
 }
 
 }  // namespace qon::bench

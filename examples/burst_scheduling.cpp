@@ -4,7 +4,8 @@
 // pending queue and scheduling cycles — fired by the queue-size threshold
 // or the timer — assign whole batches through the hybrid scheduler
 // (NSGA-II + MCDM). getSchedulerStats shows the cycles as they happened:
-// batch sizes, queue waits, and the Fig. 9c per-stage timings. The same
+// batch sizes, mean queue waits, and the Fig. 9c per-stage timings; each
+// run's own queue wait comes from its trace (getRunTrace). The same
 // burst is then replayed with a per-task config (queue_threshold =
 // max_batch_size = 1, no linger: one single-job cycle per task) for
 // comparison.
@@ -31,9 +32,10 @@ qon::core::QonductorConfig base_config() {
   return config;
 }
 
-/// Deploys the burst image and runs the whole burst to completion.
-/// Returns the wall-clock seconds the burst took.
-double run_burst(qon::api::QonductorClient& client) {
+/// Deploys the burst image and runs the whole burst to completion, adding
+/// each run's virtual queue wait (the extent of its queue_wait trace span)
+/// to `waits`. Returns the wall-clock seconds the burst took.
+double run_burst(qon::api::QonductorClient& client, std::vector<double>& waits) {
   qon::api::CreateWorkflowRequest create;
   create.name = "burst";
   create.tasks.push_back(qon::workflow::HybridTask::quantum(
@@ -59,7 +61,17 @@ double run_burst(qon::api::QonductorClient& client) {
     return -1.0;
   }
   for (const auto& handle : *handles) handle.wait();
-  return wall.seconds();
+  const double wall_seconds = wall.seconds();
+  for (const auto& handle : *handles) {
+    qon::api::GetRunTraceRequest request;
+    request.run = handle.id();
+    const auto trace = client.getRunTrace(request);
+    if (!trace.ok()) continue;
+    for (const auto& span : trace->trace.spans) {
+      if (span.name == "queue_wait") waits.push_back(span.virtual_end - span.virtual_start);
+    }
+  }
+  return wall_seconds;
 }
 
 }  // namespace
@@ -75,7 +87,8 @@ int main() {
   api::QonductorClient batch_client(batch_config);
 
   std::cout << "submitting a burst of " << kRuns << " runs in batch cycles...\n";
-  const double batch_wall = run_burst(batch_client);
+  std::vector<double> waits;
+  const double batch_wall = run_burst(batch_client, waits);
   if (batch_wall < 0.0) return 1;
 
   const auto batch_stats = batch_client.getSchedulerStats();
@@ -98,7 +111,6 @@ int main() {
   }
   cycles.print(std::cout, "scheduling cycles (getSchedulerStats)");
 
-  auto waits = stats.recent_queue_waits;
   TextTable summary({"metric", "value"});
   summary.add_row({"queue threshold", std::to_string(batch_stats->config.queue_threshold)});
   summary.add_row({"max batch size", std::to_string(batch_stats->config.max_batch_size)});
@@ -118,15 +130,19 @@ int main() {
   api::QonductorClient per_task_client(per_task_config);
 
   std::cout << "\nreplaying the burst with one cycle per task...\n";
-  const double per_task_wall = run_burst(per_task_client);
+  std::vector<double> per_task_waits;
+  const double per_task_wall = run_burst(per_task_client, per_task_waits);
   if (per_task_wall < 0.0) return 1;
   const auto per_task_stats = per_task_client.getSchedulerStats();
 
-  TextTable compare({"config", "scheduling cycles", "burst wall time [ms]"});
+  TextTable compare({"config", "scheduling cycles", "queue wait p50 [s]",
+                     "burst wall time [ms]"});
   compare.add_row({"batch", std::to_string(stats.cycles),
+                   TextTable::num(percentile(waits, 50.0), 1),
                    TextTable::num(batch_wall * 1e3, 0)});
   compare.add_row({"per-task",
                    std::to_string(per_task_stats.ok() ? per_task_stats->stats.cycles : 0),
+                   TextTable::num(percentile(per_task_waits, 50.0), 1),
                    TextTable::num(per_task_wall * 1e3, 0)});
   compare.print(std::cout, "batch vs per-task");
 

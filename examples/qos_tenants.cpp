@@ -6,6 +6,7 @@
 // a run parked past its deadline fails with the typed DEADLINE_EXCEEDED
 // instead of occupying a QPU.
 
+#include <array>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -111,17 +112,27 @@ int main() {
                    TextTable::num(turbo_outcome.mean_jct, 1)});
   tenants.print(std::cout, "one burst, two tradeoffs (per-job MCDM)");
 
-  const auto stats = client.getSchedulerStats();
-  if (stats.ok()) {
-    TextTable waits({"priority class", "jobs", "queue wait p50 [s]"});
-    for (std::size_t p = api::kNumPriorities; p-- > 0;) {
-      const auto& history = stats->stats.recent_queue_waits_by_priority[p];
-      waits.add_row({api::priority_name(static_cast<api::Priority>(p)),
-                     std::to_string(history.size()),
-                     history.empty() ? "-" : TextTable::num(percentile(history, 50.0), 1)});
+  // Each run's queue wait is the extent of the queue_wait span in its trace.
+  std::array<std::vector<double>, api::kNumPriorities> waits_by_priority;
+  for (std::size_t i = 0; i < handles->size(); ++i) {
+    api::GetRunTraceRequest trace_request;
+    trace_request.run = (*handles)[i].id();
+    const auto trace = client.getRunTrace(trace_request);
+    if (!trace.ok()) continue;
+    auto& history =
+        waits_by_priority[static_cast<std::size_t>(requests[i].preferences.priority)];
+    for (const auto& span : trace->trace.spans) {
+      if (span.name == "queue_wait") history.push_back(span.virtual_end - span.virtual_start);
     }
-    waits.print(std::cout, "per-priority queue waits (getSchedulerStats)");
   }
+  TextTable waits({"priority class", "jobs", "queue wait p50 [s]"});
+  for (std::size_t p = api::kNumPriorities; p-- > 0;) {
+    const auto& history = waits_by_priority[p];
+    waits.add_row({api::priority_name(static_cast<api::Priority>(p)),
+                   std::to_string(history.size()),
+                   history.empty() ? "-" : TextTable::num(percentile(history, 50.0), 1)});
+  }
+  waits.print(std::cout, "per-priority queue waits (getRunTrace)");
 
   // --- act two: a deadline that cannot be met ---------------------------------
   // With the threshold out of reach the next cycle is the 120 s virtual

@@ -23,7 +23,7 @@ namespace qon::api {
 
 /// The API version this library speaks. Bump on incompatible changes to the
 /// request/response structs below; the client facade refuses newer versions.
-inline constexpr std::uint32_t kApiVersion = 1;
+inline constexpr std::uint32_t kApiVersion = 2;
 
 using RunId = std::uint64_t;
 
@@ -283,8 +283,9 @@ struct SchedulerCycleInfo {
   double mean_queue_wait_seconds = 0.0;   ///< virtual wait of this batch
 };
 
-/// Aggregate counters plus a bounded history of recent cycles and per-job
-/// queue waits (virtual seconds between enqueue and dispatch).
+/// Aggregate counters plus a bounded history of recent cycles. A job's own
+/// queue wait (virtual seconds between enqueue and dispatch) is the extent
+/// of the `queue_wait` span in its run's trace (getRunTrace).
 struct SchedulerStats {
   std::uint64_t cycles = 0;
   std::uint64_t jobs_scheduled = 0;
@@ -294,10 +295,6 @@ struct SchedulerStats {
   std::size_t queue_high_watermark = 0;  ///< Fig. 9b stability statistic
   std::size_t max_batch_size_seen = 0;
   std::vector<SchedulerCycleInfo> recent_cycles;  ///< oldest first, bounded
-  std::vector<double> recent_queue_waits;         ///< per-job, bounded
-  /// Per-priority queue-wait histories, indexed by Priority cast to
-  /// size_t — the QoS-isolation view of recent_queue_waits.
-  std::array<std::vector<double>, kNumPriorities> recent_queue_waits_by_priority;
 };
 
 struct GetSchedulerStatsRequest {

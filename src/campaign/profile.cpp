@@ -152,8 +152,7 @@ void parse_fleet_section(const yaml::Node& node, CampaignProfile& profile) {
 void parse_scheduler_section(const yaml::Node& node, CampaignProfile& profile) {
   check_keys(node,
              {"queue_threshold", "interval_seconds", "queue_capacity",
-              "max_batch_size", "aging_seconds", "stats_cycle_history",
-              "stats_wait_history"},
+              "max_batch_size", "aging_seconds", "stats_cycle_history"},
              "scheduler");
   auto& sched = profile.scheduler;
   sched.queue_threshold =
@@ -166,8 +165,6 @@ void parse_scheduler_section(const yaml::Node& node, CampaignProfile& profile) {
   sched.aging_seconds = get_double(node, "aging_seconds", sched.aging_seconds);
   sched.stats_cycle_history =
       get_size(node, "stats_cycle_history", sched.stats_cycle_history, "scheduler");
-  sched.stats_wait_history =
-      get_size(node, "stats_wait_history", sched.stats_wait_history, "scheduler");
 }
 
 void parse_admission_section(const yaml::Node& node, CampaignProfile& profile) {

@@ -636,8 +636,7 @@ api::Result<api::GetSchedulerStatsResponse> Qonductor::getSchedulerStats(
 api::Result<api::GetAdmissionStatsResponse> Qonductor::getAdmissionStats(
     const api::GetAdmissionStatsRequest&) const {
   api::GetAdmissionStatsResponse response;
-  // A view over the same registry counters getMetrics exports — shape and
-  // semantics unchanged from the pre-registry atomics.
+  // A view over the same registry counters getMetrics exports.
   for (std::size_t p = 0; p < api::kNumPriorities; ++p) {
     response.stats.accepted[p] = admission_accepted_[p]->value();
     response.stats.shed[p] = admission_shed_[p]->value();

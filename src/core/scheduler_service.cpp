@@ -81,9 +81,6 @@ SchedulerService::SchedulerService(SchedulerServiceConfig config, std::uint64_t 
       stats_cycles_dropped_total_(telemetry_->registry().counter(
           "qon_sched_stats_cycles_dropped_total",
           "Cycle records evicted from the bounded recent_cycles ring")),
-      stats_waits_dropped_total_(telemetry_->registry().counter(
-          "qon_sched_stats_waits_dropped_total",
-          "Queue-wait samples evicted from the bounded recent_queue_waits rings")),
       cycle_preprocess_seconds_(telemetry_->registry().histogram(
           "qon_sched_cycle_preprocess_seconds",
           "Wall time of the cycle's preprocessing (filter) stage", stage_bounds())),
@@ -100,7 +97,7 @@ SchedulerService::SchedulerService(SchedulerServiceConfig config, std::uint64_t 
       rng_(seed),
       queue_(config.queue_capacity) {
   // Callback gauges poll component state behind its own lock at snapshot
-  // time; legal because kPendingQueue/kQueueWaitlist rank above kMetrics.
+  // time; legal because kPendingQueue ranks above kMetrics.
   // `this` outlives the registry only in the owned-bundle case, but the
   // orchestrator destroys its Telemetry after the service either way.
   auto& registry = telemetry_->registry();
@@ -364,14 +361,8 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
   std::size_t scheduled = 0;
   std::size_t filtered = 0;
   double wait_sum = 0.0;
-  std::vector<double> waits;
-  std::array<std::vector<double>, api::kNumPriorities> waits_by_priority;
-  waits.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double wait = std::max(0.0, now - batch[i]->enqueued_at);
-    wait_sum += wait;
-    waits.push_back(wait);
-    waits_by_priority[static_cast<std::size_t>(batch[i]->priority)].push_back(wait);
+    wait_sum += std::max(0.0, now - batch[i]->enqueued_at);
     if (cycle_error.ok() && decision.assignment[i] >= 0) {
       ++scheduled;
     } else if (cycle_error.ok()) {
@@ -401,22 +392,6 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
     jobs_expired_total_->inc(expired);
     stats_.max_batch_size_seen = std::max(stats_.max_batch_size_seen, batch.size());
     append_cycle_locked(info);
-    const auto append_bounded = [limit = config_.stats_wait_history,
-                                 dropped = stats_waits_dropped_total_](
-                                    std::vector<double>& history,
-                                    const std::vector<double>& samples) {
-      history.insert(history.end(), samples.begin(), samples.end());
-      if (history.size() > limit) {
-        const std::size_t evicted = history.size() - limit;
-        history.erase(history.begin(), history.begin() +
-                                           static_cast<std::ptrdiff_t>(evicted));
-        dropped->inc(evicted);
-      }
-    };
-    append_bounded(stats_.recent_queue_waits, waits);
-    for (std::size_t p = 0; p < api::kNumPriorities; ++p) {
-      append_bounded(stats_.recent_queue_waits_by_priority[p], waits_by_priority[p]);
-    }
   }
 
   if (telemetry_->metrics_enabled()) {

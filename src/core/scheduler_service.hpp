@@ -80,8 +80,6 @@ struct SchedulerServiceConfig {
   double aging_seconds = 0.0;
   /// How many per-cycle records getSchedulerStats retains (ring buffer).
   std::size_t stats_cycle_history = 256;
-  /// How many per-job queue-wait samples getSchedulerStats retains.
-  std::size_t stats_wait_history = 8192;
   /// Liveness watchdog budgets (wall seconds; see obs/health.hpp). The
   /// scheduler budget bounds heartbeat silence of the scheduler thread
   /// while work is pending; the queue budget bounds silence of the drain
@@ -163,11 +161,10 @@ class SchedulerService {
   /// and joins it. Idempotent and safe to call concurrently.
   void shutdown();
 
-  /// Snapshot of the aggregate counters + bounded histories. The aggregate
-  /// totals (cycles / scheduled / filtered / expired, queue depth and
-  /// watermark) are views over the metrics-registry instruments; the
-  /// bounded rings stay local. Shape and semantics are unchanged from the
-  /// pre-registry implementation.
+  /// Snapshot of the aggregate counters + the bounded cycle history. The
+  /// aggregate totals (cycles / scheduled / filtered / expired, queue depth
+  /// and watermark) are views over the metrics-registry instruments; the
+  /// recent_cycles ring stays local.
   api::SchedulerStats stats() const;
 
   const SchedulerServiceConfig& config() const { return config_; }
@@ -216,11 +213,10 @@ class SchedulerService {
   obs::Counter* const jobs_scheduled_total_;
   obs::Counter* const jobs_filtered_total_;
   obs::Counter* const jobs_expired_total_;
-  // No-silent-caps: the bounded stats rings drop their oldest entries once
-  // full; these count every drop so a reader of recent_cycles /
-  // recent_queue_waits can tell a quiet system from a saturated ring.
+  // No-silent-caps: the bounded recent_cycles ring drops its oldest entry
+  // once full; this counts every drop so a reader can tell a quiet system
+  // from a saturated ring.
   obs::Counter* const stats_cycles_dropped_total_;
-  obs::Counter* const stats_waits_dropped_total_;
   obs::Histogram* const cycle_preprocess_seconds_;
   obs::Histogram* const cycle_optimize_seconds_;
   obs::Histogram* const cycle_select_seconds_;

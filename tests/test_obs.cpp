@@ -483,7 +483,8 @@ TEST(ObsTelemetry, BuildInfoGaugeCarriesIdentityLabels) {
   }
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->value, 1.0);  // constant 1: the information IS the labels
-  EXPECT_NE(info->labels.find("version=\"v1\""), std::string::npos);
+  EXPECT_NE(info->labels.find("version=\"v" + std::to_string(api::kApiVersion) + "\""),
+            std::string::npos);
   EXPECT_NE(info->labels.find("compiler=\""), std::string::npos);
   EXPECT_NE(info->labels.find("build=\""), std::string::npos);
 }

@@ -845,17 +845,6 @@ TEST(SchedulerService, PriorityOrderIsolatesQueueWaits) {
   EXPECT_DOUBLE_EQ(i2->dispatched_at, 0.0);
   EXPECT_DOUBLE_EQ(b1->dispatched_at, 60.0);
   EXPECT_DOUBLE_EQ(b2->dispatched_at, 60.0);
-
-  const auto stats = service.stats();
-  const auto& interactive_waits = stats.recent_queue_waits_by_priority[static_cast<
-      std::size_t>(api::Priority::kInteractive)];
-  const auto& batch_waits =
-      stats.recent_queue_waits_by_priority[static_cast<std::size_t>(api::Priority::kBatch)];
-  EXPECT_EQ(interactive_waits, (std::vector<double>{0.0, 0.0}));
-  EXPECT_EQ(batch_waits, (std::vector<double>{60.0, 60.0}));
-  EXPECT_TRUE(stats.recent_queue_waits_by_priority[static_cast<std::size_t>(
-                  api::Priority::kStandard)]
-                  .empty());
   service.shutdown();
 }
 
@@ -1062,13 +1051,6 @@ TEST(BatchServing, BurstIsDispatchedInMultipleSchedulerCycles) {
     batched += cycle.batch_size;
   }
   EXPECT_EQ(batched, kRuns);
-  EXPECT_EQ(stats.recent_queue_waits.size(), kRuns);
-  // Per-priority histories partition the overall wait history.
-  std::size_t by_priority = 0;
-  for (const auto& waits : stats.recent_queue_waits_by_priority) {
-    by_priority += waits.size();
-  }
-  EXPECT_EQ(by_priority, kRuns);
 
   // The config view echoes the deployment's knobs.
   EXPECT_EQ(stats_response->config.queue_threshold, 25u);
