@@ -60,8 +60,8 @@ void note_acquire(const void* mutex, LockRank rank, const char* name) {
 }
 
 void note_release(const void* mutex) {
-  // Non-LIFO release is legal (condition_variable_any::wait unlocks the
-  // waited mutex from mid-stack): remove wherever it is.
+  // Non-LIFO release is legal (CondVar::wait unlocks the waited mutex
+  // from mid-stack): remove wherever it is.
   for (int i = t_held_count - 1; i >= 0; --i) {
     if (t_held[i].mutex == mutex) {
       for (int j = i; j + 1 < t_held_count; ++j) t_held[j] = t_held[j + 1];

@@ -229,6 +229,8 @@ class CAPABILITY("mutex") Mutex {
   const char* name() const { return name_; }
 
  private:
+  friend class CondVar;  // waits on m_ directly
+
   std::mutex m_;
   const LockRank rank_;
   const char* const name_;
@@ -249,38 +251,72 @@ class SCOPED_CAPABILITY MutexLock {
 };
 
 /// Condition variable over Mutex. Waits take the Mutex itself (the caller
-/// holds it, per REQUIRES); the underlying condition_variable_any calls
-/// Mutex::lock/unlock around the block, so the rank checker's held set
-/// stays exact across the wait. Call sites spell predicates as explicit
-/// `while (!pred) cv.wait(mu);` loops — the analysis can then verify the
-/// predicate's guarded reads in the holding function instead of losing
-/// them inside a lambda.
+/// holds it, per REQUIRES) and block on its underlying std::mutex through a
+/// plain std::condition_variable — no per-instance allocation and no inner
+/// lock on notify or wait, unlike condition_variable_any. The wait drops
+/// the mutex's rank record before blocking and restores it after waking,
+/// so the rank checker's held set stays exact across the wait. Call sites
+/// spell predicates as explicit `while (!pred) cv.wait(mu);` loops — the
+/// analysis can then verify the predicate's guarded reads in the holding
+/// function instead of losing them inside a lambda.
 class CondVar {
  public:
   CondVar() = default;
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
+  void wait(Mutex& mu) REQUIRES(mu) {
+    Adopted adopted(mu);
+    cv_.wait(adopted.lock);
+  }
 
   template <typename Rep, typename Period>
   std::cv_status wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& rel)
       REQUIRES(mu) {
-    return cv_.wait_for(mu, rel);
+    Adopted adopted(mu);
+    return cv_.wait_for(adopted.lock, rel);
   }
 
   template <typename Clock, typename Duration>
   std::cv_status wait_until(Mutex& mu,
                             const std::chrono::time_point<Clock, Duration>& deadline)
       REQUIRES(mu) {
-    return cv_.wait_until(mu, deadline);
+    Adopted adopted(mu);
+    return cv_.wait_until(adopted.lock, deadline);
   }
 
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:
-  std::condition_variable_any cv_;
+  /// Borrows the caller's hold on `mu` for the duration of one wait: the
+  /// unique_lock adopts the already-locked std::mutex and gives it back
+  /// (still locked) on scope exit, with the rank record dropped in between.
+  struct Adopted {
+    explicit Adopted(Mutex& mu) : mutex(mu), lock(mu.m_, std::adopt_lock) {
+#if QON_LOCK_RANK_CHECKS
+      // Validate the relock against the rest of the held set before
+      // blocking (the set cannot change during the wait): a wait that would
+      // relock out of rank dies here instead of deadlocking in the relock.
+      lock_rank::note_release(&mutex);
+      lock_rank::note_acquire(&mutex, mutex.rank_, mutex.name_);
+      lock_rank::note_release(&mutex);
+#endif
+    }
+    ~Adopted() {
+      lock.release();  // the caller still owns the mutex
+#if QON_LOCK_RANK_CHECKS
+      lock_rank::note_acquire(&mutex, mutex.rank_, mutex.name_);
+#endif
+    }
+    Adopted(const Adopted&) = delete;
+    Adopted& operator=(const Adopted&) = delete;
+
+    Mutex& mutex;
+    std::unique_lock<std::mutex> lock;
+  };
+
+  std::condition_variable cv_;
 };
 
 }  // namespace qon

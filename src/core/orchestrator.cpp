@@ -422,8 +422,8 @@ api::Status Qonductor::validate_invoke(const api::InvokeRequest& request,
   return api::Status::Ok();
 }
 
-api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* image,
-                                                 api::JobPreferences preferences) {
+std::shared_ptr<RunContinuation> Qonductor::make_run(const workflow::WorkflowImage* image,
+                                                    api::JobPreferences preferences) {
   const api::Priority priority = preferences.priority;
   auto state = std::make_shared<api::RunState>();
   state->image = image->id;
@@ -438,9 +438,8 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
   }
   const RunId run = run_table_.insert(state);
   auto cont = std::make_shared<RunContinuation>();
-  cont->state = state;
+  cont->state = std::move(state);
   cont->image = image;
-  cont->order = image->dag.topological_order();
   cont->finish.assign(image->dag.size(), 0.0);
   cont->result.run = run;
   if (telemetry_.tracing_enabled()) {
@@ -453,24 +452,23 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
         "admitted", submitted_at,
         std::string("priority=") + api::priority_name(priority)));
   }
-  if (!engine_->submit(std::move(cont))) {
-    // The engine rejected the run (shutdown). Retract the record and fail
-    // the state so no waiter can block forever on a run that will never
-    // execute.
-    run_table_.erase(run);
-    {
-      MutexLock lock(state->mutex);
-      state->status = api::RunStatus::kFailed;
-      state->finished_at = fleetNow();
-      state->result.run = run;
-      state->result.status = api::RunStatus::kFailed;
-      state->result.error = api::Unavailable("executor shutting down");
-    }
-    state->cv.notify_all();
-    return api::Unavailable("invoke: run engine is shutting down, run " +
-                            std::to_string(run) + " rejected");
+  return cont;
+}
+
+void Qonductor::retract_run(const std::shared_ptr<api::RunState>& state) {
+  // The engine rejected the run (shutdown). Retract the record and fail
+  // the state so no waiter can block forever on a run that will never
+  // execute.
+  run_table_.erase(state->id);
+  {
+    MutexLock lock(state->mutex);
+    state->status = api::RunStatus::kFailed;
+    state->finished_at = fleetNow();
+    state->result.run = state->id;
+    state->result.status = api::RunStatus::kFailed;
+    state->result.error = api::Unavailable("executor shutting down");
   }
-  return api::RunHandle(state);
+  state->cv.notify_all();
 }
 
 std::size_t Qonductor::admission_limit(api::Priority priority) const {
@@ -528,11 +526,16 @@ api::Result<api::RunHandle> Qonductor::invoke(const api::InvokeRequest& request)
   if (api::Status status = admit_run(request.preferences.priority, 0); !status.ok()) {
     return status;
   }
-  auto handle = start_run(img, effective_preferences(request.preferences));
-  if (handle.ok()) {
-    admission_accepted_[static_cast<std::size_t>(request.preferences.priority)]->inc();
+  std::shared_ptr<RunContinuation> cont =
+      make_run(img, effective_preferences(request.preferences));
+  std::shared_ptr<api::RunState> state = cont->state;
+  if (!engine_->submit(std::move(cont))) {
+    retract_run(state);
+    return api::Unavailable("invoke: run engine is shutting down, run " +
+                            std::to_string(state->id) + " rejected");
   }
-  return handle;
+  admission_accepted_[static_cast<std::size_t>(request.preferences.priority)]->inc();
+  return api::RunHandle(std::move(state));
 }
 
 api::Result<std::vector<api::RunHandle>> Qonductor::invokeAll(
@@ -561,19 +564,29 @@ api::Result<std::vector<api::RunHandle>> Qonductor::invokeAll(
       return prefixed;
     }
   }
-  std::vector<api::RunHandle> handles;
-  handles.reserve(requests.size());
+  // Build every record first, then hand the whole batch to the engine in
+  // one critical section: a racing shutdown rejects all of it or none, so
+  // the batch is all-or-nothing under shutdown too.
+  std::vector<std::shared_ptr<RunContinuation>> conts;
+  std::vector<std::shared_ptr<api::RunState>> states;
+  conts.reserve(requests.size());
+  states.reserve(requests.size());
   for (std::size_t i = 0; i < images.size(); ++i) {
-    auto handle = start_run(images[i], effective_preferences(requests[i].preferences));
-    if (!handle.ok()) {
-      // Only reachable when the executor shuts down mid-batch. Runs queued
-      // before the failure keep executing and stay queryable by run id; the
-      // failed run itself was retracted by start_run.
-      return api::Status(handle.status().code(), "invokeAll[" + std::to_string(i) +
-                                                     "]: " + handle.status().message());
-    }
+    conts.push_back(make_run(images[i], effective_preferences(requests[i].preferences)));
+    states.push_back(conts.back()->state);
+  }
+  if (!engine_->submit_all(std::move(conts))) {
+    // Every record was created but none was accepted: retract them all, so
+    // no run of the rejected batch stays listed or queryable by id.
+    for (const auto& state : states) retract_run(state);
+    return api::Unavailable("invokeAll: run engine is shutting down, batch of " +
+                            std::to_string(requests.size()) + " runs rejected");
+  }
+  std::vector<api::RunHandle> handles;
+  handles.reserve(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
     admission_accepted_[static_cast<std::size_t>(requests[i].preferences.priority)]->inc();
-    handles.push_back(*std::move(handle));
+    handles.emplace_back(std::move(states[i]));
   }
   return handles;
 }
@@ -863,6 +876,11 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
                  terminal == api::RunStatus::kCompleted);
   }
   if (cont->trace) {
+    // The settling step's own span goes in first, so the settle point
+    // stays the trace's last span (finalize below exports the trace).
+    cont->trace->record(telemetry_.tracer().span("engine_step", cont->step_virtual_start,
+                                                 fleetNow(), cont->step_wall_start_us,
+                                                 "finished"));
     cont->trace->record(telemetry_.tracer().point("settle", finished_at,
                                                   api::run_status_name(terminal)));
   }
@@ -925,10 +943,12 @@ StepOutcome Qonductor::step_run(const std::shared_ptr<RunContinuation>& cont) {
   if (!trace) return step_run_impl(cont);
   const double virtual_start = fleetNow();
   const double wall_start = telemetry_.tracer().wall_now_us();
+  cont->step_virtual_start = virtual_start;
+  cont->step_wall_start_us = wall_start;
   const StepOutcome outcome = step_run_impl(cont);
   if (outcome != StepOutcome::kFinished) {
-    // The finishing step's settle point stays the trace's last span (and
-    // the sink already exported it from settle_run).
+    // A finishing step's span was recorded by settle_run, ahead of the
+    // settle point (and the sink already exported the trace).
     trace->record(telemetry_.tracer().span(
         "engine_step", virtual_start, fleetNow(), wall_start,
         outcome == StepOutcome::kParked ? "parked" : "progress"));
@@ -973,7 +993,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       MutexLock lock(state->mutex);
       state->unpark = nullptr;
     }
-    const workflow::TaskId node = cont->order[cont->cursor];
+    const workflow::TaskId node = cont->image->order[cont->cursor];
     const auto& task = cont->image->dag.task(node);
     if (!pending->error.ok()) {
       // Resume-with-error: cancel ends the run kCancelled; a cycle verdict
@@ -1004,18 +1024,12 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     } catch (const std::exception& e) {
       return settle_task_failure(cont, task.name, api::Internal(e.what()));
     }
-    return StepOutcome::kProgress;
+    return finish_or_progress(cont);
   }
 
-  // Completion is checked BEFORE cooperative cancellation: once the last
-  // node has executed there is no work left to cancel, and a cancel()
-  // that races the final bookkeeping event must not relabel a fully
-  // executed run kCancelled (the pre-engine loop never re-checked cancel
-  // after the last task either).
-  if (cont->cursor == cont->order.size()) {
-    cont->result.status = api::RunStatus::kCompleted;
-    return settle_run(cont);
-  }
+  // A node-less image (createWorkflow refuses one) has nothing to run:
+  // settle it complete rather than index past `order`.
+  if (cont->cursor == cont->image->order.size()) return finish_or_progress(cont);
 
   // Cooperative cancellation at every remaining task boundary.
   bool cancelled = false;
@@ -1029,7 +1043,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     return settle_run(cont);
   }
 
-  const workflow::TaskId node = cont->order[cont->cursor];
+  const workflow::TaskId node = cont->image->order[cont->cursor];
   const auto& task = cont->image->dag.task(node);
   if (config_.on_task_start) config_.on_task_start(run, task.name);
   try {
@@ -1057,7 +1071,18 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
   } catch (const std::exception& e) {
     return settle_task_failure(cont, task.name, api::Internal(e.what()));
   }
-  return StepOutcome::kProgress;
+  return finish_or_progress(cont);
+}
+
+StepOutcome Qonductor::finish_or_progress(const std::shared_ptr<RunContinuation>& cont) {
+  // Completion is checked BEFORE cooperative cancellation (which the next
+  // step would test): once the last node has executed there is no work
+  // left to cancel, and a cancel() racing the final node must not relabel
+  // a fully executed run kCancelled. The step that records the last node
+  // settles the run itself instead of spending one more engine event.
+  if (cont->cursor < cont->image->order.size()) return StepOutcome::kProgress;
+  cont->result.status = api::RunStatus::kCompleted;
+  return settle_run(cont);
 }
 
 std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(

@@ -351,15 +351,22 @@ class Qonductor {
   /// limit, otherwise sheds with RESOURCE_EXHAUSTED + retry-after and bumps
   /// the per-class shed counter. Always Ok when the gate is disabled.
   api::Status admit_run(api::Priority priority, std::size_t already_admitted);
-  api::Result<api::RunHandle> start_run(const workflow::WorkflowImage* image,
-                                        api::JobPreferences preferences);
+  /// Creates the run record (in the run table, kPending) and its
+  /// continuation, and starts its trace. The caller hands the continuation
+  /// to the engine, or retract_run()s the record when the engine refuses it.
+  std::shared_ptr<RunContinuation> make_run(const workflow::WorkflowImage* image,
+                                            api::JobPreferences preferences);
+  /// Undoes make_run for a run the engine refused (shutdown): erases the
+  /// record and fails it UNAVAILABLE, waking any waiter.
+  void retract_run(const std::shared_ptr<api::RunState>& state);
 
   // -- run-engine state machine (one call = one event) --------------------------
   /// Tracing wrapper around step_run_impl: records one "engine_step" span
-  /// per event (outcome in the detail). Captures the trace context BEFORE
-  /// stepping — after a parking step registers its settlement callback the
-  /// continuation may already be resuming on another worker and must not be
-  /// touched; the span ring itself locks internally.
+  /// per event (outcome in the detail; a finishing step's span is recorded
+  /// by settle_run, ahead of the settle point). Captures the trace context
+  /// BEFORE stepping — after a parking step registers its settlement
+  /// callback the continuation may already be resuming on another worker
+  /// and must not be touched; the span ring itself locks internally.
   StepOutcome step_run(const std::shared_ptr<RunContinuation>& cont);
   /// Advances a run by one DAG node: first event transitions kPending ->
   /// kRunning, a resume event collects the parked quantum task's verdict
@@ -367,6 +374,9 @@ class Qonductor {
   /// (classical inline; quantum parks). Never throws — task failures
   /// settle the run kFailed.
   StepOutcome step_run_impl(const std::shared_ptr<RunContinuation>& cont);
+  /// After a step recorded a node: kProgress while nodes remain, otherwise
+  /// settles the run kCompleted in this same step.
+  StepOutcome finish_or_progress(const std::shared_ptr<RunContinuation>& cont);
   /// Writes the continuation's accumulated result into the run record,
   /// stamps finished_at and makes the run GC-eligible. Always returns
   /// kFinished.

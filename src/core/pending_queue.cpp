@@ -73,6 +73,7 @@ std::size_t PendingQueue::waitlist_depth_locked() const {
 
 PendingQueue::Offer PendingQueue::offer(Item item) {
   bool queued = false;
+  bool wake = false;
   {
     MutexLock lock(mutex_);
     if (closed_) return Offer::kClosed;
@@ -86,13 +87,14 @@ PendingQueue::Offer PendingQueue::offer(Item item) {
       // Not full, so no lane holds a waiter: the item joins the prefix.
       ++queued_[lane];
       high_watermark_ = std::max(high_watermark_, size_locked());
+      wake = claim_wake_locked();
     } else {
       ++waitlist_parks_;
       waitlist_high_watermark_ =
           std::max(waitlist_high_watermark_, waitlist_depth_locked());
     }
   }
-  if (queued) consumer_cv_.notify_one();
+  if (wake) consumer_cv_.notify_one();
   return queued ? Offer::kQueued : Offer::kWaitlisted;
 }
 
@@ -109,7 +111,14 @@ void PendingQueue::promote_waitlist_locked(bool ignore_capacity) {
   }
   if (!promoted) return;
   high_watermark_ = std::max(high_watermark_, size_locked());
-  consumer_cv_.notify_one();
+  if (claim_wake_locked()) consumer_cv_.notify_one();
+}
+
+bool PendingQueue::claim_wake_locked() {
+  if (wake_at_ == 0 || size_locked() < wake_at_) return false;
+  // One notify per wait: the consumer re-arms the level if it sleeps again.
+  wake_at_ = 0;
+  return true;
 }
 
 std::vector<PendingQueue::Item> PendingQueue::take_batch(std::size_t max, double now,
@@ -306,18 +315,28 @@ double PendingQueue::oldest_wait_seconds(double now) const {
 PendingQueue::Wake PendingQueue::wait_for_batch(std::size_t threshold,
                                                 std::chrono::milliseconds linger) {
   MutexLock lock(mutex_);
+  // wake_at_ is armed only across each wait: awake, this thread re-checks
+  // the queue before it sleeps again (a cycle included), so offers made
+  // meanwhile need not notify it.
   for (;;) {
     // Phase 1: sleep until there is any work at all (or the queue closes).
     // An empty queue never fires a cycle, so there is no deadline here.
-    while (size_locked() == 0 && !closed_) consumer_cv_.wait(mutex_);
+    while (size_locked() == 0 && !closed_) {
+      wake_at_ = 1;
+      consumer_cv_.wait(mutex_);
+      wake_at_ = 0;
+    }
     if (closed_) return size_locked() > 0 ? Wake::kFlush : Wake::kClosed;
     if (size_locked() >= threshold) return Wake::kThreshold;
-    // Phase 2: give the batch `linger` to fill up to the threshold.
+    // Phase 2: give the batch `linger` to fill up to the threshold. Offers
+    // below it only grow the batch, so they do not wake us.
     const auto deadline = std::chrono::steady_clock::now() + linger;
     bool timed_out = false;
     while (size_locked() < threshold && !closed_) {
-      if (consumer_cv_.wait_until(mutex_, deadline) == std::cv_status::timeout &&
-          size_locked() < threshold && !closed_) {
+      wake_at_ = threshold;
+      const std::cv_status status = consumer_cv_.wait_until(mutex_, deadline);
+      wake_at_ = 0;
+      if (status == std::cv_status::timeout && size_locked() < threshold && !closed_) {
         timed_out = true;
         break;
       }

@@ -207,6 +207,8 @@ class PendingQueue {
   /// `threshold` items (kThreshold), or is non-empty once `linger` has
   /// elapsed from the first item observed (kLinger), or close() happened
   /// (kFlush when items remain, kClosed when the queue is empty for good).
+  /// Producers wake the sleeping consumer only when it can act: the first
+  /// item while it sleeps for work, the threshold-th while it lingers.
   Wake wait_for_batch(std::size_t threshold, std::chrono::milliseconds linger);
 
  private:
@@ -216,13 +218,24 @@ class PendingQueue {
   /// Moves waitlisted items into the queue, highest class first and FIFO
   /// within a class, while capacity allows (`ignore_capacity` lifts the
   /// bound for the close() flush). Runs under the queue lock so a freed
-  /// slot and its refill are one atomic step; wakes the scheduler when
-  /// anything promotes.
+  /// slot and its refill are one atomic step; wakes the scheduler when the
+  /// promotion lifts the queue to its wake level.
   void promote_waitlist_locked(bool ignore_capacity = false) REQUIRES(mutex_);
+
+  /// Whether the queue just reached the sleeping consumer's wake level;
+  /// if so, disarms the level so the caller sends the one notify.
+  bool claim_wake_locked() REQUIRES(mutex_);
 
   const std::size_t capacity_;
   mutable Mutex mutex_{LockRank::kPendingQueue, "PendingQueue::mutex_"};
   CondVar consumer_cv_; ///< the scheduler thread
+  /// The queue size at which the sleeping consumer can act, written by
+  /// wait_for_batch under the lock: 1 while it sleeps for work, the
+  /// threshold while it lingers, 0 (never wake) while it is awake — it
+  /// re-checks the queue before sleeping again — or once a notify is on
+  /// its way. offer() and promotions notify only on reaching it, so each
+  /// wake of the scheduler thread has work.
+  std::size_t wake_at_ GUARDED_BY(mutex_) = 0;
   /// One lane per api::Priority, drained highest first. A lane holds its
   /// queued items first and its waitlisted items after them, each part in
   /// offer order; queued_[lane] counts the queued prefix. An offer

@@ -25,16 +25,28 @@ void RunEngine::post(std::shared_ptr<RunContinuation> run) {
   // thread has fully left the engine.
   MutexLock lock(mutex_);
   queue_.push_back(std::move(run));
-  cv_.notify_one();
+  wake_idle_locked(1);
+}
+
+void RunEngine::wake_idle_locked(std::size_t events) {
+  // A busy worker re-checks the queue before it sleeps again, so only
+  // sleeping workers need a notify — one per new event, at most.
+  for (std::size_t i = 0; i < std::min(events, idle_); ++i) cv_.notify_one();
 }
 
 bool RunEngine::submit(std::shared_ptr<RunContinuation> run) {
+  std::vector<std::shared_ptr<RunContinuation>> one;
+  one.push_back(std::move(run));
+  return submit_all(std::move(one));
+}
+
+bool RunEngine::submit_all(std::vector<std::shared_ptr<RunContinuation>> runs) {
   MutexLock lock(mutex_);  // see post() on the locked notify
   if (closed_) return false;
-  ++live_;
+  live_ += runs.size();
   peak_live_ = std::max(peak_live_, live_);
-  queue_.push_back(std::move(run));
-  cv_.notify_one();
+  for (auto& run : runs) queue_.push_back(std::move(run));
+  wake_idle_locked(runs.size());
   return true;
 }
 
@@ -52,7 +64,11 @@ void RunEngine::worker_loop() {
       // Exit only when no event can ever arrive again: submissions are
       // closed and every live run has finished (all events belong to live
       // runs, so an empty queue then stays empty).
-      while (queue_.empty() && !(closed_ && live_ == 0)) cv_.wait(mutex_);
+      while (queue_.empty() && !(closed_ && live_ == 0)) {
+        ++idle_;
+        cv_.wait(mutex_);
+        --idle_;
+      }
       if (queue_.empty()) return;
       run = std::move(queue_.front());
       queue_.pop_front();

@@ -10,7 +10,8 @@
 // and the accumulated WorkflowResult — and a small worker pool drives those
 // machines through an event queue:
 //
-//   - submit() posts the run's first step event;
+//   - submit() posts the run's first step event (submit_all() posts a
+//     whole batch in one critical section);
 //   - a worker pops an event and advances the run by one DAG node via the
 //     owner-provided step function;
 //   - a classical task executes inside the step and the worker reposts
@@ -24,7 +25,12 @@
 //     the QPU window the cycle booked, holding no lock, so the workers
 //     execute quantum tasks in parallel;
 //   - kFinished retires the run (the stepper has already settled its
-//     record).
+//     record). The step that records a run's last node settles it inline,
+//     so a single-task run costs two events: submit and resume.
+//
+// Workers sleep on one condition variable and a post notifies only when
+// some worker is asleep: a busy worker re-checks the queue before it
+// sleeps, so waking it would be a wasted context switch.
 //
 // One event per run is in flight at a time: submit posts one, every step
 // posts at most one follow-up, and a parked run's only path back is the
@@ -78,8 +84,7 @@ enum class StepOutcome {
 struct RunContinuation {
   std::shared_ptr<api::RunState> state;
   const workflow::WorkflowImage* image = nullptr;
-  std::vector<workflow::TaskId> order;  ///< topological execution order
-  std::size_t cursor = 0;               ///< next node in `order`
+  std::size_t cursor = 0;               ///< next node in `image->order`
   std::vector<double> finish;           ///< per-node finish times (fleet clock)
   api::WorkflowResult result;           ///< accumulated execution report
   bool started = false;                 ///< kPending -> kRunning happened
@@ -90,6 +95,11 @@ struct RunContinuation {
   /// it through this pointer, and the buffer itself locks internally for
   /// the concurrent getRunTrace reader.
   std::shared_ptr<obs::RunTraceBuffer> trace;
+  /// Start of the step in flight (virtual and tracer wall clock), stamped
+  /// when tracing: a step that settles the run records its own
+  /// engine_step span ahead of the settle point.
+  double step_virtual_start = 0.0;
+  double step_wall_start_us = 0.0;
 
   // Park context: set before the quantum task enters the pending queue and
   // collected by the resume step. `parked` doubles as the "this step is a
@@ -128,6 +138,10 @@ class RunEngine {
   /// shutdown() has begun — the run was not accepted and never will be.
   bool submit(std::shared_ptr<RunContinuation> run);
 
+  /// submit() for a batch in one critical section: every run is accepted,
+  /// or none is (false once shutdown() has begun).
+  bool submit_all(std::vector<std::shared_ptr<RunContinuation>> runs);
+
   /// Posts a resume event for a parked run. Accepted even during the
   /// shutdown drain (a live run must always be able to come back) — only
   /// new submissions are refused.
@@ -165,6 +179,8 @@ class RunEngine {
  private:
   void worker_loop() EXCLUDES(mutex_);
   void post(std::shared_ptr<RunContinuation> run) EXCLUDES(mutex_);
+  /// Notifies up to `events` sleeping workers (none when all are busy).
+  void wake_idle_locked(std::size_t events) REQUIRES(mutex_);
 
   const Step step_;
   /// Liveness hook, called once per dispatched event outside mutex_.
@@ -175,6 +191,7 @@ class RunEngine {
   CondVar drained_cv_;  ///< shutdown() waiting for live_ == 0
   std::deque<std::shared_ptr<RunContinuation>> queue_ GUARDED_BY(mutex_);
   std::size_t live_ GUARDED_BY(mutex_) = 0;
+  std::size_t idle_ GUARDED_BY(mutex_) = 0;  ///< workers asleep in cv_
   std::size_t peak_live_ GUARDED_BY(mutex_) = 0;
   std::uint64_t events_ GUARDED_BY(mutex_) = 0;
   bool closed_ GUARDED_BY(mutex_) = false;

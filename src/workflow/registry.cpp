@@ -9,6 +9,7 @@ ImageId WorkflowRegistry::register_image(std::string name, WorkflowDag dag, yaml
   image.id = next_id_++;
   image.name = std::move(name);
   image.dag = std::move(dag);
+  image.order = image.dag.topological_order();
   image.config = std::move(config);
   const ImageId id = image.id;
   images_.emplace(id, std::move(image));

@@ -21,6 +21,9 @@ struct WorkflowImage {
   ImageId id = 0;
   std::string name;
   WorkflowDag dag;
+  /// The run engine's execution order: `dag` topologically sorted once, at
+  /// registration, instead of once per run.
+  std::vector<TaskId> order;
   yaml::Node config;  ///< deployment configuration (accelerator/QPU prefs)
 };
 

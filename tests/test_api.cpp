@@ -706,6 +706,61 @@ TEST(ApiErrors, ShutdownMidRunDrainsQueuedWorkBeforeRejecting) {
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
 }
 
+// invokeAll is all-or-nothing under shutdown too: a batch racing
+// shutdown() either starts every run or is rejected UNAVAILABLE with none
+// of its runs left in the run table.
+TEST(ApiErrors, InvokeAllRacingShutdownIsAllOrNothing) {
+  constexpr std::size_t kBatch = 8;
+  auto config = small_config();
+  config.retention.max_terminal_runs = std::size_t{1} << 20;  // listRuns sees every run
+  QonductorClient client(config);
+  const auto image = deploy_classical(client, "batch-vs-shutdown");
+  InvokeRequest request;
+  request.image = image;
+  const std::vector<InvokeRequest> requests(kBatch, request);
+
+  std::atomic<std::size_t> batches_sent{0};
+  std::vector<RunHandle> accepted;
+  std::size_t rejected = 0;
+  std::thread sender([&] {
+    // Keeps sending until a few batches were refused, so some batch is in
+    // flight whenever shutdown() closes the engine.
+    while (rejected < 3) {
+      auto handles = client.invokeAll(requests);
+      batches_sent.fetch_add(1);
+      if (!handles.ok()) {
+        EXPECT_EQ(handles.status().code(), StatusCode::kUnavailable)
+            << handles.status().to_string();
+        ++rejected;
+        continue;
+      }
+      EXPECT_EQ(handles->size(), kBatch);
+      accepted.insert(accepted.end(), handles->begin(), handles->end());
+    }
+  });
+  while (batches_sent.load() < 3) std::this_thread::yield();
+  client.backend().shutdown();
+  sender.join();
+
+  std::set<RunId> accepted_ids;
+  for (const auto& handle : accepted) {
+    EXPECT_TRUE(run_status_terminal(handle.wait()));
+    accepted_ids.insert(handle.id());
+  }
+  EXPECT_EQ(accepted_ids.size(), accepted.size());
+  std::set<RunId> listed_ids;
+  ListRunsRequest list;
+  list.page_size = kMaxListRunsPageSize;
+  for (;;) {
+    auto page = client.listRuns(list);
+    ASSERT_TRUE(page.ok()) << page.status().to_string();
+    for (const auto& info : page->runs) listed_ids.insert(info.run);
+    if (page->next_page_token == 0) break;
+    list.page_token = page->next_page_token;
+  }
+  EXPECT_EQ(listed_ids, accepted_ids);
+}
+
 // ---- randomized lifecycle property test --------------------------------------
 
 // For 500 randomly seeded runs (mixed images, random cancellations, jittered

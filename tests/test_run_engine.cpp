@@ -137,6 +137,66 @@ TEST(RunEngine, ShutdownRejectsNewSubmissionsButDrainsLiveRuns) {
   engine.shutdown();  // idempotent
 }
 
+/// Polls until `done` holds or `budget` elapses; true when it held. The
+/// wake tests below must see their runs finish BEFORE shutdown(), whose
+/// notify_all would otherwise rescue a lost wakeup.
+template <typename Pred>
+bool eventually(Pred done, std::chrono::milliseconds budget = 10s) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+// Workers are notified only while asleep. Spacing the submissions out lets
+// both workers go idle before each one, so every run depends on the notify
+// of its own submit.
+TEST(RunEngine, SpacedSubmitsWakeIdleWorkers) {
+  constexpr std::size_t kRuns = 200;
+  std::atomic<std::size_t> finished{0};
+  RunEngine engine(2, [&finished](const std::shared_ptr<RunContinuation>&) {
+    finished.fetch_add(1);
+    return StepOutcome::kFinished;
+  });
+  for (std::size_t r = 0; r < kRuns; ++r) {
+    ASSERT_TRUE(engine.submit(std::make_shared<RunContinuation>()));
+    std::this_thread::sleep_for(200us);
+  }
+  EXPECT_TRUE(eventually([&] { return finished.load() == kRuns; }))
+      << finished.load() << " of " << kRuns << " runs finished";
+  engine.shutdown();
+  EXPECT_EQ(engine.events_dispatched(), kRuns);
+}
+
+TEST(RunEngine, SubmitAllDrainsOnTwoWorkers) {
+  constexpr std::size_t kRuns = 500;
+  std::atomic<std::size_t> finished{0};
+  RunEngine engine(2, [&finished](const std::shared_ptr<RunContinuation>& cont) {
+    if (cont->cursor == 0) {
+      ++cont->cursor;
+      return StepOutcome::kProgress;
+    }
+    finished.fetch_add(1);
+    return StepOutcome::kFinished;
+  });
+  std::vector<std::shared_ptr<RunContinuation>> runs;
+  for (std::size_t r = 0; r < kRuns; ++r) runs.push_back(std::make_shared<RunContinuation>());
+  ASSERT_TRUE(engine.submit_all(std::move(runs)));
+  EXPECT_TRUE(eventually([&] { return finished.load() == kRuns; }))
+      << finished.load() << " of " << kRuns << " runs finished";
+  EXPECT_EQ(engine.peak_live_runs(), kRuns);  // the whole batch went live at once
+  engine.shutdown();
+  EXPECT_EQ(engine.events_dispatched(), 2 * kRuns);
+
+  // After shutdown a batch is refused whole: nothing goes live.
+  std::vector<std::shared_ptr<RunContinuation>> late(3);
+  for (auto& run : late) run = std::make_shared<RunContinuation>();
+  EXPECT_FALSE(engine.submit_all(std::move(late)));
+  EXPECT_EQ(engine.live_runs(), 0u);
+}
+
 // ---- serving-path fixtures ---------------------------------------------------
 
 workflow::ImageId deploy_image(api::QonductorClient& client, const std::string& name,

@@ -404,6 +404,79 @@ TEST(PendingQueue, WaitReportsFlushThenClosed) {
   EXPECT_EQ(queue.wait_for_batch(100, 10s), PendingQueue::Wake::kClosed);
 }
 
+// ---- lost-wakeup guards ------------------------------------------------------
+// Producers notify the consumer only at its wake level (1 item while it
+// sleeps for work, the threshold while it lingers). Each test lingers 60 s,
+// so a missed notify would show as a wait far past the 1 s bound.
+
+constexpr auto kLongLinger = std::chrono::milliseconds(60'000);
+constexpr auto kWakeBound = std::chrono::seconds(1);
+
+TEST(PendingQueue, ConcurrentProducerReachingThresholdWakesLingeringConsumer) {
+  constexpr std::size_t kThreshold = 50;
+  PendingQueue queue;
+  std::thread producer([&] {
+    for (api::RunId r = 1; r <= kThreshold; ++r) {
+      queue.offer(make_task(r, 4, 2));
+      std::this_thread::sleep_for(200us);
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const auto wake = queue.wait_for_batch(kThreshold, kLongLinger);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  producer.join();
+  EXPECT_EQ(wake, PendingQueue::Wake::kThreshold);
+  EXPECT_LT(waited, kWakeBound);
+  EXPECT_EQ(queue.size(), kThreshold);
+}
+
+TEST(PendingQueue, FirstOfferWakesSleepingConsumer) {
+  PendingQueue queue;
+  std::atomic<bool> woke{false};
+  PendingQueue::Wake wake = PendingQueue::Wake::kClosed;
+  std::thread consumer([&] {
+    wake = queue.wait_for_batch(1, kLongLinger);
+    woke = true;
+  });
+  std::this_thread::sleep_for(50ms);  // let the consumer fall asleep on the empty queue
+  EXPECT_FALSE(woke.load());
+  queue.offer(make_task(1, 4, 2));
+  const auto deadline = std::chrono::steady_clock::now() + kWakeBound;
+  while (!woke.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(woke.load()) << "the first offer did not wake the consumer";
+  queue.close();  // releases a consumer the offer failed to wake
+  consumer.join();
+  EXPECT_EQ(wake, PendingQueue::Wake::kThreshold);
+}
+
+TEST(PendingQueue, CloseWakesConsumerWhileSleepingForWork) {
+  PendingQueue queue;
+  std::thread consumer([&] {
+    EXPECT_EQ(queue.wait_for_batch(10, kLongLinger), PendingQueue::Wake::kClosed);
+  });
+  std::this_thread::sleep_for(50ms);
+  const auto start = std::chrono::steady_clock::now();
+  queue.close();
+  consumer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kWakeBound);
+}
+
+TEST(PendingQueue, CloseWakesConsumerWhileLingering) {
+  PendingQueue queue;
+  queue.offer(make_task(1, 4, 2));
+  std::thread consumer([&] {
+    EXPECT_EQ(queue.wait_for_batch(10, kLongLinger), PendingQueue::Wake::kFlush);
+  });
+  std::this_thread::sleep_for(50ms);  // below threshold: the consumer lingers
+  const auto start = std::chrono::steady_clock::now();
+  queue.close();
+  consumer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kWakeBound);
+  EXPECT_EQ(queue.size(), 1u);
+}
+
 /// Reference model of the pending queue as two containers: queued lanes
 /// plus a separate per-priority capacity waitlist, promoted highest lane
 /// first (FIFO within a lane) whenever a slot frees. Single-threaded, no

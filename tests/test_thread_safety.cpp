@@ -48,8 +48,8 @@ TEST(LockRank, ReacquireAfterFullReleaseIsFine) {
 }
 
 TEST(LockRank, NonLifoReleaseIsSupported) {
-  // condition_variable_any::wait unlocks the waited mutex from mid-stack;
-  // the checker must tolerate any release order.
+  // CondVar::wait unlocks the waited mutex from mid-stack; the checker
+  // must tolerate any release order.
   static Mutex low(LockRank::kReservations, "test_low");
   static Mutex high(LockRank::kMonitor, "test_high");
   low.lock();
@@ -114,6 +114,39 @@ TEST(LockRank, CondVarWaitReleasesAndReacquiresRank) {
   cv.notify_all();
   waiter.join();
   EXPECT_EQ(lock_rank::held_count(), 0);
+}
+
+TEST(LockRank, CondVarWaitsKeepHeldCountExact) {
+  // The wait drops the waited mutex's rank record while blocked and
+  // restores it on waking — whether the wait times out or is notified —
+  // and leaves every other held lock on record throughout.
+  static Mutex outer(LockRank::kReservations, "test_cv_outer");
+  static Mutex m(LockRank::kMonitor, "test_cv_exact");
+  CondVar cv;
+  MutexLock hold_outer(outer);
+  {
+    MutexLock lock(m);
+    ASSERT_EQ(lock_rank::held_count(), 2);
+    EXPECT_EQ(cv.wait_for(m, std::chrono::milliseconds(1)), std::cv_status::timeout);
+    EXPECT_EQ(lock_rank::held_count(), 2);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+    while (cv.wait_until(m, deadline) != std::cv_status::timeout) {
+    }
+    EXPECT_EQ(lock_rank::held_count(), 2);
+  }
+  bool flag = false;
+  std::thread notifier([&] {
+    MutexLock lock(m);  // only possible while the waiter's wait released it
+    flag = true;
+    cv.notify_one();
+  });
+  {
+    MutexLock lock(m);
+    while (!flag) cv.wait(m);
+    EXPECT_EQ(lock_rank::held_count(), 2);
+  }
+  notifier.join();
+  EXPECT_EQ(lock_rank::held_count(), 1);
 }
 
 #if QON_LOCK_RANK_CHECKS

@@ -102,6 +102,18 @@ TEST(Registry, FindIsNonThrowing) {
   EXPECT_EQ(registry.find(id), image);
 }
 
+TEST(Registry, ImageCarriesTopologicalOrder) {
+  WorkflowDag dag;
+  const auto late = dag.add_task(HybridTask::classical("late", 0.1));
+  const auto early = dag.add_task(HybridTask::classical("early", 0.1));
+  dag.add_dependency(early, late);
+  const auto expected = dag.topological_order();
+  WorkflowRegistry registry;
+  const auto id = registry.register_image("ordered", std::move(dag), yaml::Node());
+  EXPECT_EQ(registry.get(id).order, expected);
+  EXPECT_EQ(registry.get(id).order, (std::vector<TaskId>{early, late}));
+}
+
 TEST(Registry, FindByNameReturnsLatest) {
   WorkflowRegistry registry;
   registry.register_image("vqe", chain_workflow({}), yaml::Node());
