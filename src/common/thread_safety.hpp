@@ -117,19 +117,17 @@ enum class LockRank : int {
   /// whose nesting is externally constrained (none in-tree today).
   kUnranked = 0,
 
-  /// Qonductor::reservations_mutex_ — §7 reservation windows. Outermost:
-  /// the scheduling snapshot's expiry sweep and reserveQpu/releaseQpu flip
-  /// the monitor flag under it, so it ranks outside kMonitor.
-  kReservations = 200,
-  /// api::RunState::mutex — one per run record. Outside kRunTable
-  /// (settle_run calls mark_terminal under the record lock).
+  /// api::RunState::mutex — one per run record; the outermost rank.
+  /// Outside kRunTable (settle_run calls mark_terminal under the record
+  /// lock).
   kRunState = 300,
   /// core::RunTable::mutex_ — the run-record table structure. A leaf:
   /// eviction only drops the table's own references.
   kRunTable = 400,
-  /// core::SystemMonitor::mutex_ — the QPU flag table and, when
-  /// replicated, its Raft journal. Inside kReservations (reservation flag
-  /// flips); a leaf otherwise.
+  /// core::SystemMonitor::mutex_ — the QPU table (health flags,
+  /// reservations and their windows) and, when replicated, its Raft
+  /// journal. A leaf: reserve, release and the snapshot's expiry sweep
+  /// each change a reservation in one critical section under it alone.
   kMonitor = 500,
   /// obs::MetricsRegistry::mutex_ — metric registration + snapshot. Must
   /// rank BELOW kPendingQueue/kRunEngine/kSchedulerStats: snapshot() polls

@@ -165,18 +165,17 @@ Qonductor::Qonductor(QonductorConfig config)
         config_.health.scheduler_fault_injection();
       }
       advanceFleetClock(advance_to);
-      // Reservation time windows expire at cycle boundaries: release due
-      // QPUs before snapshotting so this very cycle schedules onto them.
-      expire_reservations(fleetNow());
-      // The monitor's table is built in fleet order: flags[q] is backend q.
-      const std::vector<QpuInfo> flags = monitor_.qpus();
+      // Reservation time windows expire at cycle boundaries: the monitor
+      // releases due QPUs in the same call that snapshots the table, so
+      // this very cycle schedules onto them. The table is built in fleet
+      // order: flags[q] is backend q.
+      const std::vector<QpuInfo> flags = monitor_.release_due(fleetNow());
       const qpu::Fleet& fleet = this->fleet();
       std::vector<sched::QpuState> states(fleet.backends.size());
       for (std::size_t q = 0; q < states.size(); ++q) {
         states[q].name = fleet.backends[q]->name();
         states[q].size = fleet.backends[q]->num_qubits();
-        // A QPU is schedulable only when healthy AND not reserved (§7).
-        states[q].online = flags[q].online && !flags[q].reserved;
+        states[q].online = flags[q].schedulable();
       }
       return states;
     };
@@ -185,10 +184,11 @@ Qonductor::Qonductor(QonductorConfig config)
         std::move(hooks), &telemetry_, &health_);
   }
 
-  // Live-health wiring: the SLO monitor (when targets/rules configure one),
-  // the engine watchdog, and the probe-backed components. Registered before
-  // the engine exists is fine — verdicts are only derived at check() time,
-  // and the busy probe handles the (momentary) null engine.
+  // Live-health wiring: the SLO monitor (when a valid config sets targets
+  // or rules), the engine watchdog, and the probe-backed components.
+  // Registered before the engine exists is fine — verdicts are only
+  // derived at check() time, and the busy probe handles the (momentary)
+  // null engine.
   {
     bool track_slo = !config_.health.alert_rules.empty();
     for (const double target : config_.health.slo_seconds) {
@@ -228,7 +228,7 @@ Qonductor::Qonductor(QonductorConfig config)
         // it is also reserved.
         if (!qpu.online) ++offline;
         if (qpu.reserved) ++reserved;
-        if (qpu.online && !qpu.reserved) ++schedulable;
+        if (qpu.schedulable()) ++schedulable;
       }
       verdict.detail = std::to_string(schedulable) + "/" +
                        std::to_string(qpus.size()) + " QPUs schedulable (" +
@@ -719,18 +719,23 @@ api::Result<api::GetHealthResponse> Qonductor::getHealth(
 
 api::Result<api::ReserveQpuResponse> Qonductor::reserveQpu(
     const api::ReserveQpuRequest& request) {
-  if (request.duration_seconds && !(*request.duration_seconds > 0.0)) {
-    // The negated comparison also rejects NaN.
-    return api::InvalidArgument(
-        "reserveQpu: duration_seconds must be > 0 (omit for an open-ended reservation)");
+  std::optional<double> release_at;
+  if (request.duration_seconds) {
+    // The negated comparison also rejects NaN; an infinite window would
+    // never expire, yet echo a deadline.
+    if (!(*request.duration_seconds > 0.0)) {
+      return api::InvalidArgument(
+          "reserveQpu: duration_seconds must be > 0 (omit for an open-ended "
+          "reservation)");
+    }
+    // Time-windowed reservation: auto-released by the first scheduling
+    // snapshot taken at/after the virtual deadline.
+    release_at = fleetNow() + *request.duration_seconds;
   }
-  // reservations_mutex_ spans the flag flip AND the window-map update, so
-  // the reservation epoch and its deadline change together: an expiry
-  // sweep can never observe (and release) a half-installed reservation.
-  // The monitor's own mutex nests inside; the flag flip itself stays
-  // atomic against device-manager health writes.
-  MutexLock lock(reservations_mutex_);
-  const auto previous = monitor_.set_qpu_reserved(request.qpu, true);
+  // The monitor sets the flag and the window in one critical section, so
+  // an expiry sweep never observes a half-installed reservation; an
+  // already reserved QPU keeps its own window.
+  const auto previous = monitor_.reserve(request.qpu, release_at);
   if (!previous) {
     return api::NotFound("reserveQpu: unknown QPU '" + request.qpu + "'");
   }
@@ -738,27 +743,16 @@ api::Result<api::ReserveQpuResponse> Qonductor::reserveQpu(
     return api::AlreadyExists("reserveQpu: QPU '" + request.qpu +
                               "' is already reserved");
   }
-  api::ReserveQpuResponse response;
-  response.qpu = request.qpu;
-  if (request.duration_seconds) {
-    // Time-windowed reservation: scheduled for auto-release by the first
-    // scheduling snapshot taken at/after the virtual deadline.
-    const double release_at = fleetNow() + *request.duration_seconds;
-    reservation_release_at_[request.qpu] = release_at;
-    response.release_at = release_at;
-  }
-  return response;
+  return api::ReserveQpuResponse{request.qpu, release_at};
 }
 
 api::Result<api::ReleaseQpuResponse> Qonductor::releaseQpu(
     const api::ReleaseQpuRequest& request) {
   // Clears only the reservation: a QPU the device manager took offline
-  // for health reasons stays out of rotation. Under reservations_mutex_
-  // (see reserveQpu) so the flag and the window deadline change together —
-  // an explicit release ends any time window early, and a later
-  // reservation never inherits a stale deadline.
-  MutexLock lock(reservations_mutex_);
-  const auto previous = monitor_.set_qpu_reserved(request.qpu, false);
+  // for health reasons stays out of rotation. The window goes with the
+  // flag — an explicit release ends it early, and a later reservation
+  // never inherits a stale deadline.
+  const auto previous = monitor_.release(request.qpu);
   if (!previous) {
     return api::NotFound("releaseQpu: unknown QPU '" + request.qpu + "'");
   }
@@ -766,27 +760,7 @@ api::Result<api::ReleaseQpuResponse> Qonductor::releaseQpu(
     return api::FailedPrecondition("releaseQpu: QPU '" + request.qpu +
                                    "' is not reserved");
   }
-  reservation_release_at_.erase(request.qpu);
-  api::ReleaseQpuResponse response;
-  response.qpu = request.qpu;
-  return response;
-}
-
-void Qonductor::expire_reservations(double now) {
-  // The flag write happens inside reservations_mutex_, like reserveQpu/
-  // releaseQpu: erasing the window and releasing the flag must be one
-  // atomic step, or a releaseQpu+reserveQpu pair interleaved between them
-  // would have its brand-new reservation silently released by this sweep.
-  MutexLock lock(reservations_mutex_);
-  for (auto it = reservation_release_at_.begin();
-       it != reservation_release_at_.end();) {
-    if (it->second <= now) {
-      monitor_.set_qpu_reserved(it->first, false);
-      it = reservation_release_at_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  return api::ReleaseQpuResponse{request.qpu};
 }
 
 api::Result<api::WorkflowStatusResponse> Qonductor::workflowStatus(

@@ -43,7 +43,8 @@
 // priority order, MCDM picks each job's Pareto point per its own weight,
 // and a task still parked when a cycle fires past its deadline fails
 // DEADLINE_EXCEEDED without consuming a QPU. reserveQpu/releaseQpu expose
-// the §7 reservation flag as a typed surface over the system monitor.
+// the §7 reservation (flag and optional window) as a typed surface over
+// the system monitor, its only owner.
 //
 // Run records live in a bounded RunTable: terminal runs are garbage-
 // collected under QonductorConfig::retention (LRU + TTL), so a long-lived
@@ -266,12 +267,13 @@ class Qonductor {
   api::Result<api::GetHealthResponse> getHealth(
       const api::GetHealthRequest& request = {}) const;
   /// Takes a QPU out of scheduling rotation (§7 reservations) via the
-  /// monitor's reservation flag — separate from the `online` health flag,
+  /// monitor's reservation — separate from the `online` health flag,
   /// so reservations and device-manager faults compose. Scheduling
   /// snapshots honor both, so jobs already parked in the pending queue
   /// avoid the QPU from the very next cycle. An optional duration_seconds
-  /// opens a time window: the reservation auto-releases once a scheduling
-  /// cycle fires at/after fleetNow() + duration on the virtual clock.
+  /// (finite and > 0, else kInvalidArgument) opens a time window: the
+  /// reservation auto-releases once a scheduling cycle fires at/after
+  /// fleetNow() + duration on the virtual clock.
   /// kNotFound for unknown names; kAlreadyExists when already reserved.
   api::Result<api::ReserveQpuResponse> reserveQpu(const api::ReserveQpuRequest& request);
   /// Returns a reserved QPU to rotation (an unhealthy QPU stays out).
@@ -419,11 +421,6 @@ class Qonductor {
   /// task parked, and a cycle dispatches at or after that frontier.
   TaskResult execute_quantum(const workflow::HybridTask& task, const QuantumTaskPrep& prep,
                              const PendingQuantumTask& verdict, workflow::TaskId node);
-  /// Releases every windowed reservation whose deadline lies at/before
-  /// `now` on the fleet virtual clock. Called right before a cycle's
-  /// scheduling snapshot, so the snapshotting cycle already schedules onto
-  /// the released QPUs.
-  void expire_reservations(double now) EXCLUDES(reservations_mutex_);
 
   QonductorConfig config_;
   /// Ground-truth noise: a pure function of (backend, calibration cycle,
@@ -435,7 +432,8 @@ class Qonductor {
   std::vector<sched::ClassicalNode> nodes_;
   workflow::WorkflowRegistry registry_ GUARDED_BY(registry_mutex_);
   std::map<workflow::ImageId, bool> deployed_ GUARDED_BY(registry_mutex_);
-  /// Per-QPU online/reserved flags, built from the fleet (declared above).
+  /// Per-QPU online/reserved flags and reservation windows, built from the
+  /// fleet (declared above).
   /// Static and calibration facts are read from fleet().backends directly.
   SystemMonitor monitor_;
   /// Owns the run records; mutable because lookups refresh LRU recency.
@@ -512,11 +510,6 @@ class Qonductor {
   std::array<obs::Histogram*, api::kNumPriorities> run_latency_seconds_{};
   /// Settled runs per terminal status, indexed by api::RunStatus.
   std::array<obs::Counter*, 5> runs_finished_total_{};
-
-  /// Reservation time windows (§7): QPU name -> fleet-clock instant the
-  /// reservation auto-releases. Open-ended reservations have no entry.
-  Mutex reservations_mutex_{LockRank::kReservations, "Qonductor::reservations_mutex_"};
-  std::map<std::string, double> reservation_release_at_ GUARDED_BY(reservations_mutex_);
 
   /// Declared last so it is destroyed first: the destructor drains every
   /// live run while all other members — notably the scheduler service the

@@ -1,42 +1,64 @@
 #include "core/system_monitor.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace qon::core {
 
 SystemMonitor::SystemMonitor(const std::vector<std::string>& qpu_names,
                              bool replicated, std::size_t replicas) {
   MutexLock lock(mutex_);
-  qpus_.reserve(qpu_names.size());
-  for (const std::string& name : qpu_names) qpus_.push_back(QpuInfo{name});
+  for (const std::string& name : qpu_names) qpus_.emplace_back().name = name;
   if (replicated) store_ = std::make_unique<raft::ReplicatedKvStore>(replicas);
 }
 
-std::optional<bool> SystemMonitor::set_flag(const std::string& name,
-                                            bool QpuInfo::*flag, const char* key,
-                                            bool value) {
-  MutexLock lock(mutex_);
-  const auto it = std::find_if(qpus_.begin(), qpus_.end(),
-                               [&](const QpuInfo& q) { return q.name == name; });
-  if (it == qpus_.end()) return std::nullopt;
-  const bool previous = (*it).*flag;
-  (*it).*flag = value;
-  if (store_) store_->set("qpu/" + name + "/" + key, value ? "1" : "0");
-  return previous;
+QpuInfo* SystemMonitor::write_locked(const std::string& name, const char* key, bool value) {
+  for (QpuInfo& qpu : qpus_) {
+    if (qpu.name != name) continue;
+    if (store_) store_->set("qpu/" + name + "/" + key, value ? "1" : "0");
+    return &qpu;
+  }
+  return nullptr;
 }
 
 std::optional<bool> SystemMonitor::set_qpu_online(const std::string& name, bool online) {
-  return set_flag(name, &QpuInfo::online, "online", online);
+  MutexLock lock(mutex_);
+  QpuInfo* qpu = write_locked(name, "online", online);
+  if (qpu == nullptr) return std::nullopt;
+  return std::exchange(qpu->online, online);
 }
 
-std::optional<bool> SystemMonitor::set_qpu_reserved(const std::string& name, bool reserved) {
-  return set_flag(name, &QpuInfo::reserved, "reserved", reserved);
+std::optional<bool> SystemMonitor::reserve(const std::string& name,
+                                           std::optional<double> release_at) {
+  MutexLock lock(mutex_);
+  QpuInfo* qpu = write_locked(name, "reserved", true);
+  if (qpu == nullptr) return std::nullopt;
+  if (!qpu->reserved) qpu->release_at = release_at;  // a held one keeps its window
+  return std::exchange(qpu->reserved, true);
+}
+
+std::optional<bool> SystemMonitor::release(const std::string& name) {
+  MutexLock lock(mutex_);
+  QpuInfo* qpu = write_locked(name, "reserved", false);
+  if (qpu == nullptr) return std::nullopt;
+  qpu->release_at.reset();
+  return std::exchange(qpu->reserved, false);
+}
+
+std::vector<QpuInfo> SystemMonitor::release_due(double now) {
+  MutexLock lock(mutex_);
+  for (QpuInfo& qpu : qpus_) {
+    if (qpu.release_at && *qpu.release_at <= now) {
+      write_locked(qpu.name, "reserved", false);
+      qpu.reserved = false;
+      qpu.release_at.reset();
+    }
+  }
+  return qpus_;
 }
 
 std::optional<QpuInfo> SystemMonitor::qpu(const std::string& name) const {
-  MutexLock lock(mutex_);
-  for (const QpuInfo& q : qpus_) {
-    if (q.name == name) return q;
+  for (QpuInfo& q : qpus()) {
+    if (q.name == name) return std::move(q);
   }
   return std::nullopt;
 }
@@ -47,10 +69,8 @@ std::vector<QpuInfo> SystemMonitor::qpus() const {
 }
 
 std::vector<std::string> SystemMonitor::qpu_names() const {
-  MutexLock lock(mutex_);
   std::vector<std::string> names;
-  names.reserve(qpus_.size());
-  for (const QpuInfo& q : qpus_) names.push_back(q.name);
+  for (QpuInfo& q : qpus()) names.push_back(std::move(q.name));
   return names;
 }
 

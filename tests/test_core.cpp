@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <random>
 #include <thread>
+#include <utility>
 
 #include "circuit/library.hpp"
 #include "core/orchestrator.hpp"
@@ -38,27 +41,57 @@ TEST(SystemMonitor, TableStartsOnlineAndUnreservedInGivenOrder) {
 TEST(SystemMonitor, FlagSettersRoundTripIndependently) {
   SystemMonitor monitor({"mumbai", "cairo"});
   // Field-level setters return the previous value and touch nothing else.
-  EXPECT_EQ(monitor.set_qpu_reserved("mumbai", true), std::optional<bool>(false));
-  EXPECT_EQ(monitor.set_qpu_reserved("mumbai", true), std::optional<bool>(true));
+  EXPECT_EQ(monitor.reserve("mumbai"), std::optional<bool>(false));
+  EXPECT_EQ(monitor.reserve("mumbai"), std::optional<bool>(true));
   EXPECT_EQ(monitor.set_qpu_online("mumbai", false), std::optional<bool>(true));
   auto read = monitor.qpu("mumbai");
   ASSERT_TRUE(read.has_value());
   EXPECT_FALSE(read->online);
   EXPECT_TRUE(read->reserved);
+  EXPECT_FALSE(read->schedulable());
   // Releasing the reservation must not bring the faulted QPU back.
-  EXPECT_EQ(monitor.set_qpu_reserved("mumbai", false), std::optional<bool>(true));
+  EXPECT_EQ(monitor.release("mumbai"), std::optional<bool>(true));
   read = monitor.qpu("mumbai");
   EXPECT_FALSE(read->online);
   EXPECT_FALSE(read->reserved);
+  EXPECT_FALSE(read->schedulable());
   // The neighbour's flags never moved.
   EXPECT_TRUE(monitor.qpu("cairo")->online);
   EXPECT_FALSE(monitor.qpu("cairo")->reserved);
+  EXPECT_TRUE(monitor.qpu("cairo")->schedulable());
+}
+
+TEST(SystemMonitor, ReservationWindowExpiresAtTheSnapshotThatReachesIt) {
+  SystemMonitor monitor({"mumbai", "cairo"});
+  EXPECT_EQ(monitor.reserve("mumbai", 100.0), std::optional<bool>(false));
+  EXPECT_EQ(monitor.reserve("cairo"), std::optional<bool>(false));
+  // A second reserve is refused without touching the held window.
+  EXPECT_EQ(monitor.reserve("mumbai", 5.0), std::optional<bool>(true));
+  EXPECT_EQ(monitor.qpu("mumbai")->release_at, std::optional<double>(100.0));
+  // Before the deadline the snapshot keeps both reservations.
+  auto table = monitor.release_due(99.0);
+  EXPECT_TRUE(table[0].reserved);
+  EXPECT_TRUE(table[1].reserved);
+  // At the deadline (inclusive) only the windowed one is released.
+  table = monitor.release_due(100.0);
+  EXPECT_FALSE(table[0].reserved);
+  EXPECT_FALSE(table[0].release_at.has_value());
+  EXPECT_TRUE(table[1].reserved);
+  EXPECT_FALSE(table[1].release_at.has_value());
+  // An explicit release clears the window with the flag: a later
+  // open-ended reservation never inherits it.
+  EXPECT_EQ(monitor.reserve("mumbai", 200.0), std::optional<bool>(false));
+  EXPECT_EQ(monitor.release("mumbai"), std::optional<bool>(true));
+  EXPECT_EQ(monitor.reserve("mumbai"), std::optional<bool>(false));
+  EXPECT_TRUE(monitor.release_due(1e9)[0].reserved);
 }
 
 TEST(SystemMonitor, UnknownNamesAreRejected) {
   SystemMonitor monitor({"mumbai"});
   EXPECT_FALSE(monitor.set_qpu_online("absent", false).has_value());
-  EXPECT_FALSE(monitor.set_qpu_reserved("absent", true).has_value());
+  EXPECT_FALSE(monitor.reserve("absent").has_value());
+  EXPECT_FALSE(monitor.reserve("absent", 1.0).has_value());
+  EXPECT_FALSE(monitor.release("absent").has_value());
   EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai"}));
 }
 
@@ -66,10 +99,169 @@ TEST(SystemMonitor, ReplicatedTableRoundTripsFlags) {
   SystemMonitor monitor({"mumbai"}, /*replicated=*/true);
   EXPECT_TRUE(monitor.replicated());
   EXPECT_EQ(monitor.set_qpu_online("mumbai", false), std::optional<bool>(true));
-  EXPECT_EQ(monitor.set_qpu_reserved("mumbai", true), std::optional<bool>(false));
+  EXPECT_EQ(monitor.reserve("mumbai", 10.0), std::optional<bool>(false));
   EXPECT_FALSE(monitor.qpu("mumbai")->online);
   EXPECT_TRUE(monitor.qpu("mumbai")->reserved);
+  EXPECT_FALSE(monitor.release_due(10.0)[0].reserved);
   EXPECT_FALSE(monitor.set_qpu_online("absent", true).has_value());
+}
+
+/// Reference model of the reservation state as two stores: a flag table
+/// plus a QPU -> release-instant window map, kept consistent by hand the
+/// way the orchestrator once did under its own lock. Single-threaded:
+/// MatchesReservationMapReference holds the one-row monitor to it.
+class ReservationMapReference {
+ public:
+  explicit ReservationMapReference(const std::vector<std::string>& names) {
+    for (const std::string& name : names) flags_[name] = Flags{};
+  }
+
+  std::optional<bool> set_qpu_online(const std::string& name, bool online) {
+    const auto it = flags_.find(name);
+    if (it == flags_.end()) return std::nullopt;
+    return std::exchange(it->second.online, online);
+  }
+
+  std::optional<bool> reserve(const std::string& name, std::optional<double> release_at) {
+    const auto previous = set_reserved(name, true);
+    if (!previous || *previous) return previous;
+    if (release_at) windows_[name] = *release_at;
+    return previous;
+  }
+
+  std::optional<bool> release(const std::string& name) {
+    const auto previous = set_reserved(name, false);
+    if (!previous || !*previous) return previous;
+    windows_.erase(name);
+    return previous;
+  }
+
+  void expire(double now) {
+    for (auto it = windows_.begin(); it != windows_.end();) {
+      if (it->second <= now) {
+        set_reserved(it->first, false);
+        it = windows_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  bool online(const std::string& name) const { return flags_.at(name).online; }
+  bool reserved(const std::string& name) const { return flags_.at(name).reserved; }
+  std::optional<double> release_at(const std::string& name) const {
+    const auto it = windows_.find(name);
+    if (it == windows_.end()) return std::nullopt;
+    return it->second;
+  }
+
+ private:
+  struct Flags {
+    bool online = true;
+    bool reserved = false;
+  };
+
+  std::optional<bool> set_reserved(const std::string& name, bool reserved) {
+    const auto it = flags_.find(name);
+    if (it == flags_.end()) return std::nullopt;
+    return std::exchange(it->second.reserved, reserved);
+  }
+
+  std::map<std::string, Flags> flags_;
+  std::map<std::string, double> windows_;
+};
+
+// Seeded random open and windowed reserve / release / snapshot-at-now /
+// set_qpu_online sequences, including unknown names: every return value
+// and every QPU's flags and window must match the two-store reference
+// after every operation.
+TEST(SystemMonitor, MatchesReservationMapReference) {
+  const std::vector<std::string> names = {"mumbai", "cairo", "kolkata", "auckland"};
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto uniform = [&rng](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    SystemMonitor monitor(names, /*replicated=*/seed % 10 == 0);
+    ReservationMapReference reference(names);
+    for (int op = 0; op < 200; ++op) {
+      // One name in nine is unknown to both.
+      const std::string name =
+          rng() % 9 == 0 ? std::string("absent") : names[rng() % names.size()];
+      const auto dice = rng() % 100;
+      if (dice < 35) {
+        std::optional<double> release_at;
+        if (rng() % 3 != 0) release_at = uniform(0.0, 100.0);
+        ASSERT_EQ(monitor.reserve(name, release_at), reference.reserve(name, release_at))
+            << "reserve, seed " << seed << " op " << op;
+      } else if (dice < 60) {
+        ASSERT_EQ(monitor.release(name), reference.release(name))
+            << "release, seed " << seed << " op " << op;
+      } else if (dice < 85) {
+        const double now = uniform(0.0, 120.0);
+        const std::vector<QpuInfo> table = monitor.release_due(now);
+        reference.expire(now);
+        ASSERT_EQ(table.size(), names.size());
+        for (std::size_t q = 0; q < names.size(); ++q) {
+          ASSERT_EQ(table[q].name, names[q]);
+          ASSERT_EQ(table[q].reserved, reference.reserved(names[q]))
+              << "snapshot, seed " << seed << " op " << op;
+          ASSERT_EQ(table[q].online, reference.online(names[q]))
+              << "snapshot, seed " << seed << " op " << op;
+        }
+      } else {
+        const bool online = rng() % 2 == 0;
+        ASSERT_EQ(monitor.set_qpu_online(name, online),
+                  reference.set_qpu_online(name, online))
+            << "set_qpu_online, seed " << seed << " op " << op;
+      }
+      for (const QpuInfo& qpu : monitor.qpus()) {
+        ASSERT_EQ(qpu.online, reference.online(qpu.name)) << "seed " << seed << " op " << op;
+        ASSERT_EQ(qpu.reserved, reference.reserved(qpu.name))
+            << "seed " << seed << " op " << op;
+        ASSERT_EQ(qpu.release_at, reference.release_at(qpu.name))
+            << "seed " << seed << " op " << op;
+      }
+    }
+  }
+}
+
+// The race the one-row table closes: a scheduling snapshot must never
+// release a reservation that is not due, however its sweep interleaves
+// with concurrent reserve/release pairs. Two QPUs churn reservations the
+// snapshot's `now` lies before (one windowed, one open-ended); a third
+// churns a window due at every snapshot followed by a fresh open-ended
+// reservation, which a sweep acting on the old window would lose. Written
+// for the TSAN job.
+TEST(SystemMonitor, SnapshotNeverLosesAFreshReservation) {
+  SystemMonitor monitor({"windowed", "open", "expiring"});
+  std::atomic<bool> stop{false};
+  std::thread scheduler([&] {
+    while (!stop.load()) monitor.release_due(10.0);
+  });
+  const auto churn = [&monitor](const std::string& name, std::optional<double> release_at) {
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(monitor.reserve(name, release_at), std::optional<bool>(false)) << name;
+      ASSERT_EQ(monitor.release(name), std::optional<bool>(true))
+          << name << ": a fresh reservation was lost at iteration " << i;
+    }
+  };
+  std::thread windowed([&] { churn("windowed", 20.0); });
+  std::thread open([&] { churn("open", std::nullopt); });
+  std::thread expiring([&] {
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(monitor.reserve("expiring", 5.0), std::optional<bool>(false));
+      monitor.release("expiring");  // a snapshot may have released it first
+      ASSERT_EQ(monitor.reserve("expiring"), std::optional<bool>(false));
+      ASSERT_EQ(monitor.release("expiring"), std::optional<bool>(true))
+          << "expiring: a fresh reservation was lost at iteration " << i;
+    }
+  });
+  windowed.join();
+  open.join();
+  expiring.join();
+  stop.store(true);
+  scheduler.join();
 }
 
 class OrchestratorFixture : public ::testing::Test {

@@ -21,7 +21,7 @@ namespace {
 // cycle. Statics get distinct addresses for the life of the process.
 
 TEST(LockRank, IncreasingRanksNest) {
-  static Mutex outer(LockRank::kReservations, "test_outer");
+  static Mutex outer(LockRank::kRunState, "test_outer");
   static Mutex mid(LockRank::kMonitor, "test_mid");
   static Mutex leaf(LockRank::kLogging, "test_leaf");
   EXPECT_EQ(lock_rank::held_count(), 0);
@@ -50,7 +50,7 @@ TEST(LockRank, ReacquireAfterFullReleaseIsFine) {
 TEST(LockRank, NonLifoReleaseIsSupported) {
   // CondVar::wait unlocks the waited mutex from mid-stack; the checker
   // must tolerate any release order.
-  static Mutex low(LockRank::kReservations, "test_low");
+  static Mutex low(LockRank::kRunState, "test_low");
   static Mutex high(LockRank::kMonitor, "test_high");
   low.lock();
   high.lock();
@@ -120,7 +120,7 @@ TEST(LockRank, CondVarWaitsKeepHeldCountExact) {
   // The wait drops the waited mutex's rank record while blocked and
   // restores it on waking — whether the wait times out or is notified —
   // and leaves every other held lock on record throughout.
-  static Mutex outer(LockRank::kReservations, "test_cv_outer");
+  static Mutex outer(LockRank::kRunState, "test_cv_outer");
   static Mutex m(LockRank::kMonitor, "test_cv_exact");
   CondVar cv;
   MutexLock hold_outer(outer);
@@ -158,9 +158,9 @@ TEST(LockRankDeathTest, InversionAborts) {
   EXPECT_DEATH(
       {
         Mutex inner(LockRank::kMonitor, "death_inner");
-        Mutex outer(LockRank::kReservations, "death_outer");
+        Mutex outer(LockRank::kRunState, "death_outer");
         MutexLock a(inner);  // rank 500 first…
-        MutexLock b(outer);  // …then rank 200: inversion
+        MutexLock b(outer);  // …then rank 300: inversion
       },
       "lock-rank violation");
 }
@@ -212,7 +212,7 @@ TEST(LockRankDeathTest, AbbaAcquisitionAbortsInsteadOfDeadlocking) {
   // deterministically on the first execution, no unlucky timing needed.
   EXPECT_DEATH(
       {
-        Mutex a(LockRank::kReservations, "abba_a");  // low rank
+        Mutex a(LockRank::kRunState, "abba_a");  // low rank
         Mutex b(LockRank::kMonitor, "abba_b");   // high rank
         std::atomic<bool> a_held{false};
         std::thread t1([&] {
