@@ -214,12 +214,13 @@ struct ListRunsResponse {
 struct ReserveQpuRequest {
   std::uint32_t api_version = kApiVersion;
   std::string qpu;  ///< monitor name, e.g. "ibm_like_0"
-  /// Reservation time window: when set (> 0, else INVALID_ARGUMENT), the
-  /// reservation auto-releases once a scheduling cycle fires at or after
-  /// `fleetNow() + duration_seconds` on the fleet virtual clock — the
-  /// releasing cycle already schedules onto the QPU. An explicit
-  /// releaseQpu() before the deadline ends the window early. Unset = the
-  /// reservation holds until releaseQpu() (pre-window behavior).
+  /// Reservation time window: when set (finite and > 0, else
+  /// INVALID_ARGUMENT), the reservation auto-releases once a scheduling
+  /// cycle fires at or after `fleetNow() + duration_seconds` on the fleet
+  /// virtual clock — the releasing cycle already schedules onto the QPU.
+  /// An explicit releaseQpu() before the deadline ends the window early.
+  /// Unset = the reservation holds until releaseQpu() (pre-window
+  /// behavior).
   std::optional<double> duration_seconds;
 };
 

@@ -229,9 +229,7 @@ void parse_slo_section(const yaml::Node& node, CampaignProfile& profile) {
   check_keys(node, {"batch_seconds", "standard_seconds", "interactive_seconds"},
              "slo");
   const auto set = [&](api::Priority p, const char* key) {
-    const double value = get_double(node, key, 0.0);
-    if (value < 0.0) fail(std::string("slo: ") + key + " must be >= 0");
-    profile.slo_seconds[static_cast<std::size_t>(p)] = value;
+    profile.slo_seconds[static_cast<std::size_t>(p)] = get_double(node, key, 0.0);
   };
   set(api::Priority::kBatch, "batch_seconds");
   set(api::Priority::kStandard, "standard_seconds");
@@ -311,29 +309,9 @@ void validate_profile(const CampaignProfile& profile) {
   const api::Status admission_status =
       core::validate_admission_config(profile.admission);
   if (!admission_status.ok()) fail(admission_status.message());
-  for (const obs::SloRule& rule : profile.alerts) {
-    const std::string where = "alert '" + rule.name + "': ";
-    if (profile.slo_seconds[static_cast<std::size_t>(rule.priority)] <= 0.0) {
-      // A burn rule without a latency target has no good/bad verdict to
-      // burn against; require the slo: section to cover the class.
-      fail(where + "priority class '" + api::priority_name(rule.priority) +
-           "' has no slo target (set slo." +
-           api::priority_name(rule.priority) + "_seconds)");
-    }
-    if (!(rule.attainment_target > 0.0 && rule.attainment_target < 1.0)) {
-      fail(where + "attainment_target must be in (0, 1)");
-    }
-    if (!(rule.fast_window_seconds > 0.0) || !(rule.slow_window_seconds > 0.0)) {
-      fail(where + "windows must be > 0");
-    }
-    if (rule.fast_window_seconds > rule.slow_window_seconds) {
-      fail(where + "fast_window_seconds must be <= slow_window_seconds");
-    }
-    if (!(rule.burn_threshold > 0.0)) fail(where + "burn_threshold must be > 0");
-    if (rule.clear_threshold < 0.0 || rule.clear_threshold > rule.burn_threshold) {
-      fail(where + "clear_threshold must be in [0, burn_threshold]");
-    }
-  }
+  const api::Status slo_status =
+      obs::validate_slo_config(profile.slo_seconds, profile.alerts);
+  if (!slo_status.ok()) fail(slo_status.message());
   if (profile.pacing == PacingMode::kLockstep) {
     // The determinism contract: a full-queue cycle leaves nothing behind
     // for a racy timer fire. Any engine worker count is fine — the driver

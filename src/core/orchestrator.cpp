@@ -1,6 +1,7 @@
 #include "core/orchestrator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/logging.hpp"
@@ -149,9 +150,14 @@ Qonductor::Qonductor(QonductorConfig config)
     init_status_ = validate_admission_config(config_.admission);
   }
   if (init_status_.ok() &&
-      (config_.fidelity_weight < 0.0 || config_.fidelity_weight > 1.0)) {
+      !(config_.fidelity_weight >= 0.0 && config_.fidelity_weight <= 1.0)) {
+    // The negated comparison also rejects NaN.
     init_status_ = api::InvalidArgument(
         "QonductorConfig: fidelity_weight must be in [0, 1]");
+  }
+  if (init_status_.ok()) {
+    init_status_ = obs::validate_slo_config(config_.health.slo_seconds,
+                                            config_.health.alert_rules);
   }
   if (init_status_.ok()) {
     sched::SchedulerConfig cycle_config;
@@ -194,7 +200,7 @@ Qonductor::Qonductor(QonductorConfig config)
     for (const double target : config_.health.slo_seconds) {
       track_slo = track_slo || target > 0.0;
     }
-    if (track_slo) {
+    if (init_status_.ok() && track_slo) {
       slo_ = std::make_unique<obs::SloMonitor>(config_.health.slo_seconds,
                                                config_.health.alert_rules);
     }
@@ -723,10 +729,10 @@ api::Result<api::ReserveQpuResponse> Qonductor::reserveQpu(
   if (request.duration_seconds) {
     // The negated comparison also rejects NaN; an infinite window would
     // never expire, yet echo a deadline.
-    if (!(*request.duration_seconds > 0.0)) {
+    if (!(*request.duration_seconds > 0.0 && std::isfinite(*request.duration_seconds))) {
       return api::InvalidArgument(
-          "reserveQpu: duration_seconds must be > 0 (omit for an open-ended "
-          "reservation)");
+          "reserveQpu: duration_seconds must be finite and > 0 (omit for an "
+          "open-ended reservation)");
     }
     // Time-windowed reservation: auto-released by the first scheduling
     // snapshot taken at/after the virtual deadline.

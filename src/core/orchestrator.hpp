@@ -155,7 +155,9 @@ struct HealthConfig {
   /// exists when some class is tracked or a rule is configured.
   std::array<double, api::kNumPriorities> slo_seconds{};
   /// Multi-window burn-rate rules, evaluated on the fleet virtual clock at
-  /// each getHealth call; transitions are logged at warn level.
+  /// each getHealth call; transitions are logged at warn level. Targets
+  /// and rules are checked by obs::validate_slo_config: a bad one surfaces
+  /// as INVALID_ARGUMENT from invoke(), never as an exception.
   std::vector<obs::SloRule> alert_rules;
   /// TEST ONLY: invoked by the scheduler's QPU-snapshot hook at cycle
   /// start, on the scheduler thread — the wedge-injection point of the

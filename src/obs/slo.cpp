@@ -14,6 +14,49 @@ std::size_t priority_index(api::Priority priority) {
 
 }  // namespace
 
+api::Status validate_slo_config(
+    const std::array<double, api::kNumPriorities>& slo_seconds,
+    const std::vector<SloRule>& rules) {
+  for (std::size_t p = 0; p < api::kNumPriorities; ++p) {
+    if (!(std::isfinite(slo_seconds[p]) && slo_seconds[p] >= 0.0)) {
+      return api::InvalidArgument(
+          std::string("slo: ") + api::priority_name(static_cast<api::Priority>(p)) +
+          "_seconds must be finite and >= 0");
+    }
+  }
+  for (const SloRule& rule : rules) {
+    const std::string where = "alert '" + rule.name + "': ";
+    const char* priority = api::priority_name(rule.priority);
+    if (!(slo_seconds[priority_index(rule.priority)] > 0.0)) {
+      // A burn rule without a latency target has no good/bad verdict to
+      // burn against: it could never fire.
+      return api::InvalidArgument(where + "priority class '" + priority +
+                                  "' has no slo target (set slo." + priority +
+                                  "_seconds)");
+    }
+    if (!(rule.attainment_target > 0.0 && rule.attainment_target < 1.0)) {
+      return api::InvalidArgument(where + "attainment_target must be in (0, 1)");
+    }
+    // The negated comparisons also reject NaN; an infinite window would
+    // size the SLI ring without bound.
+    if (!(rule.fast_window_seconds > 0.0 && std::isfinite(rule.fast_window_seconds)) ||
+        !(rule.slow_window_seconds > 0.0 && std::isfinite(rule.slow_window_seconds))) {
+      return api::InvalidArgument(where + "windows must be finite and > 0");
+    }
+    if (rule.fast_window_seconds > rule.slow_window_seconds) {
+      return api::InvalidArgument(where +
+                                  "fast_window_seconds must be <= slow_window_seconds");
+    }
+    if (!(rule.burn_threshold > 0.0)) {
+      return api::InvalidArgument(where + "burn_threshold must be > 0");
+    }
+    if (!(rule.clear_threshold >= 0.0 && rule.clear_threshold <= rule.burn_threshold)) {
+      return api::InvalidArgument(where + "clear_threshold must be in [0, burn_threshold]");
+    }
+  }
+  return api::Status::Ok();
+}
+
 SloMonitor::SloMonitor(std::array<double, api::kNumPriorities> slo_seconds,
                        std::vector<SloRule> rules, double bucket_seconds)
     : bucket_seconds_(bucket_seconds > 0.0 ? bucket_seconds : 60.0),

@@ -60,10 +60,21 @@ struct AlertTransition {
   double slow_burn = 0.0;
 };
 
+/// The one validator of an SLO configuration (orchestrator health config
+/// and campaign profiles alike): class targets finite and >= 0 (0 leaves
+/// the class untracked); every rule on a tracked class, with finite
+/// windows, fast <= slow, attainment in (0, 1), burn > 0 and clear in
+/// [0, burn]. kInvalidArgument naming the offender; kOk otherwise.
+api::Status validate_slo_config(
+    const std::array<double, api::kNumPriorities>& slo_seconds,
+    const std::vector<SloRule>& rules);
+
 class SloMonitor {
  public:
   /// `slo_seconds[p]` is the class latency target (0 = class untracked);
-  /// `bucket_seconds` is the SLI ring granularity (virtual seconds).
+  /// `bucket_seconds` is the SLI ring granularity (virtual seconds). The
+  /// configuration must pass validate_slo_config (the ring is sized from
+  /// the longest window).
   SloMonitor(std::array<double, api::kNumPriorities> slo_seconds,
              std::vector<SloRule> rules, double bucket_seconds = 60.0);
 

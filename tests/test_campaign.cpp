@@ -376,6 +376,12 @@ TEST(CampaignProfile, MalformedProfilesSurfaceInvalidArgument) {
   // timer interval would fire the first cycle at t = inf.
   expect_invalid("scheduler:\n  interval_seconds: inf\ntenants:\n  - name: t\n",
                  "interval_seconds");
+  // Likewise an infinite alert window, which would size the SLI ring
+  // without bound.
+  expect_invalid(
+      "slo:\n  standard_seconds: 1800\nalerts:\n  - name: a\n"
+      "    slow_window_seconds: inf\ntenants:\n  - name: t\n",
+      "window");
   // The lockstep determinism contract is enforced structurally.
   expect_invalid(
       "scheduler:\n  max_batch_size: 10\ntenants:\n  - name: t\n", "lockstep");

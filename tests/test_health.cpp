@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -389,6 +390,47 @@ TEST(GetHealth, FleetProbeCountsOfflineQpusIndependentlyOfReservations) {
   const api::ComponentHealth both = fleet_verdict();
   EXPECT_EQ(both.status, api::HealthStatus::kDegraded) << both.detail;
   EXPECT_NE(both.detail.find("2/3"), std::string::npos) << both.detail;
+}
+
+// SLO targets and burn rules are validated once, at construction: a rule
+// that could never fire, a window that would size the SLI ring without
+// bound, an inverted window pair or a non-finite target each park invoke()
+// on a typed INVALID_ARGUMENT instead of being accepted (or crashing).
+TEST(GetHealth, BadSloConfigSurfacesAsInvalidArgument) {
+  const auto expect_rejected = [](const core::HealthConfig& health, const char* why) {
+    core::QonductorConfig config;
+    config.num_qpus = 2;
+    config.seed = 7;
+    config.health = health;
+    api::QonductorClient client(config);  // must not throw
+    api::InvokeRequest request;
+    request.image = deploy_quantum(client, "bad-slo");
+    auto handle = client.invoke(request);
+    ASSERT_FALSE(handle.ok()) << why;
+    EXPECT_EQ(handle.status().code(), api::StatusCode::kInvalidArgument)
+        << why << ": " << handle.status().to_string();
+    EXPECT_TRUE(client.getHealth().ok()) << why;
+  };
+  core::HealthConfig valid;
+  valid.slo_seconds = slo_targets(0.0, 3600.0, 0.0);
+  valid.alert_rules.push_back(standard_rule());
+
+  core::HealthConfig untracked = valid;
+  untracked.alert_rules[0].priority = api::Priority::kBatch;  // no batch target
+  expect_rejected(untracked, "rule on an untracked class");
+
+  core::HealthConfig infinite_window = valid;
+  infinite_window.alert_rules[0].slow_window_seconds =
+      std::numeric_limits<double>::infinity();
+  expect_rejected(infinite_window, "infinite slow window");
+
+  core::HealthConfig inverted = valid;
+  inverted.alert_rules[0].fast_window_seconds = 7200.0;  // > slow (3600)
+  expect_rejected(inverted, "fast window longer than slow");
+
+  core::HealthConfig infinite_target;
+  infinite_target.slo_seconds = slo_targets(std::numeric_limits<double>::infinity(), 0.0, 0.0);
+  expect_rejected(infinite_target, "infinite class target");
 }
 
 TEST(GetHealth, RejectsUnsupportedApiVersion) {

@@ -1259,6 +1259,9 @@ TEST(BatchServing, ReservationWindowAutoReleasesAtVirtualDeadline) {
   bad.qpu = names[0];
   bad.duration_seconds = 0.0;
   EXPECT_EQ(client.reserveQpu(bad).status().code(), api::StatusCode::kInvalidArgument);
+  // An infinite window would never expire, yet echo a deadline.
+  bad.duration_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(client.reserveQpu(bad).status().code(), api::StatusCode::kInvalidArgument);
 
   api::ReserveQpuRequest reserve;
   reserve.qpu = names[0];
@@ -1511,6 +1514,18 @@ TEST(BatchServing, BadSchedulerKnobsSurfaceAsInvalidArgument) {
   auto weight_handle = weight_client.invoke(weight_request);
   ASSERT_FALSE(weight_handle.ok());
   EXPECT_EQ(weight_handle.status().code(), api::StatusCode::kInvalidArgument);
+
+  // NaN passes a plain range check; it must be rejected just the same.
+  QonductorConfig nan_weight;
+  nan_weight.num_qpus = 2;
+  nan_weight.fidelity_weight = std::numeric_limits<double>::quiet_NaN();
+  api::QonductorClient nan_client(nan_weight);
+  const auto nan_image = deploy_quantum(nan_client, "nan-weight", circuit::ghz(3));
+  api::InvokeRequest nan_request;
+  nan_request.image = nan_image;
+  auto nan_handle = nan_client.invoke(nan_request);
+  ASSERT_FALSE(nan_handle.ok());
+  EXPECT_EQ(nan_handle.status().code(), api::StatusCode::kInvalidArgument);
 }
 
 // Deadline-boundary regression, site 2 of 3 (the mid-batch filter): the
