@@ -70,6 +70,7 @@ TEST(SystemMonitor, ReservationWindowExpiresAtTheSnapshotThatReachesIt) {
   EXPECT_EQ(monitor.qpu("mumbai")->release_at, std::optional<double>(100.0));
   // Before the deadline the snapshot keeps both reservations.
   auto table = monitor.release_due(99.0);
+  ASSERT_EQ(table.size(), 2u);
   EXPECT_TRUE(table[0].reserved);
   EXPECT_TRUE(table[1].reserved);
   // At the deadline (inclusive) only the windowed one is released.
