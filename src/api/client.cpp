@@ -7,79 +7,67 @@ QonductorClient::QonductorClient(core::QonductorConfig config)
 
 QonductorClient::QonductorClient(core::Qonductor& backend) : backend_(&backend) {}
 
-Status QonductorClient::check_version(std::uint32_t requested, const char* method) const {
-  if (requested == kApiVersion) return Status::Ok();
-  return Unimplemented(std::string(method) + ": request api_version " +
-                       std::to_string(requested) + " not supported (this build speaks v" +
-                       std::to_string(kApiVersion) + ")");
+template <typename Response, typename Call>
+Result<Response> QonductorClient::guarded(const char* method, std::uint32_t api_version,
+                                          Call&& call) {
+  if (api_version != kApiVersion) {
+    return Unimplemented(std::string(method) + ": request api_version " +
+                         std::to_string(api_version) + " not supported (this build speaks v" +
+                         std::to_string(kApiVersion) + ")");
+  }
+  try {
+    return call();
+  } catch (const std::exception& e) {
+    return Internal(std::string(method) + ": " + e.what());
+  }
 }
 
 Result<CreateWorkflowResponse> QonductorClient::createWorkflow(CreateWorkflowRequest request) {
-  if (Status v = check_version(request.api_version, "createWorkflow"); !v.ok()) return v;
-  try {
+  return guarded<CreateWorkflowResponse>("createWorkflow", request.api_version, [&] {
     return backend_->createWorkflow(std::move(request));
-  } catch (const std::exception& e) {
-    return Internal(std::string("createWorkflow: ") + e.what());
-  }
+  });
 }
 
 Result<DeployResponse> QonductorClient::deploy(const DeployRequest& request) {
-  if (Status v = check_version(request.api_version, "deploy"); !v.ok()) return v;
-  try {
-    return backend_->deploy(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("deploy: ") + e.what());
-  }
+  return guarded<DeployResponse>("deploy", request.api_version,
+                                 [&] { return backend_->deploy(request); });
 }
 
 Result<RunHandle> QonductorClient::invoke(const InvokeRequest& request) {
-  if (Status v = check_version(request.api_version, "invoke"); !v.ok()) return v;
-  try {
-    return backend_->invoke(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("invoke: ") + e.what());
-  }
+  return guarded<RunHandle>("invoke", request.api_version,
+                            [&] { return backend_->invoke(request); });
 }
 
 Result<std::vector<RunHandle>> QonductorClient::invokeAll(
     const std::vector<InvokeRequest>& requests) {
+  // The batch is refused on its first request speaking another version.
+  std::uint32_t api_version = kApiVersion;
   for (const auto& request : requests) {
-    if (Status v = check_version(request.api_version, "invokeAll"); !v.ok()) return v;
+    if (request.api_version != kApiVersion) {
+      api_version = request.api_version;
+      break;
+    }
   }
-  try {
-    return backend_->invokeAll(requests);
-  } catch (const std::exception& e) {
-    return Internal(std::string("invokeAll: ") + e.what());
-  }
+  return guarded<std::vector<RunHandle>>("invokeAll", api_version,
+                                         [&] { return backend_->invokeAll(requests); });
 }
 
 Result<WorkflowStatusResponse> QonductorClient::workflowStatus(
     const WorkflowStatusRequest& request) const {
-  if (Status v = check_version(request.api_version, "workflowStatus"); !v.ok()) return v;
-  try {
-    return backend_->workflowStatus(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("workflowStatus: ") + e.what());
-  }
+  return guarded<WorkflowStatusResponse>("workflowStatus", request.api_version,
+                                         [&] { return backend_->workflowStatus(request); });
 }
 
 Result<WorkflowResultsResponse> QonductorClient::workflowResults(
     const WorkflowResultsRequest& request) const {
-  if (Status v = check_version(request.api_version, "workflowResults"); !v.ok()) return v;
-  try {
-    return backend_->workflowResults(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("workflowResults: ") + e.what());
-  }
+  return guarded<WorkflowResultsResponse>(
+      "workflowResults", request.api_version,
+      [&] { return backend_->workflowResults(request); });
 }
 
 Result<GetRunResponse> QonductorClient::getRun(const GetRunRequest& request) const {
-  if (Status v = check_version(request.api_version, "getRun"); !v.ok()) return v;
-  try {
-    return backend_->getRun(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("getRun: ") + e.what());
-  }
+  return guarded<GetRunResponse>("getRun", request.api_version,
+                                 [&] { return backend_->getRun(request); });
 }
 
 Result<RunInfo> QonductorClient::getRun(RunId run) const {
@@ -91,108 +79,69 @@ Result<RunInfo> QonductorClient::getRun(RunId run) const {
 }
 
 Result<ListRunsResponse> QonductorClient::listRuns(const ListRunsRequest& request) const {
-  if (Status v = check_version(request.api_version, "listRuns"); !v.ok()) return v;
-  try {
-    return backend_->listRuns(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("listRuns: ") + e.what());
-  }
+  return guarded<ListRunsResponse>("listRuns", request.api_version,
+                                   [&] { return backend_->listRuns(request); });
 }
 
 Result<GetSchedulerStatsResponse> QonductorClient::getSchedulerStats(
     const GetSchedulerStatsRequest& request) const {
-  if (Status v = check_version(request.api_version, "getSchedulerStats"); !v.ok()) return v;
-  try {
-    return backend_->getSchedulerStats(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("getSchedulerStats: ") + e.what());
-  }
+  return guarded<GetSchedulerStatsResponse>(
+      "getSchedulerStats", request.api_version,
+      [&] { return backend_->getSchedulerStats(request); });
 }
 
 Result<GetAdmissionStatsResponse> QonductorClient::getAdmissionStats(
     const GetAdmissionStatsRequest& request) const {
-  if (Status v = check_version(request.api_version, "getAdmissionStats"); !v.ok()) return v;
-  try {
-    return backend_->getAdmissionStats(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("getAdmissionStats: ") + e.what());
-  }
+  return guarded<GetAdmissionStatsResponse>(
+      "getAdmissionStats", request.api_version,
+      [&] { return backend_->getAdmissionStats(request); });
 }
 
 Result<GetRunTraceResponse> QonductorClient::getRunTrace(
     const GetRunTraceRequest& request) const {
-  if (Status v = check_version(request.api_version, "getRunTrace"); !v.ok()) return v;
-  try {
-    return backend_->getRunTrace(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("getRunTrace: ") + e.what());
-  }
+  return guarded<GetRunTraceResponse>("getRunTrace", request.api_version,
+                                      [&] { return backend_->getRunTrace(request); });
 }
 
 Result<GetMetricsResponse> QonductorClient::getMetrics(
     const GetMetricsRequest& request) const {
-  if (Status v = check_version(request.api_version, "getMetrics"); !v.ok()) return v;
-  try {
-    return backend_->getMetrics(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("getMetrics: ") + e.what());
-  }
+  return guarded<GetMetricsResponse>("getMetrics", request.api_version,
+                                     [&] { return backend_->getMetrics(request); });
 }
 
 Result<GetHealthResponse> QonductorClient::getHealth(
     const GetHealthRequest& request) const {
-  if (Status v = check_version(request.api_version, "getHealth"); !v.ok()) return v;
-  try {
-    return backend_->getHealth(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("getHealth: ") + e.what());
-  }
+  return guarded<GetHealthResponse>("getHealth", request.api_version,
+                                    [&] { return backend_->getHealth(request); });
 }
 
 Result<ReserveQpuResponse> QonductorClient::reserveQpu(const ReserveQpuRequest& request) {
-  if (Status v = check_version(request.api_version, "reserveQpu"); !v.ok()) return v;
-  try {
-    return backend_->reserveQpu(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("reserveQpu: ") + e.what());
-  }
+  return guarded<ReserveQpuResponse>("reserveQpu", request.api_version,
+                                     [&] { return backend_->reserveQpu(request); });
 }
 
 Result<ReleaseQpuResponse> QonductorClient::releaseQpu(const ReleaseQpuRequest& request) {
-  if (Status v = check_version(request.api_version, "releaseQpu"); !v.ok()) return v;
-  try {
-    return backend_->releaseQpu(request);
-  } catch (const std::exception& e) {
-    return Internal(std::string("releaseQpu: ") + e.what());
-  }
+  return guarded<ReleaseQpuResponse>("releaseQpu", request.api_version,
+                                     [&] { return backend_->releaseQpu(request); });
 }
 
 Result<ListImagesResponse> QonductorClient::listImages(const ListImagesRequest& request) const {
-  if (Status v = check_version(request.api_version, "listImages"); !v.ok()) return v;
-  try {
+  return guarded<ListImagesResponse>("listImages", request.api_version, [&] {
     ListImagesResponse response;
     response.images = backend_->listImages();
     return response;
-  } catch (const std::exception& e) {
-    return Internal(std::string("listImages: ") + e.what());
-  }
+  });
 }
 
 Result<estimator::PlanSet> QonductorClient::estimateResources(const circuit::Circuit& circ) const {
-  try {
-    return backend_->estimateResources(circ);
-  } catch (const std::exception& e) {
-    return Internal(std::string("estimateResources: ") + e.what());
-  }
+  return guarded<estimator::PlanSet>("estimateResources", kApiVersion,
+                                     [&] { return backend_->estimateResources(circ); });
 }
 
 Result<sched::ScheduleDecision> QonductorClient::generateSchedule(
     const sched::SchedulingInput& input) const {
-  try {
-    return backend_->generateSchedule(input);
-  } catch (const std::exception& e) {
-    return Internal(std::string("generateSchedule: ") + e.what());
-  }
+  return guarded<sched::ScheduleDecision>("generateSchedule", kApiVersion,
+                                          [&] { return backend_->generateSchedule(input); });
 }
 
 }  // namespace qon::api

@@ -93,7 +93,13 @@ class QonductorClient {
   const core::Qonductor& backend() const { return *backend_; }
 
  private:
-  Status check_version(std::uint32_t requested, const char* method) const;
+  /// The boundary every call crosses: a request speaking another
+  /// api_version is refused UNIMPLEMENTED, and an exception escaping
+  /// `call` becomes INTERNAL. Both messages start "<method>: ".
+  /// Calls without a versioned request pass kApiVersion.
+  template <typename Response, typename Call>
+  static Result<Response> guarded(const char* method, std::uint32_t api_version,
+                                  Call&& call);
 
   std::unique_ptr<core::Qonductor> owned_;  ///< set iff constructed from config
   core::Qonductor* backend_;

@@ -10,8 +10,11 @@
 //   auto result = handle.result();
 
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "api/result.hpp"
 #include "api/types.hpp"
@@ -19,9 +22,21 @@
 
 namespace qon::api {
 
+/// A run's bounded span ring. obs::Tracer writes and reads it under the
+/// owning record's mutex; once `spans` is full, `head` is the oldest slot
+/// and the next span overwrites it.
+struct SpanRing {
+  std::vector<TraceSpan> spans;
+  std::size_t head = 0;
+  std::uint64_t recorded = 0;  ///< spans ever recorded, including dropped
+};
+
 /// Shared record of one run, written by the orchestrator's executor and
 /// read by any number of handles. All mutable fields are guarded by
-/// `mutex`; `cv` is notified on every status transition.
+/// `mutex`; `cv` is notified on every status transition. The record is
+/// also where the run's trace lives: the engine worker driving the run and
+/// the scheduler thread deciding its parked task append spans to `trace`
+/// under `mutex`, holding no other lock (kRunState is the outermost rank).
 struct RunState {
   RunId id = 0;
   workflow::ImageId image = 0;
@@ -45,6 +60,8 @@ struct RunState {
   double submitted_at GUARDED_BY(mutex) = -1.0;
   double started_at GUARDED_BY(mutex) = -1.0;
   double finished_at GUARDED_BY(mutex) = -1.0;
+  /// The run's lifecycle spans (obs::Tracer); empty when tracing is off.
+  SpanRing trace GUARDED_BY(mutex);
 };
 
 class RunHandle {

@@ -119,7 +119,8 @@ enum class LockRank : int {
 
   /// api::RunState::mutex — one per run record; the outermost rank.
   /// Outside kRunTable (settle_run calls mark_terminal under the record
-  /// lock).
+  /// lock). Also guards the run's span ring, so span writes from engine
+  /// workers and the scheduler thread take it with no other lock held.
   kRunState = 300,
   /// core::RunTable::mutex_ — the run-record table structure. A leaf:
   /// eviction only drops the table's own references.
@@ -164,16 +165,11 @@ enum class LockRank : int {
   kRegistry = 800,
   /// Qonductor::prep_cache_mutex_ — transpile/estimate cache. Leaf.
   kPrepCache = 850,
-  /// obs::Tracer::mutex_ — the run-id -> trace-buffer map. Outside
-  /// kTraceBuffer: getRunTrace snapshots a buffer while holding the map
-  /// lock. High rank so lookups may run while holding any scheduler or
-  /// run-engine lock (none do today, but recording must never rank-invert).
+  /// obs::Tracer::mutex_ — the trace retention index (run id -> run
+  /// record). Taken alone: getRunTrace copies the record out and releases
+  /// it before taking the record's kRunState lock, and span writes take
+  /// only the record lock.
   kTracer = 860,
-  /// obs::RunTraceBuffer::mutex_ — one per-run span ring. Near-leaf:
-  /// spans are recorded from engine workers and the scheduler thread while
-  /// those components hold their own (lower-ranked) locks, and the only
-  /// lock ever taken inside it is kLogging.
-  kTraceBuffer = 880,
   /// join_mutex_ of RunEngine / SchedulerService — serializes
   /// concurrent shutdown(); held only while joining, after the component's
   /// own lock is released.

@@ -451,12 +451,13 @@ std::shared_ptr<RunContinuation> Qonductor::make_run(const workflow::WorkflowIma
   if (telemetry_.tracing_enabled()) {
     // The trace starts before the engine submit so the submit point is
     // always the first span, even if the first engine step runs instantly.
-    cont->trace = telemetry_.tracer().start(run);
-    cont->trace->record(telemetry_.tracer().point(
-        "submit", submitted_at, "image=" + std::to_string(image->id)));
-    cont->trace->record(telemetry_.tracer().point(
-        "admitted", submitted_at,
-        std::string("priority=") + api::priority_name(priority)));
+    obs::Tracer& tracer = telemetry_.tracer();
+    tracer.start(cont->state);
+    tracer.record(*cont->state, tracer.point("submit", submitted_at,
+                                             "image=" + std::to_string(image->id)));
+    tracer.record(*cont->state,
+                  tracer.point("admitted", submitted_at,
+                               std::string("priority=") + api::priority_name(priority)));
   }
   return cont;
 }
@@ -855,14 +856,13 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
                  std::max(0.0, finished_at - submitted_at), finished_at,
                  terminal == api::RunStatus::kCompleted);
   }
-  if (cont->trace) {
+  const obs::Tracer& tracer = telemetry_.tracer();
+  if (telemetry_.tracing_enabled()) {
     // The settling step's own span goes in first, so the settle point
     // stays the trace's last span (finalize below exports the trace).
-    cont->trace->record(telemetry_.tracer().span("engine_step", cont->step_virtual_start,
-                                                 fleetNow(), cont->step_wall_start_us,
-                                                 "finished"));
-    cont->trace->record(telemetry_.tracer().point("settle", finished_at,
-                                                  api::run_status_name(terminal)));
+    tracer.record(*state, tracer.span("engine_step", cont->step_virtual_start, fleetNow(),
+                                      cont->step_wall_start_us, "finished"));
+    tracer.record(*state, tracer.point("settle", finished_at, api::run_status_name(terminal)));
   }
   {
     MutexLock lock(state->mutex);
@@ -875,9 +875,9 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
     run_table_.mark_terminal(run);
   }
   state->cv.notify_all();
-  if (cont->trace) {
+  if (telemetry_.tracing_enabled()) {
     // Outside all component locks, per the sink contract.
-    telemetry_.tracer().finalize(cont->trace);
+    tracer.finalize(*state);
   }
   if (Logger::enabled(LogLevel::kDebug)) {
     orch_log().debug("run settled", {{"run", run},
@@ -916,22 +916,24 @@ void Qonductor::record_task_result(RunContinuation& cont, workflow::TaskId node,
 }
 
 StepOutcome Qonductor::step_run(const std::shared_ptr<RunContinuation>& cont) {
-  // Capture the context up front: after a parking step registers its
+  if (!telemetry_.tracing_enabled()) return step_run_impl(cont);
+  // Take the record up front: after a parking step registers its
   // settlement callback, `cont` may already be resuming on another worker
-  // and must not be dereferenced again (the span ring locks internally).
-  const obs::TraceContext trace = cont->trace;
-  if (!trace) return step_run_impl(cont);
+  // and its fields must not be read again. The record itself outlives
+  // this step (the engine's event holds `cont`, which holds the record).
+  api::RunState& state = *cont->state;
+  const obs::Tracer& tracer = telemetry_.tracer();
   const double virtual_start = fleetNow();
-  const double wall_start = telemetry_.tracer().wall_now_us();
+  const double wall_start = tracer.wall_now_us();
   cont->step_virtual_start = virtual_start;
   cont->step_wall_start_us = wall_start;
   const StepOutcome outcome = step_run_impl(cont);
   if (outcome != StepOutcome::kFinished) {
     // A finishing step's span was recorded by settle_run, ahead of the
     // settle point (and the sink already exported the trace).
-    trace->record(telemetry_.tracer().span(
-        "engine_step", virtual_start, fleetNow(), wall_start,
-        outcome == StepOutcome::kParked ? "parked" : "progress"));
+    tracer.record(state, tracer.span("engine_step", virtual_start, fleetNow(), wall_start,
+                                     outcome == StepOutcome::kParked ? "parked"
+                                                                     : "progress"));
   }
   return outcome;
 }
@@ -984,21 +986,21 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       cont->settle_hint = std::max(cont->settle_hint, pending->dispatched_at);
       return settle_task_failure(cont, task.name, pending->error);
     }
-    if (cont->trace) {
+    const bool tracing = telemetry_.tracing_enabled();
+    const obs::Tracer& tracer = telemetry_.tracer();
+    if (tracing) {
       // The cycle's verdict fields are stable after settlement (see
       // pending_queue.hpp) — stamp the dispatch edge at the cycle's own
       // virtual fire time.
-      cont->trace->record(telemetry_.tracer().point(
-          "dispatch", pending->dispatched_at,
-          "qpu=" + std::to_string(pending->assigned_qpu)));
+      tracer.record(*state, tracer.point("dispatch", pending->dispatched_at,
+                                         "qpu=" + std::to_string(pending->assigned_qpu)));
     }
     try {
-      const double exec_wall_start =
-          cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
+      const double exec_wall_start = tracing ? tracer.wall_now_us() : 0.0;
       TaskResult tr = execute_quantum(task, *prep, *pending, node);
-      if (cont->trace) {
-        cont->trace->record(telemetry_.tracer().span(
-            "qpu_exec", tr.start, tr.end, exec_wall_start, "resource=" + tr.resource));
+      if (tracing) {
+        tracer.record(*state, tracer.span("qpu_exec", tr.start, tr.end, exec_wall_start,
+                                          "resource=" + tr.resource));
       }
       record_task_result(*cont, node, std::move(tr));
     } catch (const std::exception& e) {
@@ -1036,16 +1038,16 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     for (const workflow::TaskId dep : cont->image->dag.dependencies(node)) {
       ready = std::max(ready, cont->finish[dep]);
     }
-    const double exec_wall_start =
-        cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
+    const bool tracing = telemetry_.tracing_enabled();
+    const obs::Tracer& tracer = telemetry_.tracer();
+    const double exec_wall_start = tracing ? tracer.wall_now_us() : 0.0;
     api::Result<TaskResult> executed = run_classical_task(task, ready);
     if (!executed.ok()) {
       return settle_task_failure(cont, task.name, executed.status());
     }
-    if (cont->trace) {
-      cont->trace->record(telemetry_.tracer().span(
-          "task_classical", executed->start, executed->end, exec_wall_start,
-          "resource=" + executed->resource));
+    if (tracing) {
+      tracer.record(*state, tracer.span("task_classical", executed->start, executed->end,
+                                        exec_wall_start, "resource=" + executed->resource));
     }
     record_task_result(*cont, node, *std::move(executed));
   } catch (const std::exception& e) {
@@ -1203,15 +1205,16 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
   pending->priority = prefs.priority;
   pending->est_fidelity = prep->est_fidelity;
   pending->est_exec_seconds = prep->est_exec_seconds;
-  if (cont->trace) {
+  if (telemetry_.tracing_enabled()) {
     // Request-half fields: the scheduler thread reads them under the same
     // happens-before as the rest (the queue's lock hand-off) and records
-    // queue_wait / cycle-stage spans into the ring before settlement.
-    pending->trace = cont->trace;
-    pending->enqueued_wall_us = telemetry_.tracer().wall_now_us();
-    cont->trace->record(telemetry_.tracer().point(
-        "park", pending->enqueued_at,
-        "task=" + task.name + " priority=" + api::priority_name(prefs.priority)));
+    // queue_wait / cycle-stage spans into the record before settlement.
+    const obs::Tracer& tracer = telemetry_.tracer();
+    pending->trace = state;
+    pending->enqueued_wall_us = tracer.wall_now_us();
+    tracer.record(*state, tracer.point("park", pending->enqueued_at,
+                                       "task=" + task.name + " priority=" +
+                                           api::priority_name(prefs.priority)));
   }
   if (Logger::enabled(LogLevel::kDebug)) {
     orch_log().debug("quantum task parked",

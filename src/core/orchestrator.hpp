@@ -367,10 +367,10 @@ class Qonductor {
   // -- run-engine state machine (one call = one event) --------------------------
   /// Tracing wrapper around step_run_impl: records one "engine_step" span
   /// per event (outcome in the detail; a finishing step's span is recorded
-  /// by settle_run, ahead of the settle point). Captures the trace context
+  /// by settle_run, ahead of the settle point). Takes the run record
   /// BEFORE stepping — after a parking step registers its settlement
   /// callback the continuation may already be resuming on another worker
-  /// and must not be touched; the span ring itself locks internally.
+  /// and must not be touched; the span write locks the record.
   StepOutcome step_run(const std::shared_ptr<RunContinuation>& cont);
   /// Advances a run by one DAG node: first event transitions kPending ->
   /// kRunning, a resume event collects the parked quantum task's verdict

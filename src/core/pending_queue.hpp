@@ -33,13 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "api/run_handle.hpp"
 #include "api/status.hpp"
 #include "api/types.hpp"
 #include "common/thread_safety.hpp"
-
-namespace qon::obs {
-class RunTraceBuffer;  // obs/trace.hpp — opaque here, see `trace` below
-}  // namespace qon::obs
 
 namespace qon::core {
 
@@ -64,12 +61,15 @@ struct PendingQuantumTask {
   /// cycle's sched::SchedulingInput.
   std::vector<double> est_fidelity;
   std::vector<double> est_exec_seconds;
-  /// The run's span ring (null when tracing is off). Part of the request
-  /// half — written before the task is offered, so the scheduler thread
-  /// reads it under the same happens-before the other request fields ride
-  /// (the queue's lock hand-off). The cycle records queue_wait / stage
-  /// spans into it BEFORE settling the task.
-  std::shared_ptr<obs::RunTraceBuffer> trace;
+  /// The run record whose span ring the cycle records queue_wait / stage
+  /// spans into BEFORE settling the task (empty when tracing is off). Part
+  /// of the request half — written before the task is offered, so the
+  /// scheduler thread reads it under the same happens-before the other
+  /// request fields ride (the queue's lock hand-off). Non-owning: the
+  /// record owns this task through RunState::unpark, and a run cancelled
+  /// while its task sits in a cycle's batch may be freed before the cycle
+  /// gets to it — lock() then yields null and the spans are skipped.
+  std::weak_ptr<api::RunState> trace;
   /// Wall clock (tracer µs) at offer time — the wall start of the
   /// queue_wait span, paired with the virtual `enqueued_at`.
   double enqueued_wall_us = 0.0;

@@ -59,12 +59,6 @@
 #include "core/pending_queue.hpp"
 #include "workflow/registry.hpp"
 
-namespace qon::obs {
-// Per-run span ring (obs/trace.hpp); continuations carry it as an opaque
-// pointer so the engine layer stays free of obs includes.
-class RunTraceBuffer;
-}  // namespace qon::obs
-
 namespace qon::core {
 
 // Per-backend transpile + estimate bundle (defined in orchestrator.hpp); a
@@ -89,12 +83,6 @@ struct RunContinuation {
   api::WorkflowResult result;           ///< accumulated execution report
   bool started = false;                 ///< kPending -> kRunning happened
 
-  /// Per-run span ring, created at submit time by the orchestrator's
-  /// tracer (null when tracing is off). Shares the continuation's
-  /// synchronization story: only the single in-flight event records into
-  /// it through this pointer, and the buffer itself locks internally for
-  /// the concurrent getRunTrace reader.
-  std::shared_ptr<obs::RunTraceBuffer> trace;
   /// Start of the step in flight (virtual and tracer wall clock), stamped
   /// when tracing: a step that settles the run records its own
   /// engine_step span ahead of the settle point.

@@ -214,17 +214,11 @@ void SchedulerService::run_loop() {
   }
 }
 
-void SchedulerService::record_queue_wait(const PendingQueue::Item& item, double now,
-                                         std::string verdict) const {
-  if (!item->trace) return;
-  api::TraceSpan span;
-  span.name = "queue_wait";
-  span.detail = std::move(verdict);
-  span.virtual_start = item->enqueued_at;
-  span.virtual_end = now;
-  span.wall_start_us = item->enqueued_wall_us;
-  span.wall_end_us = telemetry_->tracer().wall_now_us();
-  item->trace->record(std::move(span));
+void SchedulerService::record_queue_wait(api::RunState& run, const PendingQuantumTask& item,
+                                         double now, std::string verdict) const {
+  const obs::Tracer& tracer = telemetry_->tracer();
+  tracer.record(run, tracer.span("queue_wait", item.enqueued_at, now, item.enqueued_wall_us,
+                                 std::move(verdict)));
 }
 
 void SchedulerService::fail_expired(const std::vector<PendingQueue::Item>& overdue,
@@ -233,7 +227,7 @@ void SchedulerService::fail_expired(const std::vector<PendingQueue::Item>& overd
   // client that observes its run DEADLINE_EXCEEDED must already find the
   // expiry in getSchedulerStats.
   for (const auto& item : overdue) {
-    record_queue_wait(item, now, "expired");
+    if (const auto run = item->trace.lock()) record_queue_wait(*run, *item, now, "expired");
     item->fail(api::DeadlineExceeded(
                    "scheduling cycle: task '" + item->task_name + "' of run " +
                        std::to_string(item->run) + " missed its deadline (t=" +
@@ -415,7 +409,8 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
   // batch member gets the stage spans of the cycle that decided it — the
   // stages happened at one virtual instant (`now`), so only the wall clock
   // spreads them out.
-  const double stages_end_us = telemetry_->tracer().wall_now_us();
+  const obs::Tracer& tracer = telemetry_->tracer();
+  const double stages_end_us = tracer.wall_now_us();
   const double select_us = decision.select_seconds * 1e6;
   const double optimize_us = decision.optimize_seconds * 1e6;
   const double preprocess_us = decision.preprocess_seconds * 1e6;
@@ -439,22 +434,20 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
   // resume step.
   fail_expired(overdue, now);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i]->trace && cycle_error.ok()) {
+    if (const auto run = batch[i]->trace.lock(); run && cycle_error.ok()) {
       const bool dispatched = decision.assignment[i] >= 0;
-      record_queue_wait(batch[i], now,
+      record_queue_wait(*run, *batch[i], now,
                         dispatched ? "dispatched qpu=" +
                                          std::to_string(decision.assignment[i])
                                    : "filtered");
-      batch[i]->trace->record(stage_span(
-          "cycle_preprocess", stages_end_us - select_us - optimize_us - preprocess_us,
-          stages_end_us - select_us - optimize_us));
-      batch[i]->trace->record(stage_span("cycle_optimize",
-                                         stages_end_us - select_us - optimize_us,
-                                         stages_end_us - select_us));
-      batch[i]->trace->record(
-          stage_span("cycle_select", stages_end_us - select_us, stages_end_us));
-    } else if (batch[i]->trace) {
-      record_queue_wait(batch[i], now, "failed: " + cycle_error.message());
+      tracer.record(*run, stage_span("cycle_preprocess",
+                                     stages_end_us - select_us - optimize_us - preprocess_us,
+                                     stages_end_us - select_us - optimize_us));
+      tracer.record(*run, stage_span("cycle_optimize", stages_end_us - select_us - optimize_us,
+                                     stages_end_us - select_us));
+      tracer.record(*run, stage_span("cycle_select", stages_end_us - select_us, stages_end_us));
+    } else if (run) {
+      record_queue_wait(*run, *batch[i], now, "failed: " + cycle_error.message());
     }
     if (!cycle_error.ok()) {
       batch[i]->fail(cycle_error, now);

@@ -190,10 +190,10 @@ class SchedulerService {
   /// counter value (single scheduler thread, so the read-after-inc is the
   /// incremented value).
   void append_cycle_locked(api::SchedulerCycleInfo& info) REQUIRES(stats_mutex_);
-  /// Records the queue_wait span (enqueue -> verdict, both clocks) into a
-  /// settling item's trace ring. Must run BEFORE complete()/fail() — the
-  /// settlement edge is what publishes the span to the resuming run.
-  void record_queue_wait(const PendingQueue::Item& item, double now,
+  /// Records the queue_wait span (enqueue -> verdict, both clocks) of
+  /// `item` into its run record `run`. Must run BEFORE complete()/fail() —
+  /// the settlement edge is what publishes the span to the resuming run.
+  void record_queue_wait(api::RunState& run, const PendingQuantumTask& item, double now,
                          std::string verdict) const;
 
   const SchedulerServiceConfig config_;

@@ -38,10 +38,16 @@ api::Status validate_slo_config(
       return api::InvalidArgument(where + "attainment_target must be in (0, 1)");
     }
     // The negated comparisons also reject NaN; an infinite window would
-    // size the SLI ring without bound.
+    // size the SLI ring without bound, and a finite but huge one would
+    // still try to allocate it.
     if (!(rule.fast_window_seconds > 0.0 && std::isfinite(rule.fast_window_seconds)) ||
         !(rule.slow_window_seconds > 0.0 && std::isfinite(rule.slow_window_seconds))) {
       return api::InvalidArgument(where + "windows must be finite and > 0");
+    }
+    if (rule.slow_window_seconds > kMaxSloWindowSeconds) {
+      return api::InvalidArgument(where + "windows must be at most 30 days (" +
+                                  std::to_string(static_cast<long>(kMaxSloWindowSeconds)) +
+                                  " s)");
     }
     if (rule.fast_window_seconds > rule.slow_window_seconds) {
       return api::InvalidArgument(where +

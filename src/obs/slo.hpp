@@ -60,11 +60,17 @@ struct AlertTransition {
   double slow_burn = 0.0;
 };
 
+/// The longest alert window a rule may ask for: 30 days. The SLI ring holds
+/// one bucket per `bucket_seconds` of the longest window, so this caps it
+/// at 43,201 buckets per class at the default 60 s granularity.
+inline constexpr double kMaxSloWindowSeconds = 30.0 * 24 * 3600;
+
 /// The one validator of an SLO configuration (orchestrator health config
 /// and campaign profiles alike): class targets finite and >= 0 (0 leaves
-/// the class untracked); every rule on a tracked class, with finite
-/// windows, fast <= slow, attainment in (0, 1), burn > 0 and clear in
-/// [0, burn]. kInvalidArgument naming the offender; kOk otherwise.
+/// the class untracked); every rule on a tracked class, with windows in
+/// (0, kMaxSloWindowSeconds], fast <= slow, attainment in (0, 1), burn > 0
+/// and clear in [0, burn]. kInvalidArgument naming the offender; kOk
+/// otherwise.
 api::Status validate_slo_config(
     const std::array<double, api::kNumPriorities>& slo_seconds,
     const std::vector<SloRule>& rules);

@@ -5,9 +5,8 @@
 // it). Components receive a Telemetry& / Telemetry* and register their
 // instruments at construction; the config gates the optional surfaces:
 //
-//   - tracing:  off -> no TraceContext is ever created, every record site
-//               short-circuits on the null pointer; getRunTrace returns
-//               FAILED_PRECONDITION.
+//   - tracing:  off -> no span is recorded and no run enters the tracer's
+//               retention index; getRunTrace returns FAILED_PRECONDITION.
 //   - metrics:  gates the OPTIONAL observations (latency/stage histograms).
 //               Counters and callback gauges backing the pre-existing stats
 //               surfaces (getSchedulerStats / getAdmissionStats /

@@ -7,73 +7,77 @@
 
 namespace qon::obs {
 
-RunTraceBuffer::RunTraceBuffer(api::RunId run, std::size_t capacity,
-                               Counter* drop_counter)
-    : run_(run),
-      capacity_(std::max<std::size_t>(1, capacity)),
-      drop_counter_(drop_counter) {}
-
-void RunTraceBuffer::record(api::TraceSpan span) {
-  MutexLock lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
-  } else {
-    // Wrapped: overwrite the oldest slot and advance the ring head.
-    ring_[next_] = std::move(span);
-    next_ = (next_ + 1) % capacity_;
-    if (drop_counter_ != nullptr) drop_counter_->inc();
-  }
-  ++recorded_;
-}
-
-api::RunTrace RunTraceBuffer::snapshot() const {
-  api::RunTrace out;
-  out.run = run_;
-  MutexLock lock(mutex_);
-  out.recorded = recorded_;
-  out.dropped = recorded_ - ring_.size();
-  out.spans.reserve(ring_.size());
-  // Oldest-first: from the ring head around; before wrap, next_ is 0 and
-  // this is a plain copy.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.spans.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
 Tracer::Tracer(std::size_t max_runs, std::size_t spans_per_run, TraceSink sink,
                Counter* span_drop_counter)
     : max_runs_(std::max<std::size_t>(1, max_runs)),
-      spans_per_run_(spans_per_run),
+      spans_per_run_(std::max<std::size_t>(1, spans_per_run)),
       sink_(std::move(sink)),
       span_drop_counter_(span_drop_counter),
       epoch_(std::chrono::steady_clock::now()) {}
 
-TraceContext Tracer::start(api::RunId run) {
-  auto buffer =
-      std::make_shared<RunTraceBuffer>(run, spans_per_run_, span_drop_counter_);
+void Tracer::start(std::shared_ptr<api::RunState> run) {
+  // Declared before the lock, so an evicted record that was the last
+  // reference to its run is destroyed after the unlock.
+  std::shared_ptr<api::RunState> evicted;
+  const api::RunId id = run->id;
   MutexLock lock(mutex_);
-  traces_[run] = buffer;
-  order_.push_back(run);
-  while (traces_.size() > max_runs_) {
-    traces_.erase(order_.front());
+  runs_[id] = std::move(run);
+  order_.push_back(id);
+  while (runs_.size() > max_runs_) {
+    if (const auto it = runs_.find(order_.front()); it != runs_.end()) {
+      evicted = std::move(it->second);
+      runs_.erase(it);
+    }
     order_.pop_front();
   }
-  return buffer;
 }
 
-void Tracer::finalize(const TraceContext& trace) const {
-  if (sink_ && trace) sink_(trace->snapshot());
+void Tracer::record(api::RunState& run, api::TraceSpan span) const {
+  MutexLock lock(run.mutex);
+  api::SpanRing& ring = run.trace;
+  if (ring.spans.size() < spans_per_run_) {
+    ring.spans.push_back(std::move(span));
+  } else {
+    // Wrapped: overwrite the oldest slot and advance the ring head.
+    ring.spans[ring.head] = std::move(span);
+    ring.head = (ring.head + 1) % spans_per_run_;
+    if (span_drop_counter_ != nullptr) span_drop_counter_->inc();
+  }
+  ++ring.recorded;
+}
+
+api::RunTrace Tracer::snapshot(const api::RunState& run) {
+  api::RunTrace out;
+  out.run = run.id;
+  MutexLock lock(run.mutex);
+  const api::SpanRing& ring = run.trace;
+  out.recorded = ring.recorded;
+  out.dropped = ring.recorded - ring.spans.size();
+  out.spans.reserve(ring.spans.size());
+  // Oldest-first: from the ring head around; before wrap, head is 0 and
+  // this is a plain copy.
+  for (std::size_t i = 0; i < ring.spans.size(); ++i) {
+    out.spans.push_back(ring.spans[(ring.head + i) % ring.spans.size()]);
+  }
+  return out;
+}
+
+void Tracer::finalize(const api::RunState& run) const {
+  if (sink_) sink_(snapshot(run));
 }
 
 api::Result<api::RunTrace> Tracer::trace(api::RunId run) const {
-  MutexLock lock(mutex_);
-  const auto it = traces_.find(run);
-  if (it == traces_.end()) {
+  std::shared_ptr<const api::RunState> record;
+  {
+    MutexLock lock(mutex_);
+    const auto it = runs_.find(run);
+    if (it != runs_.end()) record = it->second;
+  }
+  if (!record) {
     return api::NotFound("getRunTrace: no trace for run " + std::to_string(run) +
                          " (unknown id, or evicted from the trace retention window)");
   }
-  return it->second->snapshot();
+  return snapshot(*record);
 }
 
 api::TraceSpan Tracer::point(const char* name, double virtual_now,

@@ -1,38 +1,41 @@
 #pragma once
 // Run-lifecycle tracing — the first pillar of the telemetry subsystem.
 //
-// Every run carries a TraceContext (a shared_ptr to its RunTraceBuffer) on
-// its RunContinuation and on each parked PendingQuantumTask; a null context
-// means tracing is off and every record call is skipped at the call site.
-// Spans stamp BOTH clocks — the fleet virtual clock (simulated seconds) and
-// a steady wall clock (µs since the tracer's construction) — so a reader
-// can answer "where did run 4711's 90 ms go?" in either domain.
+// A run's spans live on its record: api::RunState::trace is a bounded ring
+// guarded by the record's own mutex, so tracing adds no per-run heap object
+// and no lock of its own. The Tracer writes and reads those rings and keeps
+// the retention index getRunTrace looks runs up in. Spans stamp BOTH
+// clocks — the fleet virtual clock (simulated seconds) and a steady wall
+// clock (µs since the tracer's construction) — so a reader can answer
+// "where did run 4711's 90 ms go?" in either domain.
 //
 // Writer model: a span is recorded either by the engine worker currently
 // driving the run (one event per run is in flight at a time) or by the
-// scheduler thread BEFORE it settles the run's parked task — the
-// settlement happens-before edge then orders those writes against the
-// resume step's. The per-buffer mutex therefore mostly guards writers
-// against concurrent READERS (getRunTrace, the export sink); the one
-// genuine writer/writer window — a parking step's trailing engine_step
-// span racing the resume on another worker — interleaves safely under it.
+// scheduler thread BEFORE it settles the run's parked task, which reaches
+// the record through PendingQuantumTask::trace — the settlement
+// happens-before edge then orders those writes against the resume step's.
+// Every write takes the record lock with no other lock held (kRunState is
+// the outermost rank), so the one genuine writer/writer window — a parking
+// step's trailing engine_step span racing the resume on another worker —
+// interleaves safely, and readers (getRunTrace, the export sink) copy the
+// ring under the same lock.
 //
-// Each buffer is a bounded ring: a run recording more spans than the ring
-// holds drops the oldest and counts them, so a pathological run cannot grow
+// Each ring is bounded: a run recording more spans than the ring holds
+// drops the oldest and counts them, so a pathological run cannot grow
 // memory without bound. The tracer itself retains at most `max_runs`
-// traces, evicting oldest-started first — getRunTrace on an evicted (or
+// records, evicting oldest-started first — getRunTrace on an evicted (or
 // never-traced) id is NOT_FOUND, mirroring the run table's retention
 // contract.
 
 #include <chrono>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "api/result.hpp"
+#include "api/run_handle.hpp"
 #include "api/types.hpp"
 #include "common/thread_safety.hpp"
 
@@ -40,57 +43,32 @@ namespace qon::obs {
 
 class Counter;
 
-/// The bounded span ring of one run.
-class RunTraceBuffer {
- public:
-  /// `drop_counter`, when set, counts spans evicted from the full ring
-  /// (no-silent-caps: qon_trace_spans_dropped_total in the registry).
-  RunTraceBuffer(api::RunId run, std::size_t capacity,
-                 Counter* drop_counter = nullptr);
-
-  /// Appends a span, dropping the oldest once `capacity` is exceeded.
-  void record(api::TraceSpan span);
-
-  /// The retained spans in record order, plus the drop accounting.
-  api::RunTrace snapshot() const;
-
-  api::RunId run() const { return run_; }
-
- private:
-  const api::RunId run_;
-  const std::size_t capacity_;
-  Counter* const drop_counter_;  ///< null = uncounted (standalone buffers)
-  mutable Mutex mutex_{LockRank::kTraceBuffer, "RunTraceBuffer::mutex_"};
-  /// Ring storage: `next_` is the oldest slot once the ring has wrapped.
-  std::vector<api::TraceSpan> ring_ GUARDED_BY(mutex_);
-  std::size_t next_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t recorded_ GUARDED_BY(mutex_) = 0;
-};
-
-/// Carried on RunContinuation / PendingQuantumTask; null = tracing off.
-using TraceContext = std::shared_ptr<RunTraceBuffer>;
-
 /// Invoked with a finished run's trace at settle time (outside all locks).
 using TraceSink = std::function<void(const api::RunTrace&)>;
 
-/// Owns every live trace buffer and the bounded retention window.
+/// Writes and reads the span rings on run records and keeps the bounded
+/// retention index of traced runs.
 class Tracer {
  public:
   /// Retains at most `max_runs` traces (oldest-started evicted first);
   /// each ring holds `spans_per_run` spans. `sink`, when set, receives each
   /// finished run's trace from finalize(). `span_drop_counter`, when set,
-  /// counts ring-evicted spans across every buffer this tracer creates.
+  /// counts ring-evicted spans across every run this tracer records into.
   Tracer(std::size_t max_runs, std::size_t spans_per_run, TraceSink sink = nullptr,
          Counter* span_drop_counter = nullptr);
 
-  /// Creates + registers the buffer for `run`, evicting the oldest trace
-  /// beyond the retention bound (an evicted in-flight run keeps recording
-  /// into its buffer through the shared_ptr; only the lookup is gone).
-  TraceContext start(api::RunId run);
+  /// Adds `run` to the retention index, evicting the oldest-started trace
+  /// beyond the bound (an evicted in-flight run keeps recording into its
+  /// record; only the lookup is gone).
+  void start(std::shared_ptr<api::RunState> run);
+
+  /// Appends `span` to the run's ring under the record lock, dropping the
+  /// oldest span once the ring is full. The caller must hold no lock.
+  void record(api::RunState& run, api::TraceSpan span) const;
 
   /// Feeds the finished trace to the sink (if configured). The trace stays
   /// queryable until evicted by later start() calls.
-  void finalize(const TraceContext& trace) const;
+  void finalize(const api::RunState& run) const;
 
   /// The retained trace of `run`; kNotFound for unknown / evicted ids.
   api::Result<api::RunTrace> trace(api::RunId run) const;
@@ -111,14 +89,20 @@ class Tracer {
                       double wall_start_us, std::string detail = "") const;
 
  private:
+  /// The run's retained spans in record order, plus the drop accounting.
+  static api::RunTrace snapshot(const api::RunState& run);
+
   const std::size_t max_runs_;
   const std::size_t spans_per_run_;
   const TraceSink sink_;
   Counter* const span_drop_counter_;
   const std::chrono::steady_clock::time_point epoch_;
 
+  /// Taken alone: trace() copies a record out and releases this lock before
+  /// it takes the record's (kRunState ranks below kTracer).
   mutable Mutex mutex_{LockRank::kTracer, "Tracer::mutex_"};
-  std::unordered_map<api::RunId, TraceContext> traces_ GUARDED_BY(mutex_);
+  std::unordered_map<api::RunId, std::shared_ptr<api::RunState>> runs_
+      GUARDED_BY(mutex_);
   std::deque<api::RunId> order_ GUARDED_BY(mutex_);  ///< start order, oldest first
 };
 

@@ -77,17 +77,11 @@ double esp_fidelity(const circuit::Circuit& physical, const qpu::Backend& backen
   return std::clamp(esp, 0.0, 1.0);
 }
 
-double esp_fidelity(const circuit::Circuit& physical, const qpu::Backend& backend,
-                    const HiddenNoise& hidden, double crosstalk_factor) {
-  EspOptions options;
-  options.crosstalk_factor = crosstalk_factor;
-  return esp_fidelity(physical, backend, hidden, options);
-}
-
 double ground_truth_fidelity(const circuit::Circuit& physical, const qpu::Backend& backend,
                              const HiddenNoise& hidden, int shots, Rng& rng,
                              double crosstalk_factor) {
-  const double f = esp_fidelity(physical, backend, hidden, crosstalk_factor);
+  const double f =
+      esp_fidelity(physical, backend, hidden, EspOptions{.crosstalk_factor = crosstalk_factor});
   const double se = std::sqrt(std::max(f * (1.0 - f), 1e-6) / std::max(shots, 1));
   return std::clamp(f + rng.normal(0.0, se), 0.0, 1.0);
 }

@@ -31,10 +31,6 @@ struct EspOptions {
 double esp_fidelity(const circuit::Circuit& physical, const qpu::Backend& backend,
                     const HiddenNoise& hidden, const EspOptions& options = {});
 
-/// Back-compat overload taking only a crosstalk factor.
-double esp_fidelity(const circuit::Circuit& physical, const qpu::Backend& backend,
-                    const HiddenNoise& hidden, double crosstalk_factor);
-
 /// Ground-truth fidelity for large circuits: true-rate ESP plus shot noise
 /// (standard error ~ sqrt(f(1-f)/shots)), clamped to [0, 1].
 double ground_truth_fidelity(const circuit::Circuit& physical, const qpu::Backend& backend,

@@ -1,6 +1,6 @@
 #include "workflow/registry.hpp"
 
-#include <stdexcept>
+#include <utility>
 
 namespace qon::workflow {
 
@@ -19,12 +19,6 @@ ImageId WorkflowRegistry::register_image(std::string name, WorkflowDag dag, yaml
 const WorkflowImage* WorkflowRegistry::find(ImageId id) const {
   const auto it = images_.find(id);
   return it == images_.end() ? nullptr : &it->second;
-}
-
-const WorkflowImage& WorkflowRegistry::get(ImageId id) const {
-  const WorkflowImage* image = find(id);
-  if (image == nullptr) throw std::out_of_range("WorkflowRegistry::get: unknown image");
-  return *image;
 }
 
 std::optional<ImageId> WorkflowRegistry::find_by_name(const std::string& name) const {

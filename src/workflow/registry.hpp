@@ -38,10 +38,6 @@ class WorkflowRegistry {
   /// returned pointer stays valid for the registry's lifetime.
   const WorkflowImage* find(ImageId id) const;
 
-  /// @deprecated Compat wrapper over find(); throws std::out_of_range when
-  /// absent.
-  const WorkflowImage& get(ImageId id) const;
-
   /// Latest image registered under `name`, if any.
   std::optional<ImageId> find_by_name(const std::string& name) const;
 

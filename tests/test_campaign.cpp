@@ -382,6 +382,15 @@ TEST(CampaignProfile, MalformedProfilesSurfaceInvalidArgument) {
       "slo:\n  standard_seconds: 1800\nalerts:\n  - name: a\n"
       "    slow_window_seconds: inf\ntenants:\n  - name: t\n",
       "window");
+  // ... and so would a finite window longer than 30 days.
+  expect_invalid(
+      "slo:\n  standard_seconds: 1800\nalerts:\n  - name: a\n"
+      "    slow_window_seconds: 2592001\ntenants:\n  - name: t\n",
+      "window");
+  expect_invalid(
+      "slo:\n  standard_seconds: 1800\nalerts:\n  - name: a\n"
+      "    slow_window_seconds: 1e15\ntenants:\n  - name: t\n",
+      "window");
   // The lockstep determinism contract is enforced structurally.
   expect_invalid(
       "scheduler:\n  max_batch_size: 10\ntenants:\n  - name: t\n", "lockstep");
@@ -623,9 +632,10 @@ TEST(CampaignDropCounters, TraceSpanRingOverflowIsCounted) {
   obs::TelemetryConfig config;
   config.trace_spans_per_run = 1;
   obs::Telemetry telemetry(config);
-  const obs::TraceContext trace = telemetry.tracer().start(1);
+  api::RunState run;
+  run.id = 1;
   for (int i = 0; i < 3; ++i) {
-    trace->record(telemetry.tracer().point("p", static_cast<double>(i)));
+    telemetry.tracer().record(run, telemetry.tracer().point("p", static_cast<double>(i)));
   }
   const api::MetricsSnapshot snapshot = telemetry.snapshot(0.0);
   const api::MetricValue* dropped =

@@ -424,6 +424,15 @@ TEST(GetHealth, BadSloConfigSurfacesAsInvalidArgument) {
       std::numeric_limits<double>::infinity();
   expect_rejected(infinite_window, "infinite slow window");
 
+  // Finite but unbounded windows would size the SLI ring past memory.
+  core::HealthConfig month_and_a_second = valid;
+  month_and_a_second.alert_rules[0].slow_window_seconds = 30.0 * 24 * 3600 + 1.0;
+  expect_rejected(month_and_a_second, "slow window of 30 days + 1 s");
+
+  core::HealthConfig huge_window = valid;
+  huge_window.alert_rules[0].slow_window_seconds = 1e15;
+  expect_rejected(huge_window, "slow window of 1e15 s");
+
   core::HealthConfig inverted = valid;
   inverted.alert_rules[0].fast_window_seconds = 7200.0;  // > slow (3600)
   expect_rejected(inverted, "fast window longer than slow");

@@ -107,31 +107,40 @@ TEST(ObsMetrics, RegistrationIsIdempotentPerLabelSet) {
   EXPECT_DOUBLE_EQ(snapshot.metrics[2].value, 7.0);
 }
 
-// ---- RunTraceBuffer: bounded ring with drop accounting -----------------------
+// ---- Tracer: bounded span rings on run records, bounded retention ---------
+
+std::shared_ptr<api::RunState> run_record(api::RunId id) {
+  auto run = std::make_shared<api::RunState>();
+  run->id = id;
+  return run;
+}
 
 TEST(ObsTrace, RingWrapsAndCountsDrops) {
-  obs::RunTraceBuffer buffer(42, 4);
+  obs::Tracer tracer(/*max_runs=*/1, /*spans_per_run=*/4);
+  const auto run = run_record(42);
+  tracer.start(run);
   for (int i = 0; i < 10; ++i) {
     api::TraceSpan span;
     span.name = "span-" + std::to_string(i);
     span.virtual_start = span.virtual_end = static_cast<double>(i);
-    buffer.record(std::move(span));
+    tracer.record(*run, std::move(span));
   }
-  const api::RunTrace trace = buffer.snapshot();
-  EXPECT_EQ(trace.run, 42u);
-  ASSERT_EQ(trace.spans.size(), 4u);
-  EXPECT_EQ(trace.recorded, 10u);
-  EXPECT_EQ(trace.dropped, 6u);
+  const auto trace = tracer.trace(42);
+  ASSERT_TRUE(trace.ok()) << trace.status().to_string();
+  EXPECT_EQ(trace->run, 42u);
+  ASSERT_EQ(trace->spans.size(), 4u);
+  EXPECT_EQ(trace->recorded, 10u);
+  EXPECT_EQ(trace->dropped, 6u);
   // Oldest retained first: spans 6..9 survive in record order.
-  EXPECT_EQ(trace.spans.front().name, "span-6");
-  EXPECT_EQ(trace.spans.back().name, "span-9");
+  EXPECT_EQ(trace->spans.front().name, "span-6");
+  EXPECT_EQ(trace->spans.back().name, "span-9");
 }
 
 TEST(ObsTrace, TracerEvictsOldestBeyondRetention) {
   obs::Tracer tracer(/*max_runs=*/2, /*spans_per_run=*/8);
-  tracer.start(1);
-  tracer.start(2);
-  tracer.start(3);  // evicts run 1
+  tracer.start(run_record(1));
+  tracer.start(run_record(2));
+  tracer.start(run_record(3));  // evicts run 1
   EXPECT_EQ(tracer.trace(1).status().code(), api::StatusCode::kNotFound);
   EXPECT_TRUE(tracer.trace(2).ok());
   EXPECT_TRUE(tracer.trace(3).ok());
@@ -143,9 +152,10 @@ TEST(ObsTrace, FinalizeFeedsSinkOutsideTheMapLock) {
   obs::Tracer tracer(4, 8, [&finished](const api::RunTrace& trace) {
     finished.push_back(trace);
   });
-  const obs::TraceContext trace = tracer.start(7);
-  trace->record(tracer.point("submit", 0.0));
-  tracer.finalize(trace);
+  const auto run = run_record(7);
+  tracer.start(run);
+  tracer.record(*run, tracer.point("submit", 0.0));
+  tracer.finalize(*run);
   ASSERT_EQ(finished.size(), 1u);
   EXPECT_EQ(finished[0].run, 7u);
   ASSERT_EQ(finished[0].spans.size(), 1u);
@@ -470,6 +480,61 @@ TEST(ObsEndToEnd, JsonlTraceSinkReceivesEveryFinishedRun) {
   EXPECT_NE(text.find("\"queue_wait\""), std::string::npos);
   EXPECT_NE(text.find("\"settle\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// Span writers (engine workers, the scheduler thread) and readers
+// (getRunTrace, the export sink) meet on each run record's lock; the
+// sanitizer builds run this to keep that meeting race-free.
+TEST(ObsEndToEnd, ConcurrentTraceReadersSeeWholeTraces) {
+  constexpr std::size_t kRuns = 500;
+  const auto whole = [](const api::RunTrace& trace) {
+    return !trace.spans.empty() && trace.spans.front().name == "submit" &&
+           span_index(trace, "settle") >= 0 && trace.dropped == 0;
+  };
+  std::atomic<std::size_t> sunk{0};
+  std::atomic<std::size_t> sunk_whole{0};
+  core::QonductorConfig config;
+  config.num_qpus = 2;
+  config.seed = 17;
+  config.executor_threads = 2;
+  config.trajectory_width_limit = 0;
+  config.scheduler_service.queue_threshold = 25;
+  config.scheduler_service.linger = 5ms;
+  config.telemetry.trace_sink = [&](const api::RunTrace& trace) {
+    sunk.fetch_add(1);
+    if (whole(trace)) sunk_whole.fetch_add(1);
+  };
+  api::QonductorClient client(config);
+  const auto image = deploy_quantum(client, "trace-stress");
+
+  std::vector<api::InvokeRequest> requests(kRuns);
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    requests[i].image = image;
+    requests[i].preferences.priority = static_cast<api::Priority>(i % api::kNumPriorities);
+  }
+  auto handles = client.invokeAll(requests);
+  ASSERT_TRUE(handles.ok()) << handles.status().to_string();
+
+  std::size_t read_whole = 0;
+  std::thread reader([&] {
+    for (const auto& handle : *handles) {
+      api::GetRunTraceRequest request;
+      request.run = handle.id();
+      // Read the ring while its writers may still be at it, then once more
+      // after the run settles.
+      while (!api::run_status_terminal(handle.poll())) {
+        EXPECT_TRUE(client.getRunTrace(request).ok());
+      }
+      if (handle.wait() != api::RunStatus::kCompleted) continue;
+      const auto response = client.getRunTrace(request);
+      if (response.ok() && whole(response->trace)) ++read_whole;
+    }
+  });
+  reader.join();
+
+  EXPECT_EQ(read_whole, kRuns);
+  EXPECT_EQ(sunk.load(), kRuns);
+  EXPECT_EQ(sunk_whole.load(), kRuns);
 }
 
 // ---- telemetry self-observation ----------------------------------------------

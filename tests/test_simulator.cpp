@@ -331,7 +331,8 @@ TEST_F(NoisyExecution, GroundTruthAddsShotNoise) {
   Rng rng(17);
   const auto t = transpiler::transpile(circuit::ghz(10), backend_);
   const HiddenNoise hidden(3, 0.25);
-  const double base = esp_fidelity(t.circuit, backend_, hidden, 1.08);
+  const double base =
+      esp_fidelity(t.circuit, backend_, hidden, EspOptions{.crosstalk_factor = 1.08});
   double spread = 0.0;
   for (int i = 0; i < 20; ++i) {
     spread = std::max(
@@ -344,7 +345,8 @@ TEST_F(NoisyExecution, GroundTruthAddsShotNoise) {
 TEST_F(NoisyExecution, HiddenNoiseShiftsGroundTruthAwayFromEstimate) {
   const auto t = transpiler::transpile(circuit::qft(10), backend_);
   const double published = esp_fidelity(t.circuit, backend_, HiddenNoise::none());
-  const double truth = esp_fidelity(t.circuit, backend_, HiddenNoise(99, 0.35), 1.08);
+  const double truth = esp_fidelity(t.circuit, backend_, HiddenNoise(99, 0.35),
+                                    EspOptions{.crosstalk_factor = 1.08});
   EXPECT_NE(published, truth);
 }
 

@@ -85,8 +85,8 @@ TEST(Registry, RegisterAndFetch) {
   WorkflowRegistry registry;
   const auto id = registry.register_image("qaoa-ready", chain_workflow({}), yaml::Node());
   EXPECT_EQ(registry.size(), 1u);
-  EXPECT_EQ(registry.get(id).name, "qaoa-ready");
-  EXPECT_THROW(registry.get(id + 42), std::out_of_range);
+  ASSERT_NE(registry.find(id), nullptr);
+  EXPECT_EQ(registry.find(id)->name, "qaoa-ready");
 }
 
 TEST(Registry, FindIsNonThrowing) {
@@ -110,8 +110,9 @@ TEST(Registry, ImageCarriesTopologicalOrder) {
   const auto expected = dag.topological_order();
   WorkflowRegistry registry;
   const auto id = registry.register_image("ordered", std::move(dag), yaml::Node());
-  EXPECT_EQ(registry.get(id).order, expected);
-  EXPECT_EQ(registry.get(id).order, (std::vector<TaskId>{early, late}));
+  ASSERT_NE(registry.find(id), nullptr);
+  EXPECT_EQ(registry.find(id)->order, expected);
+  EXPECT_EQ(registry.find(id)->order, (std::vector<TaskId>{early, late}));
 }
 
 TEST(Registry, FindByNameReturnsLatest) {
@@ -138,7 +139,8 @@ TEST(Registry, ImagesCarryDeploymentConfig) {
       "  limits:\n"
       "    qubits: 20\n");
   const auto id = registry.register_image("with-config", chain_workflow({}), config);
-  EXPECT_EQ(registry.get(id).config.at("resources").at("limits").at("qubits").as_int(), 20);
+  ASSERT_NE(registry.find(id), nullptr);
+  EXPECT_EQ(registry.find(id)->config.at("resources").at("limits").at("qubits").as_int(), 20);
 }
 
 }  // namespace
