@@ -126,9 +126,9 @@ enum class LockRank : int {
   /// eviction only drops the table's own references.
   kRunTable = 400,
   /// core::SystemMonitor::mutex_ — the QPU table (health flags,
-  /// reservations and their windows) and, when replicated, its Raft
-  /// journal. A leaf: reserve, release and the snapshot's expiry sweep
-  /// each change a reservation in one critical section under it alone.
+  /// reservations and their windows). A leaf: reserve, release and the
+  /// snapshot's expiry sweep each change a reservation in one critical
+  /// section under it alone.
   kMonitor = 500,
   /// obs::MetricsRegistry::mutex_ — metric registration + snapshot. Must
   /// rank BELOW kPendingQueue/kRunEngine/kSchedulerStats: snapshot() polls

@@ -102,7 +102,7 @@ Qonductor::Qonductor(QonductorConfig config)
       nodes_(sched::make_node_pool(config.classical_standard_nodes,
                                    config.classical_highend_nodes,
                                    config.classical_fpga_nodes)),
-      monitor_(backend_names(fleet()), config.replicated_monitor),
+      monitor_(backend_names(fleet())),
       run_table_(config.retention),
       telemetry_(config.telemetry) {
 
@@ -154,6 +154,11 @@ Qonductor::Qonductor(QonductorConfig config)
     // The negated comparison also rejects NaN.
     init_status_ = api::InvalidArgument(
         "QonductorConfig: fidelity_weight must be in [0, 1]");
+  }
+  if (init_status_.ok() && !(config_.health.engine_stall_budget_seconds > 0.0)) {
+    // Same rule as the scheduler budgets: NaN or <= 0 breaks the watchdog.
+    init_status_ = api::InvalidArgument(
+        "QonductorConfig: health.engine_stall_budget_seconds must be > 0");
   }
   if (init_status_.ok()) {
     init_status_ = obs::validate_slo_config(config_.health.slo_seconds,
@@ -463,10 +468,11 @@ std::shared_ptr<RunContinuation> Qonductor::make_run(const workflow::WorkflowIma
 }
 
 void Qonductor::retract_run(const std::shared_ptr<api::RunState>& state) {
-  // The engine rejected the run (shutdown). Retract the record and fail
-  // the state so no waiter can block forever on a run that will never
-  // execute.
+  // The engine rejected the run (shutdown). Retract the record and its
+  // trace, and fail the state so no waiter can block forever on a run that
+  // will never execute.
   run_table_.erase(state->id);
+  if (telemetry_.tracing_enabled()) telemetry_.tracer().forget(state->id);
   {
     MutexLock lock(state->mutex);
     state->status = api::RunStatus::kFailed;
@@ -904,7 +910,7 @@ StepOutcome Qonductor::settle_task_failure(const std::shared_ptr<RunContinuation
 }
 
 void Qonductor::record_task_result(RunContinuation& cont, workflow::TaskId node,
-                                   TaskResult tr) {
+                                   api::TaskResult tr) {
   cont.finish[node] = tr.end;
   cont.result.makespan_seconds = std::max(cont.result.makespan_seconds, tr.end);
   cont.result.total_cost_dollars += tr.cost_dollars;
@@ -997,7 +1003,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     }
     try {
       const double exec_wall_start = tracing ? tracer.wall_now_us() : 0.0;
-      TaskResult tr = execute_quantum(task, *prep, *pending, node);
+      api::TaskResult tr = execute_quantum(task, *prep, *pending, node);
       if (tracing) {
         tracer.record(*state, tracer.span("qpu_exec", tr.start, tr.end, exec_wall_start,
                                           "resource=" + tr.resource));
@@ -1041,7 +1047,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     const bool tracing = telemetry_.tracing_enabled();
     const obs::Tracer& tracer = telemetry_.tracer();
     const double exec_wall_start = tracing ? tracer.wall_now_us() : 0.0;
-    api::Result<TaskResult> executed = run_classical_task(task, ready);
+    api::Result<api::TaskResult> executed = run_classical_task(task, ready);
     if (!executed.ok()) {
       return settle_task_failure(cont, task.name, executed.status());
     }
@@ -1148,10 +1154,10 @@ QuantumExecutionRecord Qonductor::execution_record(
   return record;
 }
 
-TaskResult Qonductor::execute_quantum(const workflow::HybridTask& task,
-                                      const QuantumTaskPrep& prep,
-                                      const PendingQuantumTask& verdict,
-                                      workflow::TaskId node) {
+api::TaskResult Qonductor::execute_quantum(const workflow::HybridTask& task,
+                                           const QuantumTaskPrep& prep,
+                                           const PendingQuantumTask& verdict,
+                                           workflow::TaskId node) {
   const std::size_t q = static_cast<std::size_t>(verdict.assigned_qpu);
   const qpu::FleetGenerations::Generation& generation = fleet_generations_.current();
   const auto& backend = *generation.fleet.backends[q];
@@ -1165,7 +1171,7 @@ TaskResult Qonductor::execute_quantum(const workflow::HybridTask& task,
   // executes it or on how many executions ran before it.
   Rng rng(derive_seed(config_.seed ^ kExecutionStream, verdict.run, node));
 
-  TaskResult result;
+  api::TaskResult result;
   result.name = task.name;
   result.kind = workflow::TaskKind::kQuantum;
   result.resource = backend.name();
@@ -1286,14 +1292,14 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
   return StepOutcome::kParked;
 }
 
-api::Result<TaskResult> Qonductor::run_classical_task(const workflow::HybridTask& task,
-                                                      double ready_at) {
+api::Result<api::TaskResult> Qonductor::run_classical_task(
+    const workflow::HybridTask& task, double ready_at) {
   const int node = sched::schedule_classical(nodes_, task.request);
   if (node < 0) {
     return api::ResourceExhausted("run_classical_task: no classical node fits '" +
                                   task.name + "'");
   }
-  TaskResult result;
+  api::TaskResult result;
   result.name = task.name;
   result.kind = workflow::TaskKind::kClassical;
   result.resource = nodes_[static_cast<std::size_t>(node)].name;

@@ -85,12 +85,6 @@ namespace qon::core {
 
 using RunId = api::RunId;
 
-// The run lifecycle and execution report are part of the public API
-// surface (api/types.hpp); core aliases them for backward compatibility.
-using WorkflowStatus = api::RunStatus;
-using TaskResult = api::TaskResult;
-using WorkflowResult = api::WorkflowResult;
-
 /// What executing a prepped quantum task on one QPU needs beyond its
 /// transpiled circuit and the task's RNG stream: a pure function of
 /// (transpiled circuit, backend calibration, task), so it is computed once
@@ -148,7 +142,7 @@ api::Status validate_admission_config(const AdmissionConfig& config);
 /// standalone in tests.
 struct HealthConfig {
   /// Wall seconds of engine-worker heartbeat silence tolerated while the
-  /// engine's event queue is non-empty.
+  /// engine's event queue is non-empty. Must be > 0 (NaN is rejected too).
   double engine_stall_budget_seconds = 60.0;
   /// Per-class run-latency targets (virtual seconds) feeding the online
   /// SLO monitor; 0 leaves a class untracked. The SLO machinery only
@@ -172,7 +166,6 @@ struct QonductorConfig {
   /// api::JobPreferences::fidelity_weight overrides it per job.
   double fidelity_weight = 0.5;
   estimator::PlanConfig plan_config;
-  bool replicated_monitor = false;    ///< Raft-backed system monitor
   std::size_t classical_standard_nodes = 8;
   std::size_t classical_highend_nodes = 2;
   std::size_t classical_fpga_nodes = 1;
@@ -305,7 +298,7 @@ class Qonductor {
   const qpu::Fleet& fleet() const { return fleet_generations_.current().fleet; }
   SystemMonitor& monitor() { return monitor_; }
   const std::vector<sched::ClassicalNode>& nodes() const { return nodes_; }
-  /// The run table backing getRun/listRuns (eviction counters, sweep()).
+  /// The run table backing getRun/listRuns (eviction counters).
   /// Non-const like monitor(): mutating it is an owner-level operation.
   RunTable& runTable() { return run_table_; }
   /// The event-driven run engine (live/peak run counts, event counter) —
@@ -399,9 +392,9 @@ class Qonductor {
   StepOutcome park_quantum_task(const std::shared_ptr<RunContinuation>& cont,
                                 const workflow::HybridTask& task);
   /// Books the finished node into the continuation and advances the cursor.
-  void record_task_result(RunContinuation& cont, workflow::TaskId node, TaskResult tr);
-  api::Result<TaskResult> run_classical_task(const workflow::HybridTask& task,
-                                             double ready_at);
+  void record_task_result(RunContinuation& cont, workflow::TaskId node, api::TaskResult tr);
+  api::Result<api::TaskResult> run_classical_task(const workflow::HybridTask& task,
+                                                  double ready_at);
   std::shared_ptr<const QuantumTaskPrep> prepare_quantum_task(
       const workflow::HybridTask& task) const;
   /// The execution record of `task` transpiled to `transpiled` on
@@ -421,8 +414,9 @@ class Qonductor {
   /// Lock-free; the window's start is never before the task's DAG-ready
   /// time: every predecessor advanced the fleet clock to its end before the
   /// task parked, and a cycle dispatches at or after that frontier.
-  TaskResult execute_quantum(const workflow::HybridTask& task, const QuantumTaskPrep& prep,
-                             const PendingQuantumTask& verdict, workflow::TaskId node);
+  api::TaskResult execute_quantum(const workflow::HybridTask& task,
+                                  const QuantumTaskPrep& prep,
+                                  const PendingQuantumTask& verdict, workflow::TaskId node);
 
   QonductorConfig config_;
   /// Ground-truth noise: a pure function of (backend, calibration cycle,

@@ -11,10 +11,9 @@
 //     how far over budget the table is,
 //   - capacity bound: at most `max_terminal_runs` terminal records are
 //     retained, evicting the least-recently-used first (a find() refreshes
-//     recency, so recently-queried results survive longest),
-//   - age bound: a terminal record older than `terminal_ttl_seconds` is
-//     evicted on the next table operation (lookups of an expired record
-//     miss, exactly as if it had already been swept).
+//     recency, so recently-queried results survive longest). The bound is
+//     enforced on every mark_terminal(), the only call that adds a
+//     terminal record.
 //
 // Eviction removes the table's reference only. Run records are shared
 // (std::shared_ptr<api::RunState>), so an api::RunHandle held by a client
@@ -22,7 +21,6 @@
 // only id-based queries (getRun / listRuns / runHandle) return NOT_FOUND.
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -33,17 +31,11 @@
 
 namespace qon::core {
 
-/// Garbage-collection knobs for terminal run records. In-flight runs are
-/// never subject to either bound.
+/// Garbage-collection knob for terminal run records. In-flight runs are
+/// never subject to it.
 struct RunRetentionPolicy {
   /// Max terminal records retained; LRU-evicted beyond this. 0 = unlimited.
   std::size_t max_terminal_runs = 1024;
-  /// Terminal records older than this are evicted lazily on the next table
-  /// operation. 0 = no age bound.
-  double terminal_ttl_seconds = 0.0;
-  /// Clock used for TTL accounting, in seconds. Defaults to the process
-  /// steady clock; tests inject a fake to make TTL eviction deterministic.
-  std::function<double()> clock;
 };
 
 /// Thread-safe owner of run records with retention-policy GC. One internal
@@ -55,29 +47,25 @@ class RunTable {
   explicit RunTable(RunRetentionPolicy policy = {});
 
   /// Assigns the next run id, stamps it into the record and inserts it as
-  /// in-flight. Also opportunistically sweeps expired terminal records.
-  /// Precondition: `state` is not yet shared with other threads (the id is
-  /// stored without taking the record's lock).
+  /// in-flight. Precondition: `state` is not yet shared with other threads
+  /// (the id is stored without taking the record's lock).
   api::RunId insert(const std::shared_ptr<api::RunState>& state);
 
   /// Records that a run reached a terminal state, making it eligible for
-  /// GC, then enforces both retention bounds. Unknown ids and repeated
+  /// GC, then enforces the capacity bound. Unknown ids and repeated
   /// calls are ignored. Safe to call while holding the record's own lock —
   /// the executor does exactly that, so that a client observing a terminal
   /// status is guaranteed the table already treats the run as terminal.
   void mark_terminal(api::RunId id);
 
-  /// Looks up a record. Touches LRU recency for terminal records; a record
-  /// past its TTL is evicted and reported as absent (nullptr).
+  /// Looks up a record (nullptr when absent). Touches LRU recency for
+  /// terminal records.
   std::shared_ptr<api::RunState> find(api::RunId id);
 
   /// Removes a record outright regardless of state (used to retract a run
   /// whose executor submission was rejected). Does not count as an
   /// eviction. Returns false for unknown ids.
   bool erase(api::RunId id);
-
-  /// Evicts every terminal record past its TTL; returns how many.
-  std::size_t sweep();
 
   /// Records with id > `after`, in ascending run-id order — the pagination
   /// primitive behind listRuns. The table is bounded, so the full tail is
@@ -94,14 +82,8 @@ class RunTable {
   struct Entry {
     std::shared_ptr<api::RunState> state;
     bool terminal = false;
-    double terminal_at = 0.0;              ///< policy clock at mark_terminal
-    std::list<api::RunId>::iterator lru;   ///< valid iff terminal
+    std::list<api::RunId>::iterator lru;  ///< valid iff terminal
   };
-
-  bool expired_locked(const Entry& entry, double now) const REQUIRES(mutex_);
-  void evict_locked(std::map<api::RunId, Entry>::iterator it) REQUIRES(mutex_);
-  /// Enforces both retention bounds; returns how many records it evicted.
-  std::size_t enforce_locked() REQUIRES(mutex_);
 
   RunRetentionPolicy policy_;
 

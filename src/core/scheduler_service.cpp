@@ -48,6 +48,16 @@ api::Status validate_scheduler_config(const SchedulerServiceConfig& config) {
     return api::InvalidArgument(
         "scheduler config: aging_seconds must be >= 0 (0 disables aging)");
   }
+  // A NaN budget would disable its watchdog (age > NaN is false) and a
+  // non-positive one reads as stalled whenever the component is busy.
+  if (!(config.scheduler_stall_budget_seconds > 0.0)) {
+    return api::InvalidArgument(
+        "scheduler config: scheduler_stall_budget_seconds must be > 0");
+  }
+  if (!(config.queue_stall_budget_seconds > 0.0)) {
+    return api::InvalidArgument(
+        "scheduler config: queue_stall_budget_seconds must be > 0");
+  }
   return api::Status::Ok();
 }
 

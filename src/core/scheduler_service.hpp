@@ -84,7 +84,7 @@ struct SchedulerServiceConfig {
   /// scheduler budget bounds heartbeat silence of the scheduler thread
   /// while work is pending; the queue budget bounds silence of the drain
   /// path (cycles firing without taking a batch). Only consulted when the
-  /// service is constructed with a HealthMonitor.
+  /// service is constructed with a HealthMonitor; both must be > 0.
   double scheduler_stall_budget_seconds = 60.0;
   double queue_stall_budget_seconds = 120.0;
 };

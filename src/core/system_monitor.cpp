@@ -4,25 +4,21 @@
 
 namespace qon::core {
 
-SystemMonitor::SystemMonitor(const std::vector<std::string>& qpu_names,
-                             bool replicated, std::size_t replicas) {
+SystemMonitor::SystemMonitor(const std::vector<std::string>& qpu_names) {
   MutexLock lock(mutex_);
   for (const std::string& name : qpu_names) qpus_.emplace_back().name = name;
-  if (replicated) store_ = std::make_unique<raft::ReplicatedKvStore>(replicas);
 }
 
-QpuInfo* SystemMonitor::write_locked(const std::string& name, const char* key, bool value) {
+QpuInfo* SystemMonitor::find_locked(const std::string& name) {
   for (QpuInfo& qpu : qpus_) {
-    if (qpu.name != name) continue;
-    if (store_) store_->set("qpu/" + name + "/" + key, value ? "1" : "0");
-    return &qpu;
+    if (qpu.name == name) return &qpu;
   }
   return nullptr;
 }
 
 std::optional<bool> SystemMonitor::set_qpu_online(const std::string& name, bool online) {
   MutexLock lock(mutex_);
-  QpuInfo* qpu = write_locked(name, "online", online);
+  QpuInfo* qpu = find_locked(name);
   if (qpu == nullptr) return std::nullopt;
   return std::exchange(qpu->online, online);
 }
@@ -30,7 +26,7 @@ std::optional<bool> SystemMonitor::set_qpu_online(const std::string& name, bool 
 std::optional<bool> SystemMonitor::reserve(const std::string& name,
                                            std::optional<double> release_at) {
   MutexLock lock(mutex_);
-  QpuInfo* qpu = write_locked(name, "reserved", true);
+  QpuInfo* qpu = find_locked(name);
   if (qpu == nullptr) return std::nullopt;
   if (!qpu->reserved) qpu->release_at = release_at;  // a held one keeps its window
   return std::exchange(qpu->reserved, true);
@@ -38,7 +34,7 @@ std::optional<bool> SystemMonitor::reserve(const std::string& name,
 
 std::optional<bool> SystemMonitor::release(const std::string& name) {
   MutexLock lock(mutex_);
-  QpuInfo* qpu = write_locked(name, "reserved", false);
+  QpuInfo* qpu = find_locked(name);
   if (qpu == nullptr) return std::nullopt;
   qpu->release_at.reset();
   return std::exchange(qpu->reserved, false);
@@ -48,7 +44,6 @@ std::vector<QpuInfo> SystemMonitor::release_due(double now) {
   MutexLock lock(mutex_);
   for (QpuInfo& qpu : qpus_) {
     if (qpu.release_at && *qpu.release_at <= now) {
-      write_locked(qpu.name, "reserved", false);
       qpu.reserved = false;
       qpu.release_at.reset();
     }

@@ -5,17 +5,13 @@
 // no fact owned elsewhere: static and calibration data live on the fleet's
 // backends, queue waits on the orchestrator's virtual timeline, run status
 // in the RunTable. The table is typed and built once from the fleet's QPU
-// names. With `replicated` on, every flag write is also journalled through
-// the Raft-replicated KV store (2f+1 quorum, §4.1 fault tolerance); reads
-// always come from the typed table.
+// names; it is the only store of these flags.
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/thread_safety.hpp"
-#include "raft/kv_store.hpp"
 
 namespace qon::core {
 
@@ -39,15 +35,13 @@ struct QpuInfo {
 
 /// Thread-safe: device managers, reservation calls, scheduling snapshots
 /// and health probes hit the monitor concurrently; one internal mutex
-/// serializes the table and (when replicated) the journal, so a
-/// reservation's flag and window always change together.
+/// serializes the table, so a reservation's flag and window always change
+/// together.
 class SystemMonitor {
  public:
   /// `qpu_names` fixes the table's membership and order (every QPU starts
-  /// online and unreserved). `replicated` journals flag writes through the
-  /// Raft-backed store (slower, fault tolerant).
-  explicit SystemMonitor(const std::vector<std::string>& qpu_names,
-                         bool replicated = false, std::size_t replicas = 3);
+  /// online and unreserved).
+  explicit SystemMonitor(const std::vector<std::string>& qpu_names);
 
   /// Atomically flips only the health flag; returns the previous value,
   /// nullopt for unknown names.
@@ -70,25 +64,12 @@ class SystemMonitor {
   std::vector<QpuInfo> qpus() const;
   std::vector<std::string> qpu_names() const;
 
-  bool replicated() const {
-    // store_ is immutable after construction, but the lock keeps the
-    // guarded_by contract uniform (this is a cold query path).
-    MutexLock lock(mutex_);
-    return store_ != nullptr;
-  }
-
  private:
-  /// `name`'s row (null for unknown names), with the write of `key` to
-  /// `value` journalled when replicated.
-  QpuInfo* write_locked(const std::string& name, const char* key, bool value)
-      REQUIRES(mutex_);
+  /// `name`'s row, null for unknown names.
+  QpuInfo* find_locked(const std::string& name) REQUIRES(mutex_);
 
   mutable Mutex mutex_{LockRank::kMonitor, "SystemMonitor::mutex_"};
   std::vector<QpuInfo> qpus_ GUARDED_BY(mutex_);  ///< fleet order
-  /// Write-only journal, null unless replicated. The ReplicatedKvStore
-  /// (and the whole raft:: simulation under it) is thread-compatible, not
-  /// thread-safe — every access is serialized behind mutex_ here.
-  std::unique_ptr<raft::ReplicatedKvStore> store_ GUARDED_BY(mutex_);
 };
 
 }  // namespace qon::core

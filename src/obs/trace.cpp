@@ -32,6 +32,15 @@ void Tracer::start(std::shared_ptr<api::RunState> run) {
   }
 }
 
+void Tracer::forget(api::RunId run) {
+  std::shared_ptr<api::RunState> forgotten;  // destroyed after the unlock
+  MutexLock lock(mutex_);
+  if (const auto it = runs_.find(run); it != runs_.end()) {
+    forgotten = std::move(it->second);
+    runs_.erase(it);
+  }
+}
+
 void Tracer::record(api::RunState& run, api::TraceSpan span) const {
   MutexLock lock(run.mutex);
   api::SpanRing& ring = run.trace;

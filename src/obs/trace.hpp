@@ -62,6 +62,11 @@ class Tracer {
   /// record; only the lookup is gone).
   void start(std::shared_ptr<api::RunState> run);
 
+  /// Drops `run` from the retention index (a run the engine refused never
+  /// started, so its trace must not stay queryable). Unknown ids are ignored;
+  /// start()'s eviction skips the id's stale place in the start order.
+  void forget(api::RunId run);
+
   /// Appends `span` to the run's ring under the record lock, dropping the
   /// oldest span once the ring is full. The caller must hold no lock.
   void record(api::RunState& run, api::TraceSpan span) const;

@@ -1,10 +1,10 @@
 // Tests for the core orchestrator: the system monitor's typed QPU flag
-// table (local and Raft-journalled), and the Table-2 API surface end to end — create,
-// deploy, invoke, status, results, resource estimation and scheduling —
-// exercised directly on core::Qonductor through the typed request/response
-// surface (the former synchronous shims are gone). The client facade and
-// the async lifecycle corners are covered by tests/test_api.cpp; the run
-// table's retention policy by tests/test_run_table.cpp.
+// table, and the Table-2 API surface end to end — create, deploy, invoke,
+// status, results, resource estimation and scheduling — exercised directly
+// on core::Qonductor through the typed request/response surface (the
+// former synchronous shims are gone). The client facade and the async
+// lifecycle corners are covered by tests/test_api.cpp; the run table's
+// retention policy by tests/test_run_table.cpp.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@ namespace {
 
 TEST(SystemMonitor, TableStartsOnlineAndUnreservedInGivenOrder) {
   SystemMonitor monitor({"mumbai", "cairo"});
-  EXPECT_FALSE(monitor.replicated());
   EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai", "cairo"}));
   const auto read = monitor.qpu("cairo");
   ASSERT_TRUE(read.has_value());
@@ -94,17 +93,6 @@ TEST(SystemMonitor, UnknownNamesAreRejected) {
   EXPECT_FALSE(monitor.reserve("absent", 1.0).has_value());
   EXPECT_FALSE(monitor.release("absent").has_value());
   EXPECT_EQ(monitor.qpu_names(), (std::vector<std::string>{"mumbai"}));
-}
-
-TEST(SystemMonitor, ReplicatedTableRoundTripsFlags) {
-  SystemMonitor monitor({"mumbai"}, /*replicated=*/true);
-  EXPECT_TRUE(monitor.replicated());
-  EXPECT_EQ(monitor.set_qpu_online("mumbai", false), std::optional<bool>(true));
-  EXPECT_EQ(monitor.reserve("mumbai", 10.0), std::optional<bool>(false));
-  EXPECT_FALSE(monitor.qpu("mumbai")->online);
-  EXPECT_TRUE(monitor.qpu("mumbai")->reserved);
-  EXPECT_FALSE(monitor.release_due(10.0)[0].reserved);
-  EXPECT_FALSE(monitor.set_qpu_online("absent", true).has_value());
 }
 
 /// Reference model of the reservation state as two stores: a flag table
@@ -183,7 +171,7 @@ TEST(SystemMonitor, MatchesReservationMapReference) {
     const auto uniform = [&rng](double lo, double hi) {
       return std::uniform_real_distribution<double>(lo, hi)(rng);
     };
-    SystemMonitor monitor(names, /*replicated=*/seed % 10 == 0);
+    SystemMonitor monitor(names);
     ReservationMapReference reference(names);
     for (int op = 0; op < 200; ++op) {
       // One name in nine is unknown to both.
@@ -343,7 +331,7 @@ TEST_F(OrchestratorFixture, CreateDeployInvokeLifecycle) {
   deploy(orchestrator, image);
 
   const auto result = invoke_and_wait(orchestrator, image);
-  EXPECT_EQ(result.status, WorkflowStatus::kCompleted);
+  EXPECT_EQ(result.status, api::RunStatus::kCompleted);
   ASSERT_EQ(result.tasks.size(), 3u);
   EXPECT_EQ(result.tasks[0].kind, workflow::TaskKind::kClassical);
   EXPECT_EQ(result.tasks[1].kind, workflow::TaskKind::kQuantum);
@@ -362,7 +350,7 @@ TEST_F(OrchestratorFixture, CreateDeployInvokeLifecycle) {
   status_request.run = result.run;
   auto status = orchestrator.workflowStatus(status_request);
   ASSERT_TRUE(status.ok());
-  EXPECT_EQ(status->status, WorkflowStatus::kCompleted);
+  EXPECT_EQ(status->status, api::RunStatus::kCompleted);
 }
 
 TEST_F(OrchestratorFixture, InvokeRequiresDeploy) {
@@ -405,7 +393,7 @@ TEST_F(OrchestratorFixture, LargeCircuitsUseAnalyticModel) {
                             {workflow::HybridTask::quantum("qft20", circuit::qft(20), 1000)});
   deploy(orchestrator, image);
   const auto result = invoke_and_wait(orchestrator, image);
-  EXPECT_EQ(result.status, WorkflowStatus::kCompleted);
+  EXPECT_EQ(result.status, api::RunStatus::kCompleted);
   ASSERT_EQ(result.tasks.size(), 1u);
   EXPECT_TRUE(result.tasks[0].counts.empty());  // too wide for trajectories
   // A 20-qubit QFT is deep enough that its ESP can round to zero; only the
@@ -496,7 +484,7 @@ TEST_F(OrchestratorFixture, RunInfoTimestampsFollowTheFleetClock) {
   const api::RunInfo& info = response->info;
   EXPECT_EQ(info.run, result.run);
   EXPECT_EQ(info.image, image);
-  EXPECT_EQ(info.status, WorkflowStatus::kCompleted);
+  EXPECT_EQ(info.status, api::RunStatus::kCompleted);
   EXPECT_TRUE(info.error.ok());
   // submitted -> started -> finished is monotone on the fleet virtual
   // clock, and the finish stamp has caught up with the executed makespan.
@@ -522,7 +510,7 @@ TEST_F(OrchestratorFixture, ShutdownIsIdempotentAndKeepsQueriesWorking) {
   request.run = result.run;
   auto info = orchestrator.getRun(request);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->info.status, WorkflowStatus::kCompleted);
+  EXPECT_EQ(info->info.status, api::RunStatus::kCompleted);
 
   // New work is rejected with the typed UNAVAILABLE, not an exception.
   api::InvokeRequest invoke_request;
@@ -744,7 +732,7 @@ TEST(CalibrationGenerations, TaskDispatchedAfterRecalibrationExecutesOnLiveGener
     if (recalibrate) orchestrator.recalibrateFleet();
     auto second = orchestrator.invoke(invoke);
     EXPECT_TRUE(second.ok()) << second.status().to_string();
-    std::vector<TaskResult> tasks;
+    std::vector<api::TaskResult> tasks;
     for (const auto* handle : {&*first, &*second}) {
       api::WorkflowResultsRequest request;
       request.run = handle->id();

@@ -440,6 +440,14 @@ TEST(GetHealth, BadSloConfigSurfacesAsInvalidArgument) {
   core::HealthConfig infinite_target;
   infinite_target.slo_seconds = slo_targets(std::numeric_limits<double>::infinity(), 0.0, 0.0);
   expect_rejected(infinite_target, "infinite class target");
+
+  // A NaN engine budget would disable the watchdog (age > NaN is false); a
+  // budget <= 0 reads as stalled whenever the engine is busy.
+  for (const double budget : {std::numeric_limits<double>::quiet_NaN(), 0.0, -5.0}) {
+    core::HealthConfig bad_budget;
+    bad_budget.engine_stall_budget_seconds = budget;
+    expect_rejected(bad_budget, ("engine stall budget " + std::to_string(budget)).c_str());
+  }
 }
 
 TEST(GetHealth, RejectsUnsupportedApiVersion) {

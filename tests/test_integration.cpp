@@ -1,6 +1,6 @@
 // Cross-module integration tests: the full pipeline from trained estimators
 // through the cloud simulation, plan-driven workflow execution, and the
-// replicated system monitor under the orchestrator.
+// system monitor's flags driven through the orchestrator.
 
 #include <gtest/gtest.h>
 
@@ -77,16 +77,14 @@ TEST(Integration, ModelDrivenPlansAgreeWithFallbackDirection) {
   EXPECT_GT(fidelity_of(fallback_plans, "zne"), fidelity_of(fallback_plans, "none"));
 }
 
-TEST(Integration, OrchestratorWithReplicatedMonitor) {
+TEST(Integration, OrchestratorDrivesMonitorFlags) {
   core::QonductorConfig config;
   config.num_qpus = 3;
   config.seed = 77;
-  config.replicated_monitor = true;  // system monitor backed by Raft (§4.1)
   core::Qonductor qonductor(config);
-  EXPECT_TRUE(qonductor.monitor().replicated());
 
   api::CreateWorkflowRequest create;
-  create.name = "replicated-run";
+  create.name = "monitor-run";
   create.tasks.push_back(workflow::HybridTask::quantum("ghz", circuit::ghz(4), 1000));
   const auto created = qonductor.createWorkflow(std::move(create));
   ASSERT_TRUE(created.ok()) << created.status().to_string();
@@ -98,10 +96,10 @@ TEST(Integration, OrchestratorWithReplicatedMonitor) {
   invoke_request.image = created->image;
   const auto handle = qonductor.invoke(invoke_request);
   ASSERT_TRUE(handle.ok()) << handle.status().to_string();
-  EXPECT_EQ(handle->wait(), core::WorkflowStatus::kCompleted);
+  EXPECT_EQ(handle->wait(), api::RunStatus::kCompleted);
 
-  // Reserve/release and health flips are journalled through the Raft store
-  // and read back from the typed table.
+  // Reserve/release and health flips land in the monitor's typed table and
+  // read back from it.
   const std::string qpu = qonductor.fleet().backends[0]->name();
   api::ReserveQpuRequest reserve;
   reserve.qpu = qpu;

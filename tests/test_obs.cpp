@@ -329,6 +329,51 @@ TEST(ObsEndToEnd, GetRunTraceErrorContract) {
             api::StatusCode::kFailedPrecondition);
 }
 
+// A run the engine refuses (shutdown) is retracted from the run table and
+// from the tracer's retention index alike: no id of a rejected invoke or
+// invokeAll batch answers getRunTrace, while an earlier run's trace stays.
+TEST(ObsEndToEnd, RejectedRunsLeaveNoQueryableTrace) {
+  core::QonductorConfig config;
+  config.num_qpus = 2;
+  config.seed = 17;
+  config.trajectory_width_limit = 0;
+  config.scheduler_service.queue_threshold = 1;
+  config.scheduler_service.linger = 5ms;
+  api::QonductorClient client(config);
+  ASSERT_TRUE(client.backend().telemetry().tracing_enabled());
+  api::InvokeRequest request;
+  request.image = deploy_quantum(client, "trace-retract");
+  auto before = client.invoke(request);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->wait(), api::RunStatus::kCompleted);
+
+  client.backend().shutdown();
+  auto single = client.invoke(request);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), api::StatusCode::kUnavailable);
+  EXPECT_NE(single.status().message().find("run " + std::to_string(before->id() + 1) +
+                                           " rejected"),
+            std::string::npos)
+      << single.status().to_string();
+  auto batch = client.invokeAll({request, request, request});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), api::StatusCode::kUnavailable);
+
+  // Ids are assigned in order: the rejected invoke took the next one and
+  // the batch the three after it.
+  for (api::RunId id = before->id() + 1; id <= before->id() + 4; ++id) {
+    api::GetRunTraceRequest trace_request;
+    trace_request.run = id;
+    EXPECT_EQ(client.getRunTrace(trace_request).status().code(), api::StatusCode::kNotFound)
+        << "rejected run " << id;
+    EXPECT_EQ(client.getRun(id).status().code(), api::StatusCode::kNotFound)
+        << "rejected run " << id;
+  }
+  api::GetRunTraceRequest kept;
+  kept.run = before->id();
+  EXPECT_TRUE(client.getRunTrace(kept).ok());
+}
+
 // ---- stats surfaces as registry views ----------------------------------------
 
 double metric_value(const api::MetricsSnapshot& snapshot, const std::string& name,

@@ -1,5 +1,5 @@
 // Run-table lifecycle suite: retention-policy unit tests (capacity/LRU,
-// TTL, never-evict-in-flight, handle-outlives-eviction), a multi-threaded
+// never-evict-in-flight, handle-outlives-eviction), a multi-threaded
 // stress test over the table's whole surface (run under TSAN in CI), and
 // an orchestrator-level listRuns/getRun round trip across eviction.
 
@@ -86,57 +86,11 @@ TEST(RunTable, LookupRefreshesLruRecency) {
   EXPECT_NE(table.find(3), nullptr);
 }
 
-TEST(RunTable, TtlEvictsExpiredTerminalRuns) {
-  double now = 0.0;
-  RunRetentionPolicy policy;
-  policy.terminal_ttl_seconds = 10.0;
-  policy.clock = [&now] { return now; };
-  RunTable table(policy);
-  table.insert(make_state());
-  table.insert(make_state());
-  table.mark_terminal(1);  // terminal at t=0
-
-  now = 5.0;
-  EXPECT_NE(table.find(1), nullptr);  // younger than the TTL
-
-  now = 15.0;
-  EXPECT_EQ(table.find(1), nullptr);  // expired: lookup evicts and misses
-  EXPECT_EQ(table.evictions(), 1u);
-  EXPECT_NE(table.find(2), nullptr);  // in-flight: TTL does not apply
-}
-
-TEST(RunTable, SweepCollectsAllExpiredRuns) {
-  double now = 0.0;
-  RunRetentionPolicy policy;
-  policy.terminal_ttl_seconds = 10.0;
-  policy.clock = [&now] { return now; };
-  RunTable table(policy);
-  for (int i = 0; i < 4; ++i) table.insert(make_state());
-  table.mark_terminal(1);
-  table.mark_terminal(2);
-  now = 8.0;
-  table.mark_terminal(3);  // young terminal: must survive the sweep
-
-  now = 12.0;  // runs 1-2 are 12s old, run 3 only 4s
-  EXPECT_EQ(table.sweep(), 2u);
-  EXPECT_EQ(table.find(1), nullptr);
-  EXPECT_EQ(table.find(2), nullptr);
-  EXPECT_NE(table.find(3), nullptr);
-  EXPECT_NE(table.find(4), nullptr);  // still in flight
-  EXPECT_EQ(table.sweep(), 0u);       // idempotent once clean
-}
-
 TEST(RunTable, InFlightRunsAreNeverEvicted) {
-  double now = 0.0;
   RunRetentionPolicy policy;
   policy.max_terminal_runs = 1;
-  policy.terminal_ttl_seconds = 1.0;
-  policy.clock = [&now] { return now; };
   RunTable table(policy);
-  for (int i = 0; i < 8; ++i) table.insert(make_state());
-
-  now = 100.0;  // way past any TTL, way over any capacity
-  table.sweep();
+  for (int i = 0; i < 8; ++i) table.insert(make_state());  // way over capacity
   EXPECT_EQ(table.size(), 8u);  // all in flight: pinned
   for (api::RunId id = 1; id <= 8; ++id) EXPECT_NE(table.find(id), nullptr);
 
@@ -217,8 +171,8 @@ TEST(RunTable, ListAfterPagesInRunIdOrder) {
 // ---- multi-threaded stress (run under TSAN in CI) ----------------------------
 
 // N submitter threads insert runs and drive most of them to terminal states
-// while M chaos threads concurrently poll, cancel, query, sweep and page
-// the table. Invariants checked live and at the end:
+// while M chaos threads concurrently poll, cancel, query and page the
+// table. Invariants checked live and at the end:
 //   - an in-flight run is never evicted,
 //   - the terminal population respects the capacity bound (once settled),
 //   - ids are unique and every surviving record is consistent.
@@ -275,7 +229,6 @@ TEST(RunTableStress, ConcurrentSubmitPollCancelEvict) {
           (void)handle.cancel();
           (void)handle.info();
         }
-        if (rng.bernoulli(0.2)) table.sweep();
         if (rng.bernoulli(0.2)) {
           const auto page = table.list_after(rng.bernoulli(0.5) ? upper / 2 : 0);
           for (std::size_t i = 1; i < page.size(); ++i) {
@@ -306,7 +259,7 @@ TEST(RunTableStress, ConcurrentSubmitPollCancelEvict) {
   // Settled terminal population respects the capacity bound exactly.
   EXPECT_LE(table.terminal_count(), kCapacity);
   EXPECT_EQ(table.size(), in_flight_total + table.terminal_count());
-  // No TTL: every terminal mark either survives or was capacity-evicted.
+  // Every terminal mark either survives or was capacity-evicted.
   const std::size_t marked =
       static_cast<std::size_t>(kSubmitters * kRunsPerSubmitter) - in_flight_total;
   EXPECT_EQ(table.evictions() + table.terminal_count(), marked);

@@ -1544,6 +1544,23 @@ TEST(BatchServing, BadSchedulerKnobsSurfaceAsInvalidArgument) {
   auto nan_handle = nan_client.invoke(nan_request);
   ASSERT_FALSE(nan_handle.ok());
   EXPECT_EQ(nan_handle.status().code(), api::StatusCode::kInvalidArgument);
+
+  // Watchdog budgets: NaN would silently disable a watchdog (age > NaN is
+  // false) and a budget <= 0 reads as stalled whenever the component is busy.
+  for (const double budget : {std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    for (const bool queue_budget : {false, true}) {
+      QonductorConfig bad_budget;
+      bad_budget.num_qpus = 2;
+      (queue_budget ? bad_budget.scheduler_service.queue_stall_budget_seconds
+                    : bad_budget.scheduler_service.scheduler_stall_budget_seconds) = budget;
+      api::QonductorClient budget_client(bad_budget);
+      api::InvokeRequest budget_request;
+      budget_request.image = deploy_quantum(budget_client, "bad-budget", circuit::ghz(3));
+      EXPECT_EQ(budget_client.invoke(budget_request).status().code(),
+                api::StatusCode::kInvalidArgument)
+          << "budget " << budget << (queue_budget ? " (queue)" : " (scheduler)");
+    }
+  }
 }
 
 // Deadline-boundary regression, site 2 of 3 (the mid-batch filter): the
@@ -1594,7 +1611,7 @@ TEST(SchedulerService, MidBatchFilterUsesInclusiveDeadlineBoundary) {
 // must reject the hand-off — and the orchestrator call site settles the run
 // with a typed UNAVAILABLE (covered end to end below in
 // BatchServing.ShutdownRacingAnEngineStepFailsTheRunUnavailable).
-TEST(SchedulerService, OfferAfterShutdownIsRejectedAsClosed) {
+TEST(SchedulerService, OfferOnceShutDownIsRejectedAsClosed) {
   FakeEngine engine(2);
   SchedulerServiceConfig config;
   SchedulerService service(config, 7, {}, engine.hooks());
