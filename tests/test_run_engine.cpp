@@ -27,6 +27,21 @@ using namespace std::chrono_literals;
 
 // ---- engine on fake step functions -------------------------------------------
 
+/// Polls until `done` holds or `budget` elapses; true when it held. `done`
+/// takes any lock it needs itself, so the poller never sleeps holding a
+/// lock a worker is waiting for. The wake tests below must see their runs
+/// finish BEFORE shutdown(), whose notify_all would otherwise rescue a lost
+/// wakeup.
+template <typename Pred>
+bool eventually(Pred done, std::chrono::milliseconds budget = 10s) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
 TEST(RunEngine, StepsRunsToCompletionAndCountsEvents) {
   constexpr std::size_t kRuns = 16;
   constexpr std::size_t kNodes = 4;
@@ -78,11 +93,10 @@ TEST(RunEngine, OneWorkerParksManyRunsAndResumesThemAll) {
     ASSERT_TRUE(engine.submit(std::make_shared<RunContinuation>()));
   }
   // With a single worker every run must reach its park: wait for that.
-  for (int i = 0; i < 5000; ++i) {
+  eventually([&] {
     std::lock_guard<std::mutex> lock(mutex);
-    if (parked.size() == kRuns) break;
-    std::this_thread::sleep_for(1ms);
-  }
+    return parked.size() == kRuns;
+  });
   {
     std::lock_guard<std::mutex> lock(mutex);
     ASSERT_EQ(parked.size(), kRuns);  // 64 live runs on one worker
@@ -114,11 +128,10 @@ TEST(RunEngine, ShutdownRejectsNewSubmissionsButDrainsLiveRuns) {
     return StepOutcome::kFinished;
   });
   ASSERT_TRUE(engine.submit(std::make_shared<RunContinuation>()));
-  for (int i = 0; i < 5000; ++i) {
+  eventually([&] {
     std::lock_guard<std::mutex> lock(mutex);
-    if (parked) break;
-    std::this_thread::sleep_for(1ms);
-  }
+    return parked != nullptr;
+  });
   ASSERT_NE(parked, nullptr);
 
   // Shutdown blocks on the parked run; resume it from another thread —
@@ -135,19 +148,6 @@ TEST(RunEngine, ShutdownRejectsNewSubmissionsButDrainsLiveRuns) {
   // UNAVAILABLE instead of leaving waiters stranded.
   EXPECT_FALSE(engine.submit(std::make_shared<RunContinuation>()));
   engine.shutdown();  // idempotent
-}
-
-/// Polls until `done` holds or `budget` elapses; true when it held. The
-/// wake tests below must see their runs finish BEFORE shutdown(), whose
-/// notify_all would otherwise rescue a lost wakeup.
-template <typename Pred>
-bool eventually(Pred done, std::chrono::milliseconds budget = 10s) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (!done()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(1ms);
-  }
-  return true;
 }
 
 // Workers are notified only while asleep. Spacing the submissions out lets
