@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+
 #include "circuit/library.hpp"
 #include "cloudsim/simulation.hpp"
 #include "core/orchestrator.hpp"
 #include "estimator/dataset.hpp"
+#include "estimator/features.hpp"
 #include "estimator/models.hpp"
 #include "estimator/plans.hpp"
 #include "qpu/fleet.hpp"
+#include "transpiler/transpiler.hpp"
 
 namespace qon {
 namespace {
@@ -40,9 +45,31 @@ TEST(Integration, TrainedEstimatorsDriveTheCloudSimulation) {
   config.runtime_model = &runtime_model;
   const auto result = cloudsim::run_cloud_simulation(config);
   EXPECT_GT(result.apps.size(), 0u);
+
+  // Each app's estimate is the trained model's, on the QPU the scheduler
+  // dispatched it to: whichever QPU that is, never a default or stale value.
+  // The simulation's fleet and transpile target are rebuilt as
+  // run_cloud_simulation builds them; the 0.1 h horizon ends long before the
+  // first recalibration, so the calibrations are the initial ones.
+  const auto sim_fleet = qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL,
+                                                  config.fleet_best_quality,
+                                                  config.fleet_worst_quality);
+  const auto templates = sim_fleet.template_backends();
+  std::map<std::uint64_t, cloudsim::HybridApp> workload;
+  for (auto& app : cloudsim::generate_workload(config.workload)) workload[app.id] = app;
   for (const auto& app : result.apps) {
-    EXPECT_GT(app.est_fidelity, 0.0);
-    EXPECT_LE(app.est_fidelity, 1.0);
+    ASSERT_GE(app.qpu, 0) << "app " << app.id;
+    ASSERT_LT(static_cast<std::size_t>(app.qpu), sim_fleet.backends.size()) << "app " << app.id;
+    const auto& backend = *sim_fleet.backends[static_cast<std::size_t>(app.qpu)];
+    EXPECT_EQ(app.qpu_name, backend.name()) << "app " << app.id;
+    EXPECT_TRUE(std::isfinite(app.est_fidelity)) << "app " << app.id;
+    EXPECT_GE(app.est_fidelity, 0.0) << "app " << app.id;
+    EXPECT_LE(app.est_fidelity, 1.0) << "app " << app.id;
+    const auto& generated = workload.at(app.id);
+    const auto transpiled = transpiler::transpile(generated.logical, templates.front());
+    const auto features =
+        estimator::extract_features(transpiled, generated.shots, generated.spec, backend);
+    EXPECT_EQ(app.est_fidelity, fidelity_model.estimate(features)) << "app " << app.id;
   }
 }
 
