@@ -705,7 +705,9 @@ TEST(CalibrationGenerations, TaskDispatchedAfterRecalibrationExecutesOnLiveGener
   // and the second run's arrival fires the cycle that dispatches both: the
   // first executes on generation 1 without a record for it, the second on
   // the record its generation-1 prep carries. The pinned outcomes are the
-  // ones an execution that always reads the live generation produces.
+  // ones an execution that always reads the live generation produces. Every
+  // QPU but lagos is reserved, so both runs land there whatever the
+  // optimizer draws: the stale and live outcomes compare one QPU.
   const auto run_pair = [](bool recalibrate) {
     QonductorConfig config;
     config.num_qpus = 3;
@@ -714,6 +716,12 @@ TEST(CalibrationGenerations, TaskDispatchedAfterRecalibrationExecutesOnLiveGener
     config.scheduler_service.queue_threshold = 2;
     config.scheduler_service.linger = std::chrono::minutes(10);
     Qonductor orchestrator(config);
+    for (const auto& backend : orchestrator.fleet().backends) {
+      if (backend->name() == "lagos") continue;
+      api::ReserveQpuRequest reserve;
+      reserve.qpu = backend->name();
+      EXPECT_TRUE(orchestrator.reserveQpu(reserve).ok());
+    }
     api::CreateWorkflowRequest create;
     create.name = "ghz";
     create.tasks.push_back(workflow::HybridTask::quantum("ghz", circuit::ghz(4), 1000));
@@ -747,9 +755,9 @@ TEST(CalibrationGenerations, TaskDispatchedAfterRecalibrationExecutesOnLiveGener
   EXPECT_EQ(live[0].resource, "lagos");
   EXPECT_EQ(live[0].fidelity, 0x1.ce62e94d814f8p-1);
   EXPECT_EQ(live[0].cost_dollars, 0x1.c9aa5848837cp-3);
-  EXPECT_EQ(live[1].resource, "auckland");
-  EXPECT_EQ(live[1].fidelity, 0x1.9b3401f91a513p-1);
-  EXPECT_EQ(live[1].cost_dollars, 0x1.6b313ecf781bep-2);
+  EXPECT_EQ(live[1].resource, "lagos");
+  EXPECT_EQ(live[1].fidelity, 0x1.ba22c23f81029p-1);
+  EXPECT_EQ(live[1].cost_dollars, 0x1.cf0e1113a20e2p-3);
   // Without the recalibration the same runs read generation 0's records.
   const auto stale = run_pair(false);
   EXPECT_EQ(stale[0].resource, "lagos");
