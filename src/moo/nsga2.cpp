@@ -353,18 +353,130 @@ std::pair<int, int> CrossoverSpread::children(int a, int b, double u) const {
   return place(a, b, octave.above + counts);
 }
 
+CoinWords::CoinWords(double p) {
+  if (!(p >= 0.0 && p <= 1.0)) throw std::invalid_argument("CoinWords: p must lie in [0, 1]");
+  if (p == 1.0) {
+    all_ = true;
+  } else if (p > 0.0) {
+    // p = fraction 2^exponent with fraction in [0.5, 1) and exponent <= 0:
+    // -exponent zero digits, then fraction's 53 (fewer if subnormal).
+    int exponent = 0;
+    const double fraction = std::frexp(p, &exponent);
+    leading_zeros_ = -exponent;
+    digits_ = static_cast<std::uint64_t>(std::ldexp(fraction, 64));
+  }
+}
+
+// Lanes still equal to p's digits so far are `undecided`. At a digit 1, a
+// lane drawing 0 falls below p (coin) and one drawing 1 stays equal; at a
+// digit 0, a lane drawing 1 rises above p and one drawing 0 stays equal.
+// Lanes equal to every digit are not below p. `one` is all ones at a digit 1,
+// so the digit selects by mask, not by branch.
+std::uint64_t CoinWords::operator()(Rng& rng) const {
+  if (all_) return ~std::uint64_t{0};
+  if (digits_ == 0) return 0;
+  std::uint64_t undecided = ~std::uint64_t{0};
+  for (int z = 0; z < leading_zeros_ && undecided != 0; ++z) undecided &= ~rng();
+  std::uint64_t coins = 0;
+  for (std::uint64_t d = digits_; d != 0 && undecided != 0; d <<= 1) {
+    const std::uint64_t w = rng();
+    const std::uint64_t one = std::uint64_t{0} - (d >> 63);
+    coins |= undecided & ~w & one;
+    undecided &= ~(w ^ one);
+  }
+  return coins;
+}
+
 namespace {
 
-// The variation operators' per-run constants.
-struct Operators {
-  std::vector<int> lower;  ///< inclusive per-variable bounds
-  std::vector<int> upper;
-  std::uint64_t crossover;       ///< bernoulli_threshold(crossover_prob)
-  std::uint64_t gene_crossover;  ///< bernoulli_threshold(crossover_rate_per_gene)
-  std::uint64_t mutation;        ///< bernoulli_threshold(per-gene mutation probability)
-  double mutation_exponent;      ///< 1 / (eta + 1)
-  CrossoverSpread spread;
-};
+std::vector<int> bounds_of(const IntegerProblem& problem, bool upper) {
+  std::vector<int> bounds(problem.num_variables());
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    bounds[i] = upper ? problem.upper_bound(i) : problem.lower_bound(i);
+  }
+  return bounds;
+}
+
+long long max_span(const std::vector<int>& lower, const std::vector<int>& upper) {
+  long long span = 0;
+  for (std::size_t i = 0; i < lower.size(); ++i) {
+    if (lower[i] > upper[i]) {
+      throw std::invalid_argument("nsga2: variable " + std::to_string(i) +
+                                  " has lower_bound > upper_bound");
+    }
+    span = std::max(span, static_cast<long long>(upper[i]) - lower[i]);
+  }
+  return span;
+}
+
+double mutation_probability(const Nsga2Config& config, std::size_t n_vars) {
+  return config.mutation_prob_per_gene > 0.0 ? config.mutation_prob_per_gene
+                                             : 1.0 / static_cast<double>(n_vars);
+}
+
+}  // namespace
+
+Variation::Variation(const IntegerProblem& problem, const Nsga2Config& config)
+    : lower_(bounds_of(problem, false)),
+      upper_(bounds_of(problem, true)),
+      crossover_(Rng::bernoulli_threshold(config.crossover_prob)),
+      gene_coins_(config.crossover_rate_per_gene),
+      log_keep_(std::log1p(-mutation_probability(config, lower_.size()))),
+      mutation_exponent_(1.0 / (config.mutation_eta + 1.0)),
+      spread_(config.exponential_lambda, max_span(lower_, upper_)) {}
+
+// Genes are visited in words of 64: `differ` marks the word's genes on which
+// the parents differ, and only those under a coin draw their spread u.
+void Variation::crossover(const std::vector<int>& p1, const std::vector<int>& p2,
+                          std::vector<int>& c1, std::vector<int>& c2, Rng& rng,
+                          TouchedGenes& touched) const {
+  c1 = p1;
+  c2 = p2;
+  if (p1 == p2 || !rng.bernoulli_below(crossover_)) return;
+  const std::size_t n = p1.size();
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t len = std::min<std::size_t>(64, n - base);
+    std::uint64_t differ = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      differ |= static_cast<std::uint64_t>(p1[base + j] != p2[base + j]) << j;
+    }
+    if (differ == 0) continue;
+    for (std::uint64_t pick = differ & gene_coins_(rng); pick != 0; pick &= pick - 1) {
+      const std::size_t i = base + static_cast<std::size_t>(std::countr_zero(pick));
+      const auto [child1, child2] = spread_.children(p1[i], p2[i], rng.uniform_positive());
+      c1[i] = child1;
+      c2[i] = child2;
+      touched.append_if(i, ((child1 ^ p1[i]) | (child2 ^ p2[i])) != 0);
+    }
+  }
+}
+
+// The gap G before the next mutated gene is geometric:
+// P(G >= k) = P(u <= (1 - p)^k) = (1 - p)^k for u uniform in (0, 1). p = 1
+// gives log1p(-1) = -inf and G = 0 at every gene.
+void Variation::mutate(std::vector<int>& genome, Rng& rng, TouchedGenes& touched) const {
+  const std::size_t n = genome.size();
+  for (std::size_t i = 0;; ++i) {
+    const double gap = std::floor(std::log(rng.uniform_positive()) / log_keep_);
+    if (!(gap < static_cast<double>(n - i))) return;
+    i += static_cast<std::size_t>(gap);
+    const double lo = lower_[i];
+    const double hi = upper_[i];
+    if (hi <= lo) continue;
+    const double x = genome[i];
+    const double u = rng.uniform();
+    double delta;
+    if (u < 0.5) {
+      delta = std::pow(2.0 * u, mutation_exponent_) - 1.0;
+    } else {
+      delta = 1.0 - std::pow(2.0 * (1.0 - u), mutation_exponent_);
+    }
+    genome[i] = round_half_away(x + delta * (hi - lo));
+    touched.append_if(i, true);
+  }
+}
+
+namespace {
 
 // Binary tournament: lower rank wins; ties broken by larger crowding.
 const Individual& tournament(std::span<const Individual> pop, const UniformInt& pick, Rng& rng) {
@@ -372,73 +484,6 @@ const Individual& tournament(std::span<const Individual> pop, const UniformInt& 
   const auto& b = pop[static_cast<std::size_t>(pick(rng))];
   if (a.rank != b.rank) return a.rank < b.rank ? a : b;
   return a.crowding >= b.crowding ? a : b;
-}
-
-// Indices of the genes an offspring's operators changed, with room for
-// every gene twice (crossover, then mutation). append_if writes
-// unconditionally and advances only when asked, so the crossover loop does
-// not branch on whether a gene changed.
-class TouchedGenes {
- public:
-  explicit TouchedGenes(std::size_t n_vars) : genes_(2 * n_vars) {}
-
-  void clear() { size_ = 0; }
-  void append_if(std::size_t i, bool changed) {
-    genes_[size_] = i;
-    size_ += changed ? 1 : 0;
-  }
-  void assign(const TouchedGenes& other) {
-    std::copy_n(other.genes_.begin(), other.size_, genes_.begin());
-    size_ = other.size_;
-  }
-  std::span<const std::size_t> genes() const { return {genes_.data(), size_}; }
-
- private:
-  std::vector<std::size_t> genes_;
-  std::size_t size_ = 0;
-};
-
-// Crossover with exponentially distributed spread (paper §7): children are
-// placed at 0.5((1±beta) p1 + (1∓beta) p2) with beta ~ Exp(lambda), rounded
-// back to integers (read from ops.spread). Genes whose children differ from
-// the parents' genes are appended to `touched`.
-void exponential_crossover(const std::vector<int>& p1, const std::vector<int>& p2,
-                           std::vector<int>& c1, std::vector<int>& c2, const Operators& ops,
-                           Rng& rng, TouchedGenes& touched) {
-  c1 = p1;
-  c2 = p2;
-  if (!rng.bernoulli_below(ops.crossover)) return;
-  for (std::size_t i = 0; i < p1.size(); ++i) {
-    if (!rng.bernoulli_below(ops.gene_crossover)) continue;
-    const double u = rng.uniform_positive();
-    const auto [child1, child2] = ops.spread.children(p1[i], p2[i], u);
-    c1[i] = child1;
-    c2[i] = child2;
-    touched.append_if(i, ((child1 ^ p1[i]) | (child2 ^ p2[i])) != 0);
-  }
-}
-
-// Polynomial mutation (Deb): perturbs within the parent's vicinity with a
-// polynomial probability distribution of index eta. Mutated genes are
-// appended to `touched`.
-void polynomial_mutation(std::vector<int>& genome, const Operators& ops, Rng& rng,
-                         TouchedGenes& touched) {
-  for (std::size_t i = 0; i < genome.size(); ++i) {
-    if (!rng.bernoulli_below(ops.mutation)) continue;
-    const double lo = ops.lower[i];
-    const double hi = ops.upper[i];
-    if (hi <= lo) continue;
-    const double x = genome[i];
-    const double u = rng.uniform();
-    double delta;
-    if (u < 0.5) {
-      delta = std::pow(2.0 * u, ops.mutation_exponent) - 1.0;
-    } else {
-      delta = 1.0 - std::pow(2.0 * (1.0 - u), ops.mutation_exponent);
-    }
-    genome[i] = round_half_away(x + delta * (hi - lo));
-    touched.append_if(i, true);
-  }
 }
 
 void repair_touched(const IntegerProblem& problem, std::vector<int>& genome,
@@ -494,37 +539,11 @@ void validate(const IntegerProblem& problem, const Nsga2Config& config) {
   }
 }
 
-Operators make_operators(const IntegerProblem& problem, const Nsga2Config& config) {
-  const std::size_t n_vars = problem.num_variables();
-  std::vector<int> lower(n_vars);
-  std::vector<int> upper(n_vars);
-  long long max_span = 0;
-  for (std::size_t i = 0; i < n_vars; ++i) {
-    lower[i] = problem.lower_bound(i);
-    upper[i] = problem.upper_bound(i);
-    if (lower[i] > upper[i]) {
-      throw std::invalid_argument("nsga2: variable " + std::to_string(i) +
-                                  " has lower_bound > upper_bound");
-    }
-    max_span = std::max(max_span, static_cast<long long>(upper[i]) - lower[i]);
-  }
-  const double p_gene = config.mutation_prob_per_gene > 0.0
-                            ? config.mutation_prob_per_gene
-                            : 1.0 / static_cast<double>(n_vars);
-  return {std::move(lower),
-          std::move(upper),
-          Rng::bernoulli_threshold(config.crossover_prob),
-          Rng::bernoulli_threshold(config.crossover_rate_per_gene),
-          Rng::bernoulli_threshold(p_gene),
-          1.0 / (config.mutation_eta + 1.0),
-          CrossoverSpread(config.exponential_lambda, max_span)};
-}
-
 }  // namespace
 
 Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
   validate(problem, config);
-  const Operators ops = make_operators(problem, config);
+  const Variation variation(problem, config);
   Rng rng(config.seed);
   Nsga2Result result;
   const std::size_t pop_size = config.population_size;
@@ -553,10 +572,12 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
   std::vector<UniformInt> init_draw;
   init_draw.reserve(n_vars);
   for (std::size_t i = 0; i < n_vars; ++i) {
-    if (i > 0 && ops.lower[i] == ops.lower[i - 1] && ops.upper[i] == ops.upper[i - 1]) {
+    const auto& lower = variation.lower();
+    const auto& upper = variation.upper();
+    if (i > 0 && lower[i] == lower[i - 1] && upper[i] == upper[i - 1]) {
       init_draw.push_back(init_draw.back());
     } else {
-      init_draw.emplace_back(ops.lower[i], ops.upper[i]);
+      init_draw.emplace_back(lower[i], upper[i]);
     }
   }
   for (std::size_t p = 0; p < pop_size; ++p) {
@@ -599,10 +620,10 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
       Individual& c1 = offspring[filled];
       Individual& c2 = filled + 1 < pop_size ? offspring[filled + 1] : spare;
       touched1.clear();
-      exponential_crossover(p1.genome, p2.genome, c1.genome, c2.genome, ops, rng, touched1);
+      variation.crossover(p1.genome, p2.genome, c1.genome, c2.genome, rng, touched1);
       touched2.assign(touched1);
-      polynomial_mutation(c1.genome, ops, rng, touched1);
-      polynomial_mutation(c2.genome, ops, rng, touched2);
+      variation.mutate(c1.genome, rng, touched1);
+      variation.mutate(c2.genome, rng, touched2);
       repair_touched(problem, c1.genome, touched1);
       repair_touched(problem, c2.genome, touched2);
     }

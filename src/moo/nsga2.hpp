@@ -5,33 +5,34 @@
 // termination by generation/evaluation caps plus a sliding-window tolerance
 // test over a sequence of generations.
 //
-// Bit-identity contract: for a given problem and config, nsga2() draws from
-// the RNG in the same order, sums in the same order and passes the same
-// inputs to every std::sort as the textbook formulation: Deb's O(MN^2)
-// peeling sort over parents + offspring and again over the truncated
-// population, a uniform() < p comparison per Bernoulli trial, a fresh
-// uniform_int per draw, the lround crossover and mutation formulas, repair()
-// of every offspring gene, and one evaluate() per genome. It therefore
-// returns the same front bit for bit. Each shortcut is exact by construction:
-//   - The two-objective front sort is O(P log P) ENS-BS, and the ranks of
-//     the truncated population are reused rather than recomputed.
-//   - A Bernoulli trial whose probability is fixed for the run compares the
-//     raw draw against Rng::bernoulli_threshold(p). The initial population's
-//     and the tournaments' uniform_int ranges are hoisted into UniformInt,
-//     whose precomputed reciprocal gives the same remainder as r % span.
-//   - std::lround is replaced by a round-half-away helper that equals
-//     static_cast<int>(std::lround(x)) for every double.
+// Distribution contract: for a given problem, config and seed, nsga2() is
+// deterministic, and its operators sample the distributions of the textbook
+// formulation exactly, though from a different RNG stream than one draw per
+// gene would use:
+//   - Crossover of a pair happens with probability crossover_prob, and each
+//     gene on which the parents differ is crossed with probability
+//     crossover_rate_per_gene. Genes on which the parents agree would get
+//     (a, a) whatever the draw, so they draw nothing, and parents that agree
+//     everywhere draw nothing at all. The per-gene coins are the bits of
+//     CoinWords, exact for every rate in [0, 1].
+//   - A crossed gene's children are the lround formula below, read from a
+//     CrossoverSpread table that gives the formula's result for every draw.
+//   - Each gene mutates with probability p independently: mutation samples
+//     the gap to the next mutated gene, floor(log(u) / log1p(-p)), a
+//     geometric variable, instead of one Bernoulli draw per gene.
+//   - The initial population and the tournaments draw as Rng::uniform_int
+//     does; std::lround is replaced by a helper equal to it for every double.
 //   - Only the genes crossover or mutation touched are repaired, which
 //     relies on IntegerProblem::repair_gene's per-gene, idempotent contract.
-//   - The crossover children are read from a CrossoverSpread table, which
-//     evaluates the formula instead for a draw within a relative 1e-9 of a
-//     table threshold (the fallback band) or past the table's row, and for
-//     genes too large for that band to cover the formula's rounding error.
-//     Genes on which the parents agree still draw their coin and u.
 //   - Genomes are evaluated through IntegerProblem::evaluate_batch, which
-//     must equal evaluate() on every genome.
+//     must equal evaluate() on every genome bit for bit.
+//   - The two-objective front sort is O(P log P) ENS-BS, and the ranks of
+//     the truncated population are reused rather than recomputed; both give
+//     Deb's peeling ranks.
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -128,6 +129,88 @@ class CrossoverSpread {
   int max_gene_ = 0;
   std::size_t rows_ = 0;         ///< rows |d| = 0 .. rows_ - 1
   std::vector<Octave> octaves_;  ///< [|d| * 53 + o]
+};
+
+/// Exposed for testing: 64 independent Bernoulli(p) coins per call, one per
+/// bit, for any p in [0, 1]. Each bit is [U < p] for a uniform U whose binary
+/// digits are that bit of successive draws, compared bit-sliced against p's
+/// digits (every double has finitely many): a bit is decided at its first
+/// digit that differs from p's, so a word costs about log2(64) + 2 draws, one
+/// for p = 1/2, none for p = 0 or 1. The frequency is p exactly.
+class CoinWords {
+ public:
+  /// Throws std::invalid_argument unless p lies in [0, 1].
+  explicit CoinWords(double p);
+
+  std::uint64_t operator()(Rng& rng) const;
+
+ private:
+  std::uint64_t digits_ = 0;  ///< p's significant digits, the first at bit 63
+  int leading_zeros_ = 0;     ///< zero digits of p before digits_
+  bool all_ = false;          ///< p == 1
+};
+
+/// Exposed for testing: the genes the variation operators changed in one
+/// offspring, in the order they were touched; a gene may appear twice
+/// (crossover, then mutation). Holds up to twice the genome length.
+class TouchedGenes {
+ public:
+  explicit TouchedGenes(std::size_t n_vars) : genes_(2 * n_vars) {}
+
+  void clear() { size_ = 0; }
+  /// Writes unconditionally and advances only when asked, so a caller need
+  /// not branch on whether a gene changed.
+  void append_if(std::size_t i, bool changed) {
+    genes_[size_] = i;
+    size_ += changed ? 1 : 0;
+  }
+  void assign(const TouchedGenes& other) {
+    std::copy_n(other.genes_.begin(), other.size_, genes_.begin());
+    size_ = other.size_;
+  }
+  std::span<const std::size_t> genes() const { return {genes_.data(), size_}; }
+
+ private:
+  std::vector<std::size_t> genes_;
+  std::size_t size_ = 0;
+};
+
+/// Exposed for testing: NSGA-II's variation operators for one problem and
+/// config (bounds, rates, spread). Throws std::invalid_argument when a
+/// variable's lower bound exceeds its upper bound or crossover_rate_per_gene
+/// lies outside [0, 1]; nsga2() validates the rest of the config.
+class Variation {
+ public:
+  Variation(const IntegerProblem& problem, const Nsga2Config& config);
+
+  /// Exponential crossover (§7): c1, c2 become copies of p1, p2; then, with
+  /// probability crossover_prob, each gene on which the parents differ is
+  /// crossed with probability crossover_rate_per_gene, its children read
+  /// from the spread table. Genes whose children differ from the parents'
+  /// are appended to `touched`. Parents that agree on every gene consume no
+  /// draw.
+  void crossover(const std::vector<int>& p1, const std::vector<int>& p2, std::vector<int>& c1,
+                 std::vector<int>& c2, Rng& rng, TouchedGenes& touched) const;
+
+  /// Polynomial mutation (Deb) of each gene with probability
+  /// mutation_prob_per_gene (1 / genome length when <= 0): perturbs within
+  /// the gene's bounds with a polynomial distribution of index eta. Each
+  /// mutated gene with lower < upper is appended to `touched`. Draws one gap
+  /// per mutated gene plus one, and one u per mutated gene with lower <
+  /// upper.
+  void mutate(std::vector<int>& genome, Rng& rng, TouchedGenes& touched) const;
+
+  const std::vector<int>& lower() const { return lower_; }
+  const std::vector<int>& upper() const { return upper_; }
+
+ private:
+  std::vector<int> lower_;  ///< inclusive per-variable bounds
+  std::vector<int> upper_;
+  std::uint64_t crossover_;  ///< bernoulli_threshold(crossover_prob)
+  CoinWords gene_coins_;     ///< per-gene crossover coins
+  double log_keep_;          ///< log1p(-per-gene mutation probability)
+  double mutation_exponent_;  ///< 1 / (eta + 1)
+  CrossoverSpread spread_;
 };
 
 /// Exposed for testing: fast non-dominated sort. Returns per-individual rank

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -328,6 +330,182 @@ TEST(Nsga2, SpreadTableMatchesExponentialFormula) {
         }
       }
     }
+  }
+}
+
+// Raw draws that take `before` to `after` (two generators agree once their
+// next four outputs do), searched up to `limit`; limit + 1 when not found.
+std::size_t draws_between(Rng before, const Rng& after, std::size_t limit) {
+  for (std::size_t k = 0; k <= limit; ++k) {
+    Rng a = before;
+    Rng b = after;
+    bool same = true;
+    for (int t = 0; t < 4 && same; ++t) same = a() == b();
+    if (same) return k;
+    before();
+  }
+  return limit + 1;
+}
+
+// n variables in [0, hi], scored by their sum (only the operators matter).
+class Box : public IntegerProblem {
+ public:
+  Box(std::size_t n, int hi) : n_(n), hi_(hi) {}
+  std::size_t num_variables() const override { return n_; }
+  int lower_bound(std::size_t) const override { return 0; }
+  int upper_bound(std::size_t) const override { return hi_; }
+  std::size_t num_objectives() const override { return 2; }
+  void evaluate(const std::vector<int>& g, std::vector<double>& o) const override {
+    double sum = 0.0;
+    for (const int x : g) sum += x;
+    o = {sum, -sum};
+  }
+
+ private:
+  std::size_t n_;
+  int hi_;
+};
+
+// Pearson's statistic of observed counts against expected ones.
+double chi_square(const std::vector<double>& observed, const std::vector<double>& expected) {
+  double stat = 0.0;
+  for (std::size_t k = 0; k < observed.size(); ++k) {
+    stat += (observed[k] - expected[k]) * (observed[k] - expected[k]) / expected[k];
+  }
+  return stat;
+}
+
+TEST(Nsga2Operators, CoinWordsMatchBernoulli) {
+  constexpr std::size_t kWords = 4096;
+  // p = 0 and p = 1 are exact and draw nothing; p = 1/2 draws one word per
+  // word of coins.
+  for (const double p : {0.0, 1.0}) {
+    const CoinWords coins(p);
+    Rng rng(41);
+    const Rng before = rng;
+    for (std::size_t w = 0; w < kWords; ++w) {
+      ASSERT_EQ(coins(rng), p == 0.0 ? std::uint64_t{0} : ~std::uint64_t{0});
+    }
+    EXPECT_EQ(draws_between(before, rng, 0), 0u) << "p " << p;
+  }
+  {
+    const CoinWords coins(0.5);
+    Rng rng(43);
+    const Rng before = rng;
+    for (std::size_t w = 0; w < 100; ++w) coins(rng);
+    EXPECT_EQ(draws_between(before, rng, 200), 100u);
+  }
+  // Each of the 64 bit positions is Binomial(kWords, p), independently: the
+  // sum of their squared z-scores must stay below 104.7, the 0.999 quantile
+  // of chi-square(64), and the total within 4.5 sigma. 0.3 has no finite
+  // binary expansion, so its double takes all 54 digits. The seed is fixed,
+  // so the verdict is too.
+  for (const double p : {0.5, 0.3}) {
+    const CoinWords coins(p);
+    Rng rng(47);
+    std::vector<double> ones(64, 0.0);
+    double total = 0.0;
+    for (std::size_t w = 0; w < kWords; ++w) {
+      const std::uint64_t word = coins(rng);
+      for (int b = 0; b < 64; ++b) ones[b] += static_cast<double>((word >> b) & 1);
+      total += std::popcount(word);
+    }
+    const double n = kWords;
+    double stat = 0.0;
+    for (const double c : ones) stat += (c - n * p) * (c - n * p) / (n * p * (1.0 - p));
+    EXPECT_LT(stat, 104.7) << "p " << p;
+    const double all = 64.0 * n;
+    EXPECT_LT(std::abs(total - all * p), 4.5 * std::sqrt(all * p * (1.0 - p))) << "p " << p;
+  }
+  EXPECT_THROW(CoinWords(-0.1), std::invalid_argument);
+  EXPECT_THROW(CoinWords(1.5), std::invalid_argument);
+  EXPECT_THROW(CoinWords(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+}
+
+TEST(Nsga2Operators, CrossoverDrawsOnlyForGenesThatDiffer) {
+  const Box box(200, 7);
+  Nsga2Config config;
+  config.crossover_prob = 1.0;
+  config.crossover_rate_per_gene = 1.0;
+  const Variation variation(box, config);
+  Rng rng(53);
+  std::vector<int> parent(200);
+  for (auto& g : parent) g = static_cast<int>(rng.uniform_int(0, 7));
+  std::vector<int> c1;
+  std::vector<int> c2;
+  TouchedGenes touched(200);
+
+  // Identical parents: the children are copies and the Rng is untouched.
+  Rng before = rng;
+  variation.crossover(parent, parent, c1, c2, rng, touched);
+  EXPECT_EQ(draws_between(before, rng, 0), 0u);
+  EXPECT_EQ(c1, parent);
+  EXPECT_EQ(c2, parent);
+  EXPECT_TRUE(touched.genes().empty());
+
+  // Parents that differ in gene 130 only: the pair's crossover coin and that
+  // gene's spread draw; no coin or draw for the 199 agreeing genes.
+  std::vector<int> other = parent;
+  other[130] = parent[130] == 0 ? 7 : 0;
+  before = rng;
+  variation.crossover(parent, other, c1, c2, rng, touched);
+  EXPECT_EQ(draws_between(before, rng, 400), 2u);
+  for (std::size_t i = 0; i < parent.size(); ++i) {
+    if (i == 130) continue;
+    EXPECT_EQ(c1[i], parent[i]);
+    EXPECT_EQ(c2[i], parent[i]);
+  }
+}
+
+TEST(Nsga2Operators, GapMutationMatchesBernoulli) {
+  constexpr std::size_t kGenes = 50;
+  constexpr std::size_t kGenomes = 20000;
+  const Box box(kGenes, 1000);
+  for (const double p : {1.0 / kGenes, 1.0}) {
+    Nsga2Config config;
+    config.mutation_prob_per_gene = p;
+    const Variation variation(box, config);
+    Rng rng(59);
+    std::vector<int> genome(kGenes, 500);
+    TouchedGenes touched(kGenes);
+    std::vector<double> per_gene(kGenes, 0.0);
+    std::vector<double> per_genome(6, 0.0);  // 0, 1, 2, 3, 4, >= 5 mutations
+    for (std::size_t t = 0; t < kGenomes; ++t) {
+      touched.clear();
+      const Rng before = rng;
+      variation.mutate(genome, rng, touched);
+      const std::size_t m = touched.genes().size();
+      // One gap per mutated gene plus the one that runs past the end, and
+      // one polynomial u per mutated gene.
+      if (t < 50) {
+        EXPECT_EQ(draws_between(before, rng, 4 * kGenes), 2 * m + 1);
+      }
+      for (const std::size_t i : touched.genes()) per_gene[i] += 1.0;
+      per_genome[std::min<std::size_t>(m, 5)] += 1.0;
+    }
+    if (p == 1.0) {
+      // Every gene, every time: the Bernoulli(1) frequencies exactly.
+      for (const double c : per_gene) EXPECT_EQ(c, static_cast<double>(kGenomes));
+      EXPECT_EQ(per_genome[5], static_cast<double>(kGenomes));
+      continue;
+    }
+    // Per gene: kGenes cells of kGenomes * p expected; below 85.35, the 0.999
+    // quantile of chi-square(49).
+    EXPECT_LT(chi_square(per_gene, std::vector<double>(kGenes, kGenomes * p)), 85.35);
+    // Per genome: Binomial(kGenes, p) over 0-4 and >= 5 mutations; below
+    // 20.52, the 0.999 quantile of chi-square(5).
+    std::vector<double> expected(6, 0.0);
+    double tail = 1.0;
+    for (std::size_t k = 0; k < 5; ++k) {
+      double pmf = std::pow(1.0 - p, static_cast<double>(kGenes - k)) * std::pow(p, k);
+      for (std::size_t j = 0; j < k; ++j) {
+        pmf *= static_cast<double>(kGenes - j) / static_cast<double>(j + 1);
+      }
+      expected[k] = kGenomes * pmf;
+      tail -= pmf;
+    }
+    expected[5] = kGenomes * tail;
+    EXPECT_LT(chi_square(per_genome, expected), 20.52);
   }
 }
 
