@@ -6,7 +6,12 @@
 // against it, summarized as mean / median / min / max.
 //
 //   bench_nsga2_quality > mine.txt
-//   bench_nsga2_quality baseline.txt
+//   bench_nsga2_quality bench/nsga2_quality_baseline.txt
+//
+// bench/nsga2_quality_baseline.txt holds the current kernel's output. CI
+// fails when the mean chosen-JCT or chosen-error ratio against it leaves
+// [0.99, 1.01] or the mean hypervolume ratio falls below 0.995; a change
+// that moves the optimizer's random stream on purpose re-captures it.
 //
 // Inputs: 1-500 jobs, 2-16 QPUs of mixed sizes, some QPUs offline, a few
 // infeasible (job, QPU) cells, and every third input with mixed per-job

@@ -47,7 +47,7 @@
 // the system monitor, its only owner.
 //
 // Run records live in a bounded RunTable: terminal runs are garbage-
-// collected under QonductorConfig::retention (LRU + TTL), so a long-lived
+// collected under QonductorConfig::retention (LRU, by count), so a long-lived
 // orchestrator serving sustained traffic holds a bounded amount of run
 // state. In-flight runs are never evicted, and an api::RunHandle keeps
 // answering after its record ages out of the table.
