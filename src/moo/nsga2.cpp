@@ -571,9 +571,9 @@ Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config) {
   // heuristic seeds occupying the first slots.
   std::vector<UniformInt> init_draw;
   init_draw.reserve(n_vars);
+  const auto& lower = variation.lower();
+  const auto& upper = variation.upper();
   for (std::size_t i = 0; i < n_vars; ++i) {
-    const auto& lower = variation.lower();
-    const auto& upper = variation.upper();
     if (i > 0 && lower[i] == lower[i - 1] && upper[i] == upper[i - 1]) {
       init_draw.push_back(init_draw.back());
     } else {
