@@ -353,40 +353,6 @@ std::pair<int, int> CrossoverSpread::children(int a, int b, double u) const {
   return place(a, b, octave.above + counts);
 }
 
-CoinWords::CoinWords(double p) {
-  if (!(p >= 0.0 && p <= 1.0)) throw std::invalid_argument("CoinWords: p must lie in [0, 1]");
-  if (p == 1.0) {
-    all_ = true;
-  } else if (p > 0.0) {
-    // p = fraction 2^exponent with fraction in [0.5, 1) and exponent <= 0:
-    // -exponent zero digits, then fraction's 53 (fewer if subnormal).
-    int exponent = 0;
-    const double fraction = std::frexp(p, &exponent);
-    leading_zeros_ = -exponent;
-    digits_ = static_cast<std::uint64_t>(std::ldexp(fraction, 64));
-  }
-}
-
-// Lanes still equal to p's digits so far are `undecided`. At a digit 1, a
-// lane drawing 0 falls below p (coin) and one drawing 1 stays equal; at a
-// digit 0, a lane drawing 1 rises above p and one drawing 0 stays equal.
-// Lanes equal to every digit are not below p. `one` is all ones at a digit 1,
-// so the digit selects by mask, not by branch.
-std::uint64_t CoinWords::operator()(Rng& rng) const {
-  if (all_) return ~std::uint64_t{0};
-  if (digits_ == 0) return 0;
-  std::uint64_t undecided = ~std::uint64_t{0};
-  for (int z = 0; z < leading_zeros_ && undecided != 0; ++z) undecided &= ~rng();
-  std::uint64_t coins = 0;
-  for (std::uint64_t d = digits_; d != 0 && undecided != 0; d <<= 1) {
-    const std::uint64_t w = rng();
-    const std::uint64_t one = std::uint64_t{0} - (d >> 63);
-    coins |= undecided & ~w & one;
-    undecided &= ~(w ^ one);
-  }
-  return coins;
-}
-
 namespace {
 
 std::vector<int> bounds_of(const IntegerProblem& problem, bool upper) {
@@ -420,13 +386,13 @@ Variation::Variation(const IntegerProblem& problem, const Nsga2Config& config)
     : lower_(bounds_of(problem, false)),
       upper_(bounds_of(problem, true)),
       crossover_(Rng::bernoulli_threshold(config.crossover_prob)),
-      gene_coins_(config.crossover_rate_per_gene),
       log_keep_(std::log1p(-mutation_probability(config, lower_.size()))),
       mutation_exponent_(1.0 / (config.mutation_eta + 1.0)),
       spread_(config.exponential_lambda, max_span(lower_, upper_)) {}
 
 // Genes are visited in words of 64: `differ` marks the word's genes on which
-// the parents differ, and only those under a coin draw their spread u.
+// the parents differ, and only those under a coin draw their spread u. Each
+// bit of one draw is a fair coin; a gene is crossed where its bit is clear.
 void Variation::crossover(const std::vector<int>& p1, const std::vector<int>& p2,
                           std::vector<int>& c1, std::vector<int>& c2, Rng& rng,
                           TouchedGenes& touched) const {
@@ -441,7 +407,7 @@ void Variation::crossover(const std::vector<int>& p1, const std::vector<int>& p2
       differ |= static_cast<std::uint64_t>(p1[base + j] != p2[base + j]) << j;
     }
     if (differ == 0) continue;
-    for (std::uint64_t pick = differ & gene_coins_(rng); pick != 0; pick &= pick - 1) {
+    for (std::uint64_t pick = differ & ~rng(); pick != 0; pick &= pick - 1) {
       const std::size_t i = base + static_cast<std::size_t>(std::countr_zero(pick));
       const auto [child1, child2] = spread_.children(p1[i], p2[i], rng.uniform_positive());
       c1[i] = child1;
@@ -527,9 +493,6 @@ void validate(const IntegerProblem& problem, const Nsga2Config& config) {
   }
   if (!(config.crossover_prob >= 0.0 && config.crossover_prob <= 1.0)) {
     throw std::invalid_argument("nsga2: crossover_prob must lie in [0, 1]");
-  }
-  if (!(config.crossover_rate_per_gene >= 0.0 && config.crossover_rate_per_gene <= 1.0)) {
-    throw std::invalid_argument("nsga2: crossover_rate_per_gene must lie in [0, 1]");
   }
   if (!(config.mutation_prob_per_gene <= 1.0)) {
     throw std::invalid_argument("nsga2: mutation_prob_per_gene must be <= 1");

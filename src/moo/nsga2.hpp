@@ -10,11 +10,10 @@
 // formulation exactly, though from a different RNG stream than one draw per
 // gene would use:
 //   - Crossover of a pair happens with probability crossover_prob, and each
-//     gene on which the parents differ is crossed with probability
-//     crossover_rate_per_gene. Genes on which the parents agree would get
-//     (a, a) whatever the draw, so they draw nothing, and parents that agree
-//     everywhere draw nothing at all. The per-gene coins are the bits of
-//     CoinWords, exact for every rate in [0, 1].
+//     gene on which the parents differ is crossed with probability 1/2.
+//     Genes on which the parents agree would get (a, a) whatever the draw,
+//     so they draw nothing, and parents that agree everywhere draw nothing
+//     at all. The per-gene coins are the bits of one draw per 64 genes.
 //   - A crossed gene's children are the lround formula below, read from a
 //     CrossoverSpread table that gives the formula's result for every draw.
 //   - Each gene mutates with probability p independently: mutation samples
@@ -47,7 +46,6 @@ struct Nsga2Config {
   std::size_t max_generations = 60;
   std::size_t max_evaluations = 20000;
   double crossover_prob = 0.9;
-  double crossover_rate_per_gene = 0.5;
   double exponential_lambda = 3.0;  ///< crossover spread ~ Exp(lambda)
   double mutation_prob_per_gene = -1.0;  ///< <0 means 1/num_variables
   double mutation_eta = 20.0;            ///< polynomial mutation index
@@ -79,9 +77,8 @@ struct Nsga2Result {
 /// objective (ascending) for deterministic downstream selection. Throws
 /// std::invalid_argument before drawing anything unless: the problem has
 /// variables and lower_bound(i) <= upper_bound(i) for each; population_size
-/// >= 4; exponential_lambda > 0; mutation_eta >= 0; crossover_prob and
-/// crossover_rate_per_gene lie in [0, 1]; mutation_prob_per_gene <= 1; and
-/// tolerance_window >= 1.
+/// >= 4; exponential_lambda > 0; mutation_eta >= 0; crossover_prob lies in
+/// [0, 1]; mutation_prob_per_gene <= 1; and tolerance_window >= 1.
 Nsga2Result nsga2(const IntegerProblem& problem, const Nsga2Config& config);
 
 /// Exposed for testing: exponential crossover (§7) on one gene, read from a
@@ -131,25 +128,6 @@ class CrossoverSpread {
   std::vector<Octave> octaves_;  ///< [|d| * 53 + o]
 };
 
-/// Exposed for testing: 64 independent Bernoulli(p) coins per call, one per
-/// bit, for any p in [0, 1]. Each bit is [U < p] for a uniform U whose binary
-/// digits are that bit of successive draws, compared bit-sliced against p's
-/// digits (every double has finitely many): a bit is decided at its first
-/// digit that differs from p's, so a word costs about log2(64) + 2 draws, one
-/// for p = 1/2, none for p = 0 or 1. The frequency is p exactly.
-class CoinWords {
- public:
-  /// Throws std::invalid_argument unless p lies in [0, 1].
-  explicit CoinWords(double p);
-
-  std::uint64_t operator()(Rng& rng) const;
-
- private:
-  std::uint64_t digits_ = 0;  ///< p's significant digits, the first at bit 63
-  int leading_zeros_ = 0;     ///< zero digits of p before digits_
-  bool all_ = false;          ///< p == 1
-};
-
 /// Exposed for testing: the genes the variation operators changed in one
 /// offspring, in the order they were touched; a gene may appear twice
 /// (crossover, then mutation). Holds up to twice the genome length.
@@ -177,16 +155,15 @@ class TouchedGenes {
 
 /// Exposed for testing: NSGA-II's variation operators for one problem and
 /// config (bounds, rates, spread). Throws std::invalid_argument when a
-/// variable's lower bound exceeds its upper bound or crossover_rate_per_gene
-/// lies outside [0, 1]; nsga2() validates the rest of the config.
+/// variable's lower bound exceeds its upper bound; nsga2() validates the
+/// rest of the config.
 class Variation {
  public:
   Variation(const IntegerProblem& problem, const Nsga2Config& config);
 
   /// Exponential crossover (§7): c1, c2 become copies of p1, p2; then, with
   /// probability crossover_prob, each gene on which the parents differ is
-  /// crossed with probability crossover_rate_per_gene, its children read
-  /// from the spread table. Genes whose children differ from the parents'
+  /// crossed with probability 1/2, its children read from the spread table. Genes whose children differ from the parents'
   /// are appended to `touched`. Parents that agree on every gene consume no
   /// draw.
   void crossover(const std::vector<int>& p1, const std::vector<int>& p2, std::vector<int>& c1,
@@ -207,7 +184,6 @@ class Variation {
   std::vector<int> lower_;  ///< inclusive per-variable bounds
   std::vector<int> upper_;
   std::uint64_t crossover_;  ///< bernoulli_threshold(crossover_prob)
-  CoinWords gene_coins_;     ///< per-gene crossover coins
   double log_keep_;          ///< log1p(-per-gene mutation probability)
   double mutation_exponent_;  ///< 1 / (eta + 1)
   CrossoverSpread spread_;
