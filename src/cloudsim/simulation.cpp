@@ -60,15 +60,21 @@ struct PreparedApp {
 
 }  // namespace
 
+SimulationFleet make_simulation_fleet(const CloudSimConfig& config) {
+  auto fleet = qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL,
+                                        config.fleet_best_quality, config.fleet_worst_quality);
+  auto target = fleet.template_backends().front();
+  return {std::move(fleet), std::move(target)};
+}
+
 SimulationResult run_cloud_simulation(const CloudSimConfig& config) {
   if (config.num_qpus == 0) throw std::invalid_argument("run_cloud_simulation: no QPUs");
   Rng rng(config.seed);
   const sim::HiddenNoise hidden(config.seed ^ 0xfeedULL, config.hidden_sigma);
 
-  auto fleet = qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL,
-                                        config.fleet_best_quality, config.fleet_worst_quality);
-  const auto templates = fleet.template_backends();
-  const auto& tmpl = templates.front();
+  SimulationFleet setup = make_simulation_fleet(config);
+  auto& fleet = setup.fleet;
+  const auto& tmpl = setup.transpile_target;
 
   // ---- generate + prepare the workload ------------------------------------
   const auto workload = generate_workload(config.workload);

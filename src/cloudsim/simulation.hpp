@@ -109,9 +109,20 @@ struct SimulationResult {
   double mean_utilization() const;      ///< mean busy fraction over horizon
 };
 
+/// The QPU fleet a run of `config` starts from, before any recalibration,
+/// and the backend every application is transpiled for: the fleet's first
+/// template, so one transpilation serves every QPU.
+struct SimulationFleet {
+  qpu::Fleet fleet;
+  qpu::Backend transpile_target;
+};
+
+SimulationFleet make_simulation_fleet(const CloudSimConfig& config);
+
 /// Runs the simulation to completion (all generated apps either complete or
 /// are filtered; the event horizon extends past the arrival window until
-/// queues drain, capped at 50x the workload duration).
+/// queues drain, capped at 50x the workload duration). The applications are
+/// generate_workload(config.workload), on make_simulation_fleet(config).
 SimulationResult run_cloud_simulation(const CloudSimConfig& config);
 
 }  // namespace qon::cloudsim

@@ -48,13 +48,11 @@ TEST(Integration, TrainedEstimatorsDriveTheCloudSimulation) {
 
   // Each app's estimate is the trained model's, on the QPU the scheduler
   // dispatched it to: whichever QPU that is, never a default or stale value.
-  // The simulation's fleet and transpile target are rebuilt as
-  // run_cloud_simulation builds them; the 0.1 h horizon ends long before the
-  // first recalibration, so the calibrations are the initial ones.
-  const auto sim_fleet = qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL,
-                                                  config.fleet_best_quality,
-                                                  config.fleet_worst_quality);
-  const auto templates = sim_fleet.template_backends();
+  // The fleet, transpile target and workload are the ones the simulation
+  // runs; the 0.1 h horizon ends long before the first recalibration, so the
+  // calibrations are the initial ones.
+  const auto sim = cloudsim::make_simulation_fleet(config);
+  const auto& sim_fleet = sim.fleet;
   std::map<std::uint64_t, cloudsim::HybridApp> workload;
   for (auto& app : cloudsim::generate_workload(config.workload)) workload[app.id] = app;
   for (const auto& app : result.apps) {
@@ -66,7 +64,7 @@ TEST(Integration, TrainedEstimatorsDriveTheCloudSimulation) {
     EXPECT_GE(app.est_fidelity, 0.0) << "app " << app.id;
     EXPECT_LE(app.est_fidelity, 1.0) << "app " << app.id;
     const auto& generated = workload.at(app.id);
-    const auto transpiled = transpiler::transpile(generated.logical, templates.front());
+    const auto transpiled = transpiler::transpile(generated.logical, sim.transpile_target);
     const auto features =
         estimator::extract_features(transpiled, generated.shots, generated.spec, backend);
     EXPECT_EQ(app.est_fidelity, fidelity_model.estimate(features)) << "app " << app.id;
