@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
 
 #include "circuit/library.hpp"
 #include "mitigation/cutting.hpp"
@@ -408,6 +410,128 @@ TEST(Pipeline, MenuIsOrderedAndNamed) {
     if (spec.uses(Technique::kCutting)) has_cutting = true;
   }
   EXPECT_TRUE(has_cutting);
+}
+
+// Every field of every menu signature at one shape, on each accelerator, as
+// the model produced it before its single-value options became constants.
+// Exact equality: a constant that moves by one ulp fails here.
+TEST(Pipeline, StandardMenuSignaturesArePinned) {
+  struct Expected {
+    double circuit_instances;
+    double quantum_runtime_multiplier;
+    double classical_preprocess_seconds;
+    double classical_postprocess_seconds;
+    double error_residual;
+    std::size_t cut_count;
+    bool cuts_circuit;
+    double delay_dephasing_residual;
+  };
+  // Rows in menu order, per accelerator.
+  const Expected expected[] = {
+      // ---- cpu ----
+      // none
+      {0x1p+0, 0x1p+0, 0x1.1a9fbe76c8b44p-9, 0x0p+0,
+       0x1p+0, 0, false, 0x1p+0},
+      // dd
+      {0x1p+0, 0x1.051eb851eb852p+0, 0x1.1a9fbe76c8b44p-9, 0x0p+0,
+       0x1.d70a3d70a3d71p-1, 0, false, 0x1.6666666666666p-2},
+      // rem+dd
+      {0x1.8p+1, 0x1.122d0e560418ap+0, 0x1.a7ef9db22d0e6p-8, 0x1.0c6f7a0b5ed8dp-11,
+       0x1.90624dd2f1aap-1, 0, false, 0x1.6666666666666p-2},
+      // twirling+rem
+      {0x1.4p+3, 0x1.27ae147ae147cp+0, 0x1.6147ae147ae15p-6, 0x1.0c6f7a0b5ed8dp-11,
+       0x1.a1cac083126e9p-1, 0, false, 0x1p+0},
+      // zne
+      {0x1.8p+1, 0x1.2p+3, 0x1.a7ef9db22d0e6p-8, 0x1.999999999999ap-5,
+       0x1.199999999999ap-1, 0, false, 0x1p+0},
+      // zne+rem+dd
+      {0x1.4p+2, 0x1.3472b020c49bbp+3, 0x1.6147ae147ae15p-7, 0x1.9dcb5781c715p-5,
+       0x1.b86c226809d4ap-2, 0, false, 0x1.6666666666666p-2},
+      // pec
+      {0x1.59d3635c7a2b4p+0, 0x1.59d3635c7a2b4p+0, 0x1.7dcaa709ef52ap-9, 0x1.baa82d432bbc8p-4,
+       0x1.6666666666666p-2, 0, false, 0x1p+0},
+      // cutting
+      {0x1p+2, 0x1.2p+3, 0x1.1a9fbe76c8b44p-7, 0x1.47ae147ae147bp-2,
+       0x1p+0, 1, true, 0x1p+0},
+      // cutting+zne
+      {0x1.8p+3, 0x1.44p+6, 0x1.a7ef9db22d0e6p-6, 0x1.7ae147ae147aep-2,
+       0x1.199999999999ap-1, 1, true, 0x1p+0},
+      // ---- gpu ----
+      // none
+      {0x1p+0, 0x1p+0, 0x1.1a9fbe76c8b44p-9, 0x0p+0,
+       0x1p+0, 0, false, 0x1p+0},
+      // dd
+      {0x1p+0, 0x1.051eb851eb852p+0, 0x1.1a9fbe76c8b44p-9, 0x0p+0,
+       0x1.d70a3d70a3d71p-1, 0, false, 0x1.6666666666666p-2},
+      // rem+dd
+      {0x1.8p+1, 0x1.122d0e560418ap+0, 0x1.a7ef9db22d0e6p-8, 0x1.0c6f7a0b5ed8dp-14,
+       0x1.90624dd2f1aap-1, 0, false, 0x1.6666666666666p-2},
+      // twirling+rem
+      {0x1.4p+3, 0x1.27ae147ae147cp+0, 0x1.6147ae147ae15p-6, 0x1.0c6f7a0b5ed8dp-14,
+       0x1.a1cac083126e9p-1, 0, false, 0x1p+0},
+      // zne
+      {0x1.8p+1, 0x1.2p+3, 0x1.a7ef9db22d0e6p-8, 0x1.999999999999ap-8,
+       0x1.199999999999ap-1, 0, false, 0x1p+0},
+      // zne+rem+dd
+      {0x1.4p+2, 0x1.3472b020c49bbp+3, 0x1.6147ae147ae15p-7, 0x1.9dcb5781c715p-8,
+       0x1.b86c226809d4ap-2, 0, false, 0x1.6666666666666p-2},
+      // pec
+      {0x1.59d3635c7a2b4p+0, 0x1.59d3635c7a2b4p+0, 0x1.7dcaa709ef52ap-9, 0x1.baa82d432bbc8p-7,
+       0x1.6666666666666p-2, 0, false, 0x1p+0},
+      // cutting
+      {0x1p+2, 0x1.2p+3, 0x1.1a9fbe76c8b44p-7, 0x1.47ae147ae147bp-5,
+       0x1p+0, 1, true, 0x1p+0},
+      // cutting+zne
+      {0x1.8p+3, 0x1.44p+6, 0x1.a7ef9db22d0e6p-6, 0x1.7ae147ae147aep-5,
+       0x1.199999999999ap-1, 1, true, 0x1p+0},
+      // ---- fpga ----
+      // none
+      {0x1p+0, 0x1p+0, 0x1.1a9fbe76c8b44p-9, 0x0p+0,
+       0x1p+0, 0, false, 0x1p+0},
+      // dd
+      {0x1p+0, 0x1.051eb851eb852p+0, 0x1.1a9fbe76c8b44p-9, 0x0p+0,
+       0x1.d70a3d70a3d71p-1, 0, false, 0x1.6666666666666p-2},
+      // rem+dd
+      {0x1.8p+1, 0x1.122d0e560418ap+0, 0x1.a7ef9db22d0e6p-8, 0x1.0c6f7a0b5ed8dp-13,
+       0x1.90624dd2f1aap-1, 0, false, 0x1.6666666666666p-2},
+      // twirling+rem
+      {0x1.4p+3, 0x1.27ae147ae147cp+0, 0x1.6147ae147ae15p-6, 0x1.0c6f7a0b5ed8dp-13,
+       0x1.a1cac083126e9p-1, 0, false, 0x1p+0},
+      // zne
+      {0x1.8p+1, 0x1.2p+3, 0x1.a7ef9db22d0e6p-8, 0x1.999999999999ap-7,
+       0x1.199999999999ap-1, 0, false, 0x1p+0},
+      // zne+rem+dd
+      {0x1.4p+2, 0x1.3472b020c49bbp+3, 0x1.6147ae147ae15p-7, 0x1.9dcb5781c715p-7,
+       0x1.b86c226809d4ap-2, 0, false, 0x1.6666666666666p-2},
+      // pec
+      {0x1.59d3635c7a2b4p+0, 0x1.59d3635c7a2b4p+0, 0x1.7dcaa709ef52ap-9, 0x1.baa82d432bbc8p-6,
+       0x1.6666666666666p-2, 0, false, 0x1p+0},
+      // cutting
+      {0x1p+2, 0x1.2p+3, 0x1.1a9fbe76c8b44p-7, 0x1.47ae147ae147bp-4,
+       0x1p+0, 1, true, 0x1p+0},
+      // cutting+zne
+      {0x1.8p+3, 0x1.44p+6, 0x1.a7ef9db22d0e6p-6, 0x1.7ae147ae147aep-4,
+       0x1.199999999999ap-1, 1, true, 0x1p+0},
+  };
+  const auto menu = standard_mitigation_menu();
+  ASSERT_EQ(menu.size(), 9u);
+  std::size_t row = 0;
+  for (const auto accelerator : {Accelerator::kCpu, Accelerator::kGpu, Accelerator::kFpga}) {
+    for (const auto& spec : menu) {
+      SCOPED_TRACE(std::string(accelerator_name(accelerator)) + " " + spec.to_string());
+      const auto sig = compute_signature(spec, 8, 20, 10, 8, 1e-2, accelerator);
+      const Expected& e = expected[row++];
+      EXPECT_EQ(sig.circuit_instances, e.circuit_instances);
+      EXPECT_EQ(sig.quantum_runtime_multiplier, e.quantum_runtime_multiplier);
+      EXPECT_EQ(sig.classical_preprocess_seconds, e.classical_preprocess_seconds);
+      EXPECT_EQ(sig.classical_postprocess_seconds, e.classical_postprocess_seconds);
+      EXPECT_EQ(sig.error_residual, e.error_residual);
+      EXPECT_EQ(sig.cut_count, e.cut_count);
+      EXPECT_EQ(sig.cuts_circuit, e.cuts_circuit);
+      EXPECT_EQ(sig.delay_dephasing_residual, e.delay_dephasing_residual);
+    }
+  }
+  EXPECT_EQ(row, std::size(expected));
 }
 
 }  // namespace
