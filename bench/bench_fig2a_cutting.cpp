@@ -74,18 +74,12 @@ CuttingImpact measure(int width, std::uint64_t seed) {
   mitigation::CutPlan plan;
   for (int q = 0; q < width / 2; ++q) plan.group_a.push_back(q);
   for (int q = width / 2; q < width; ++q) plan.group_b.push_back(q);
-  for (const auto& g : circ.gates()) {
-    if (circuit::is_two_qubit(g.kind) &&
-        (g.qubit(0) < width / 2) != (g.qubit(1) < width / 2)) {
-      ++plan.crossing_gates;
-    }
-  }
   const auto cut = mitigation::cut_circuit(circ, plan);
   const auto frag_a = transpiler::transpile(cut.fragment_a, backend);
   const auto frag_b = transpiler::transpile(cut.fragment_b, backend);
   const double fid_a = sim::esp_fidelity(frag_a.circuit, backend, sim::HiddenNoise::none());
   const double fid_b = sim::esp_fidelity(frag_b.circuit, backend, sim::HiddenNoise::none());
-  const double cut_fid = mitigation::knitted_fidelity(fid_a, fid_b, cut.plan.crossing_gates);
+  const double cut_fid = mitigation::knitted_fidelity(fid_a, fid_b, cut.crossing_gates);
   // Per quasi-probability sampling round, both fragments execute
   // sequentially on the same QPU at full shots (gamma^2 = 9 per cut).
   const double cut_qtime =
@@ -100,7 +94,7 @@ CuttingImpact measure(int width, std::uint64_t seed) {
   impact.classical_x = cut_ctime / base_ctime;
   impact.quantum_x = cut_qtime / base_qtime;
   impact.fidelity_x = cut_fid / std::max(base_fid, 1e-12);
-  impact.cuts = cut.plan.crossing_gates;
+  impact.cuts = cut.crossing_gates;
   return impact;
 }
 

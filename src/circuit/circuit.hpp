@@ -12,8 +12,7 @@
 
 namespace qon::circuit {
 
-/// A quantum circuit. Gates execute in list order; the DAG/layer view is
-/// derived on demand (see dag.hpp).
+/// A quantum circuit. Gates execute in list order.
 class Circuit {
  public:
   Circuit() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace qon::mitigation {
 
@@ -10,64 +11,10 @@ using circuit::Circuit;
 using circuit::Gate;
 using circuit::GateKind;
 
-CutPlan plan_bipartition(const Circuit& circ) {
-  const int n = circ.num_qubits();
-  if (n < 2) throw std::invalid_argument("plan_bipartition: need >= 2 qubits");
-  const int balance_slack = 1;
-  const int mid = n / 2;
-
-  CutPlan best;
-  std::size_t best_crossing = static_cast<std::size_t>(-1);
-  for (int k = std::max(1, mid - balance_slack); k <= std::min(n - 1, mid + balance_slack); ++k) {
-    std::size_t crossing = 0;
-    for (const auto& g : circ.gates()) {
-      if (!circuit::is_two_qubit(g.kind)) continue;
-      const bool a0 = g.qubit(0) < k;
-      const bool a1 = g.qubit(1) < k;
-      if (a0 != a1) ++crossing;
-    }
-    if (crossing < best_crossing) {
-      best_crossing = crossing;
-      best.group_a.clear();
-      best.group_b.clear();
-      for (int q = 0; q < k; ++q) best.group_a.push_back(q);
-      for (int q = k; q < n; ++q) best.group_b.push_back(q);
-      best.crossing_gates = crossing;
-    }
-  }
-  return best;
-}
-
 namespace {
 
-// Extracts the sub-circuit acting on `group`, remapping qubits to 0..|g|-1
-// and dropping gates that cross the cut. Measure clbits are preserved.
-Circuit extract_fragment(const Circuit& circ, const std::vector<int>& group,
-                         const char* suffix) {
-  std::vector<int> local(static_cast<std::size_t>(circ.num_qubits()), -1);
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    local[static_cast<std::size_t>(group[i])] = static_cast<int>(i);
-  }
-  Circuit frag(static_cast<int>(group.size()), circ.name() + suffix);
-  for (const auto& g : circ.gates()) {
-    if (g.kind == GateKind::kBarrier) {
-      frag.barrier();
-      continue;
-    }
-    bool in_group = true;
-    for (int i = 0; i < g.arity(); ++i) {
-      if (local[static_cast<std::size_t>(g.qubit(i))] < 0) in_group = false;
-    }
-    if (!in_group) continue;  // crossing or other-fragment gate
-    Gate mapped = g;
-    for (int i = 0; i < g.arity(); ++i) {
-      mapped.qubits[static_cast<std::size_t>(i)] =
-          local[static_cast<std::size_t>(g.qubit(i))];
-    }
-    frag.append(mapped);  // measure keeps its original clbit
-  }
-  return frag;
-}
+// Fidelity lost to reconstruction variance, per cut.
+constexpr double kPerCutPenalty = 0.02;
 
 }  // namespace
 
@@ -75,11 +22,54 @@ CutResult cut_circuit(const Circuit& circ, const CutPlan& plan) {
   if (plan.group_a.empty() || plan.group_b.empty()) {
     throw std::invalid_argument("cut_circuit: both groups must be non-empty");
   }
+  // Each logical qubit's fragment (0 = A, 1 = B) and its index there.
+  const auto width = static_cast<std::size_t>(circ.num_qubits());
+  std::vector<int> fragment_of(width, -1);
+  std::vector<int> local(width, -1);
+  const std::vector<int>* groups[] = {&plan.group_a, &plan.group_b};
+  for (int f = 0; f < 2; ++f) {
+    const auto& group = *groups[f];
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const int q = group[i];
+      if (q < 0 || static_cast<std::size_t>(q) >= width ||
+          fragment_of[static_cast<std::size_t>(q)] >= 0) {
+        throw std::invalid_argument("cut_circuit: qubit " + std::to_string(q) +
+                                    " is out of range or in both groups");
+      }
+      fragment_of[static_cast<std::size_t>(q)] = f;
+      local[static_cast<std::size_t>(q)] = static_cast<int>(i);
+    }
+  }
+  if (plan.group_a.size() + plan.group_b.size() != width) {
+    throw std::invalid_argument("cut_circuit: the groups must cover every qubit");
+  }
+
   CutResult result;
-  result.plan = plan;
-  result.fragment_a = extract_fragment(circ, plan.group_a, "_cutA");
-  result.fragment_b = extract_fragment(circ, plan.group_b, "_cutB");
-  const double cuts = static_cast<double>(plan.crossing_gates);
+  Circuit fragments[] = {Circuit(static_cast<int>(plan.group_a.size()), circ.name() + "_cutA"),
+                         Circuit(static_cast<int>(plan.group_b.size()), circ.name() + "_cutB")};
+  for (const auto& g : circ.gates()) {
+    if (g.kind == GateKind::kBarrier) {
+      fragments[0].barrier();
+      fragments[1].barrier();
+      continue;
+    }
+    const int f = fragment_of[static_cast<std::size_t>(g.qubit(0))];
+    Gate mapped = g;
+    bool crosses = false;
+    for (int i = 0; i < g.arity(); ++i) {
+      const auto q = static_cast<std::size_t>(g.qubit(i));
+      crosses = crosses || fragment_of[q] != f;
+      mapped.qubits[static_cast<std::size_t>(i)] = local[q];
+    }
+    if (crosses) {
+      ++result.crossing_gates;
+      continue;
+    }
+    fragments[f].append(mapped);  // measure keeps its original clbit
+  }
+  result.fragment_a = std::move(fragments[0]);
+  result.fragment_b = std::move(fragments[1]);
+  const double cuts = static_cast<double>(result.crossing_gates);
   result.sampling_overhead = std::min(std::pow(9.0, cuts), 1e9);
   result.circuit_variants =
       static_cast<std::size_t>(std::min(std::pow(4.0, cuts), 4096.0));
@@ -87,27 +77,9 @@ CutResult cut_circuit(const Circuit& circ, const CutPlan& plan) {
   return result;
 }
 
-CutResult cut_circuit(const Circuit& circ) { return cut_circuit(circ, plan_bipartition(circ)); }
-
-std::map<std::uint64_t, double> knit_distributions(
-    const std::map<std::uint64_t, double>& dist_a,
-    const std::map<std::uint64_t, double>& dist_b) {
-  std::map<std::uint64_t, double> out;
-  for (const auto& [ka, pa] : dist_a) {
-    for (const auto& [kb, pb] : dist_b) {
-      if ((ka & kb) != 0) {
-        throw std::invalid_argument("knit_distributions: fragments share clbits");
-      }
-      out[ka | kb] += pa * pb;
-    }
-  }
-  return out;
-}
-
-double knitted_fidelity(double fidelity_a, double fidelity_b, std::size_t cuts,
-                        double per_cut_penalty) {
+double knitted_fidelity(double fidelity_a, double fidelity_b, std::size_t cuts) {
   const double base = fidelity_a * fidelity_b;
-  return base * std::pow(1.0 - per_cut_penalty, static_cast<double>(cuts));
+  return base * std::pow(1.0 - kPerCutPenalty, static_cast<double>(cuts));
 }
 
 }  // namespace qon::mitigation

@@ -5,19 +5,29 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "mitigation/pec.hpp"
-
 namespace qon::mitigation {
 
 namespace {
 
 // Model constants: residual error fraction per technique (multiplicative on
-// 1 - fidelity) and classical cost bases. See DESIGN.md §4.
+// 1 - fidelity), chosen to reproduce the paper's ordering of uplift:
+// PEC > ZNE > REM > DD > twirling.
 constexpr double kZneResidual = 0.55;
 constexpr double kPecResidual = 0.35;
 constexpr double kRemResidual = 0.85;
 constexpr double kDdResidual = 0.92;
 constexpr double kTwirlResidual = 0.96;
+
+// The one configuration each technique runs at.
+// ZNE folds the circuit at noise factors 1, 3 and 5: three instances whose
+// runtimes sum to nine times the unfolded circuit's.
+constexpr double kZneInstances = 3.0;
+constexpr double kZneRuntimeMultiplier = 1.0 + 3.0 + 5.0;
+// Fraction of idle dephasing that survives on DD-protected qubits, consumed
+// by the noise and ESP models through the signature.
+constexpr double kDdDephasingResidual = 0.35;
+// Pauli-twirled instances per circuit.
+constexpr double kTwirlInstances = 8.0;
 
 // Classical cost bases (seconds, CPU): per circuit instance generated and
 // per unit of post-processing work.
@@ -59,6 +69,13 @@ double accelerator_speedup(Accelerator a) {
   return 1.0;
 }
 
+double pec_gamma(double error_probability) {
+  if (error_probability < 0.0 || error_probability >= 1.0) {
+    throw std::invalid_argument("pec_gamma: error probability out of range");
+  }
+  return (1.0 + error_probability / 2.0) / (1.0 - error_probability);
+}
+
 bool MitigationSpec::uses(Technique t) const {
   return std::find(stack.begin(), stack.end(), t) != stack.end();
 }
@@ -83,11 +100,8 @@ MitigationSignature compute_signature(const MitigationSpec& spec, std::size_t nu
   for (const Technique t : spec.stack) {
     switch (t) {
       case Technique::kZne: {
-        const double factors = static_cast<double>(spec.zne.noise_factors.size());
-        double scale_sum = 0.0;
-        for (double s : spec.zne.noise_factors) scale_sum += s;
-        sig.circuit_instances *= factors;
-        sig.quantum_runtime_multiplier *= std::max(scale_sum, 1.0);
+        sig.circuit_instances *= kZneInstances;
+        sig.quantum_runtime_multiplier *= kZneRuntimeMultiplier;
         sig.classical_postprocess_seconds += kZneInferenceBase / speedup;
         sig.error_residual *= kZneResidual;
         break;
@@ -120,11 +134,11 @@ MitigationSignature compute_signature(const MitigationSpec& spec, std::size_t nu
         sig.quantum_runtime_multiplier *= 1.02;
         sig.error_residual *= kDdResidual;
         sig.delay_dephasing_residual =
-            std::min(sig.delay_dephasing_residual, spec.dd.dephasing_residual);
+            std::min(sig.delay_dephasing_residual, kDdDephasingResidual);
         break;
       }
       case Technique::kTwirling: {
-        sig.circuit_instances *= static_cast<double>(std::max<std::size_t>(spec.twirl_instances, 1));
+        sig.circuit_instances *= kTwirlInstances;
         // Shots are split across twirls; only per-instance overhead remains.
         sig.quantum_runtime_multiplier *= 1.1;
         sig.error_residual *= kTwirlResidual;
@@ -146,10 +160,9 @@ MitigationSignature compute_signature(const MitigationSpec& spec, std::size_t nu
         sig.classical_postprocess_seconds += kKnitPerVariant * variants *
                                              static_cast<double>(std::max<std::size_t>(depth, 1)) /
                                              speedup;
-        // Fidelity benefit comes from narrower fragments (handled by the
-        // estimator recomputing ESP on fragments); the residual here only
-        // carries the per-cut reconstruction penalty.
-        sig.error_residual *= 1.0;
+        // The error residual is untouched: the fidelity benefit of narrower
+        // fragments and the per-cut reconstruction penalty both enter
+        // through knitted_fidelity() in estimator/execution_model.cpp.
         break;
       }
     }

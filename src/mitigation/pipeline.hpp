@@ -1,23 +1,23 @@
 #pragma once
-// Stacked mitigation pipeline (§6 "Error mitigation"): a MitigationSpec
-// lists the techniques applied to a job; compute_signature() turns it into
+// Stacked mitigation model (§6 "Error mitigation"): a MitigationSpec lists
+// the techniques applied to a job, and compute_signature() turns it into
 // the resource signature the estimator and scheduler consume — how many
 // circuit instances run, how much quantum runtime multiplies, what the
 // classical pre/post-processing costs on a given accelerator, and what
 // fraction of the base error survives.
 //
-// The residual-error constants are model parameters (documented here and in
-// DESIGN.md) chosen to reproduce the paper's qualitative uplift ordering:
-// PEC > ZNE > REM > DD > twirling, with costs ordered the same way.
+// The signature is the whole mitigation model. Nothing here generates
+// folded, twirled or decoupled circuits or post-processes counts: a plan's
+// mitigation is a prediction of its cost and benefit, as in the paper's
+// resource estimator. Each technique runs at one fixed configuration (ZNE
+// at noise factors 1, 3 and 5; DD as X-X pulse pairs; eight twirls), whose
+// costs are constants in pipeline.cpp. The residual-error constants there
+// are model parameters chosen to reproduce the paper's qualitative uplift
+// ordering — PEC > ZNE > REM > DD > twirling — with costs ordered the same
+// way.
 
 #include <string>
 #include <vector>
-
-#include "circuit/circuit.hpp"
-#include "mitigation/cutting.hpp"
-#include "mitigation/dd.hpp"
-#include "mitigation/zne.hpp"
-#include "qpu/backend.hpp"
 
 namespace qon::mitigation {
 
@@ -37,10 +37,6 @@ double accelerator_speedup(Accelerator a);
 /// A stacked mitigation configuration.
 struct MitigationSpec {
   std::vector<Technique> stack;
-  ZneConfig zne;
-  DdConfig dd;
-  std::size_t twirl_instances = 8;
-  double cut_penalty = 0.02;
 
   bool uses(Technique t) const;
   std::string to_string() const;
@@ -57,6 +53,12 @@ struct MitigationSignature {
   bool cuts_circuit = false;
   double delay_dephasing_residual = 1.0;   ///< DD suppression, for noise/ESP
 };
+
+/// gamma of the inverse depolarizing channel with error probability p:
+/// gamma = (1 + p/2) / (1 - p) for the Pauli-twirled single/two-qubit case
+/// (approximation; grows as errors grow). PEC's sampling overhead is gamma²
+/// per gate.
+double pec_gamma(double error_probability);
 
 /// Computes the signature of `spec` for a circuit with the given metrics.
 /// `two_qubit_gates`/`depth`/`num_qubits`/`num_clbits` describe the

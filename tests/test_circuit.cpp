@@ -1,4 +1,4 @@
-// Tests for the circuit IR, DAG view and the benchmark generator library.
+// Tests for the circuit IR and the benchmark generator library.
 // Several checks use the state-vector simulator to verify semantic
 // properties (BV recovers its secret, GHZ is 50/50, W-state is uniform...).
 
@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "circuit/circuit.hpp"
-#include "circuit/dag.hpp"
 #include "circuit/library.hpp"
 #include "simulator/metrics.hpp"
 #include "simulator/statevector.hpp"
@@ -126,41 +125,6 @@ TEST_P(InverseProperty, RoundTripsToZeroState) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InverseProperty, ::testing::Values(1, 2, 3, 7, 11, 42));
-
-TEST(Dag, LayersRespectDependencies) {
-  Circuit c(3);
-  c.h(0);       // layer 0
-  c.cx(0, 1);   // layer 1
-  c.x(2);       // layer 0
-  c.cx(1, 2);   // layer 2
-  const CircuitDag dag(c);
-  EXPECT_EQ(dag.layers()[0], 0u);
-  EXPECT_EQ(dag.layers()[1], 1u);
-  EXPECT_EQ(dag.layers()[2], 0u);
-  EXPECT_EQ(dag.layers()[3], 2u);
-  EXPECT_EQ(dag.layer_count(), 3u);
-}
-
-TEST(Dag, EdgesFollowSharedQubits) {
-  Circuit c(2);
-  c.h(0);
-  c.h(1);
-  c.cx(0, 1);
-  const CircuitDag dag(c);
-  EXPECT_EQ(dag.successors(0), std::vector<std::size_t>{2});
-  EXPECT_EQ(dag.successors(1), std::vector<std::size_t>{2});
-  EXPECT_EQ(dag.predecessors(2).size(), 2u);
-}
-
-TEST(Dag, BarrierDependsOnAllWires) {
-  Circuit c(2);
-  c.h(0);
-  c.barrier();
-  c.x(1);
-  const CircuitDag dag(c);
-  // x(1) must come after the barrier even though qubit 1 was untouched.
-  EXPECT_EQ(dag.layers()[2], 2u);
-}
 
 TEST(Library, GhzShape) {
   const Circuit c = ghz(5);

@@ -168,8 +168,10 @@ TEST(ExecutionModel, PredictionMatchesExecutionWithoutHiddenNoise) {
       backend.calibration().mean_gate_error_2q(), mitigation::Accelerator::kCpu);
   Rng rng(5);
   const double predicted = predicted_fidelity(t.circuit, backend, sig);
-  // Ablation (DESIGN.md decision 1): with hidden noise off and many shots,
-  // ground truth collapses onto the prediction up to crosstalk.
+  // Ablation: prediction and ground truth share one execution model and
+  // differ only by hidden noise, crosstalk and shot noise. With hidden noise
+  // off and many shots, ground truth collapses onto the prediction up to
+  // crosstalk.
   const double truth = executed_fidelity(t.circuit, backend, sig, sim::HiddenNoise::none(),
                                          1.0, 1000000, rng);
   EXPECT_NEAR(predicted, truth, 0.01);
