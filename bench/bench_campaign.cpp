@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "bench_util.hpp"
 #include "campaign/driver.hpp"
@@ -65,7 +66,12 @@ int main(int argc, char** argv) {
 
   const std::string report_path =
       bench::artifact_path("BENCH_campaign_" + profile->name + ".json");
-  campaign::write_report_json(*report, report_path);
+  try {
+    campaign::write_report_json(*report, report_path);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "bench_campaign: %s\n", e.what());
+    return 1;
+  }
   std::cout << "report: " << report_path << "\nstats:  " << options.stats_path
             << " (" << report->stats_rows << " rows)\n";
   return 0;

@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -86,6 +87,27 @@ api::Result<CampaignReport> run_campaign(const CampaignProfile& profile,
                                          const CampaignOptions& options) {
   const auto wall_start = std::chrono::steady_clock::now();
 
+  // -- output streams -----------------------------------------------------------
+  // Opened before the stack stands up, so an unwritable path fails at once
+  // instead of after the fleet is built and deployed. The alert stream is
+  // only written when the profile configures `alerts:` rules.
+  std::unique_ptr<StatsSink> sink;
+  std::unique_ptr<StatsSink> alert_sink;
+  try {
+    if (!options.stats_path.empty()) {
+      sink = std::make_unique<StatsSink>(options.stats_path, options.stats_format,
+                                         campaign_stats_columns(),
+                                         options.sink_batch_rows);
+    }
+    if (!profile.alerts.empty() && !options.alerts_path.empty()) {
+      alert_sink = std::make_unique<StatsSink>(
+          options.alerts_path, options.stats_format, campaign_alert_columns(),
+          options.sink_batch_rows);
+    }
+  } catch (const std::runtime_error& e) {
+    return api::FailedPrecondition(e.what());
+  }
+
   api::QonductorClient client(make_orchestrator_config(profile));
   core::Qonductor& backend = client.backend();
   core::SchedulerService* sched = backend.schedulerService();
@@ -127,27 +149,13 @@ api::Result<CampaignReport> run_campaign(const CampaignProfile& profile,
   Rng mix_rng = root.split();
   const ArrivalProcess arrivals(profile.arrivals);
 
-  // -- stats stream -------------------------------------------------------------
-  std::unique_ptr<StatsSink> sink;
-  if (!options.stats_path.empty()) {
-    sink = std::make_unique<StatsSink>(options.stats_path, options.stats_format,
-                                       campaign_stats_columns(),
-                                       options.sink_batch_rows);
-  }
-
   // -- SLO burn-rate alert timeline ---------------------------------------------
   // The driver owns its own monitor (distinct from the orchestrator's live
   // one) fed from the deterministic reap order below, so the alert timeline
   // is byte-identical across same-profile lockstep runs.
   std::unique_ptr<obs::SloMonitor> slo;
-  std::unique_ptr<StatsSink> alert_sink;
   if (!profile.alerts.empty()) {
     slo = std::make_unique<obs::SloMonitor>(profile.slo_seconds, profile.alerts);
-    if (!options.alerts_path.empty()) {
-      alert_sink = std::make_unique<StatsSink>(
-          options.alerts_path, options.stats_format, campaign_alert_columns(),
-          options.sink_batch_rows);
-    }
   }
   std::uint64_t alert_rows = 0;
   std::uint64_t alerts_fired = 0;

@@ -58,9 +58,11 @@ const std::vector<std::string>& campaign_stats_columns();
 /// cells are JSON strings, the rest numeric).
 const std::vector<std::string>& campaign_alert_columns();
 
-/// Runs the campaign described by `profile` end to end. INVALID_ARGUMENT
-/// for churn events naming unknown QPUs; INTERNAL when the stack fails to
-/// stand up; otherwise the final report.
+/// Runs the campaign described by `profile` end to end. FAILED_PRECONDITION
+/// naming the path when the stats or alerts stream cannot be opened (checked
+/// before the stack stands up); INVALID_ARGUMENT for churn events naming
+/// unknown QPUs; INTERNAL when the stack fails to stand up; otherwise the
+/// final report.
 api::Result<CampaignReport> run_campaign(const CampaignProfile& profile,
                                          const CampaignOptions& options = {});
 

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <latch>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -752,6 +753,43 @@ slo:
 
   std::remove(first_path.c_str());
   std::remove(second_path.c_str());
+}
+
+TEST(CampaignDriver, UnwritableStreamPathFailsWithoutThrowing) {
+  // A stream under a directory that does not exist: run_campaign returns a
+  // typed FAILED_PRECONDITION naming the path, before it stands up the stack.
+  const auto parsed = parse_profile(R"(
+campaign:
+  name: e2e-unwritable
+  duration_hours: 0.01
+tenants:
+  - name: t
+slo:
+  standard_seconds: 1800
+alerts:
+  - name: standard-burn
+    priority: standard
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const std::string missing_dir = temp_path("missing_dir");
+  std::remove(missing_dir.c_str());
+  const std::string bad_path = missing_dir + "/stats.jsonl";
+
+  CampaignOptions options;
+  options.stats_path = bad_path;
+  std::optional<api::Result<CampaignReport>> report;
+  ASSERT_NO_THROW(report.emplace(run_campaign(*parsed, options)));
+  ASSERT_FALSE(report->ok());
+  EXPECT_EQ(report->status().code(), api::StatusCode::kFailedPrecondition);
+  EXPECT_NE(report->status().message().find(bad_path), std::string::npos)
+      << report->status().to_string();
+
+  // The alert stream is checked the same way.
+  options.stats_path.clear();
+  options.alerts_path = bad_path;
+  ASSERT_NO_THROW(report.emplace(run_campaign(*parsed, options)));
+  ASSERT_FALSE(report->ok());
+  EXPECT_EQ(report->status().code(), api::StatusCode::kFailedPrecondition);
 }
 
 TEST(CampaignDriver, LockstepStatsStreamIsIndependentOfEngineWorkerCount) {
