@@ -152,9 +152,9 @@ TEST(Pipeline, MenuIsOrderedAndNamed) {
   EXPECT_TRUE(has_cutting);
 }
 
-// Every field of every menu signature at one shape, on each accelerator, as
-// the model produced it before its single-value options became constants.
-// Exact equality: a constant that moves by one ulp fails here.
+// Every field of every menu signature at one shape, on each accelerator.
+// The other Pipeline tests check orderings only; this one compares exactly,
+// so a model constant that moves by one ulp fails here.
 TEST(Pipeline, StandardMenuSignaturesArePinned) {
   struct Expected {
     double circuit_instances;
