@@ -22,20 +22,39 @@
 
 namespace qon::api {
 
+/// One scheduling cycle as the scheduler thread published it: the cycle's
+/// stats record plus the tracer wall instant (µs) at which its MCDM
+/// selection stage ended. Immutable once published. The service's
+/// recent_cycles ring and the trace entry of every job the cycle decided
+/// share it, so it lives as long as either still points at it.
+struct CycleRecord {
+  SchedulerCycleInfo info;
+  double stages_end_us = 0.0;
+};
+
+/// One ring slot: a recorded span, plus, on the `queue_wait` span of a job
+/// a cycle dispatched or filtered, that cycle. obs::Tracer renders the
+/// cycle's three `cycle_*` stage spans right after such a span at read
+/// time, so a slot with a cycle counts as four spans.
+struct SpanEntry {
+  TraceSpan span;
+  std::shared_ptr<const CycleRecord> cycle;
+};
+
 /// A run's bounded span ring. obs::Tracer writes and reads it under the
-/// owning record's mutex; once `spans` is full, `head` is the oldest slot
-/// and the next span overwrites it.
+/// owning record's mutex; once `entries` is full, `head` is the oldest slot
+/// and the next entry overwrites it.
 struct SpanRing {
-  std::vector<TraceSpan> spans;
+  std::vector<SpanEntry> entries;
   std::size_t head = 0;
-  std::uint64_t recorded = 0;  ///< spans ever recorded, including dropped
+  std::uint64_t recorded = 0;  ///< rendered spans ever recorded, including dropped
 };
 
 /// Shared record of one run, written by the orchestrator's executor and
 /// read by any number of handles. All mutable fields are guarded by
 /// `mutex`; `cv` is notified on every status transition. The record is
 /// also where the run's trace lives: the engine worker driving the run and
-/// the scheduler thread deciding its parked task append spans to `trace`
+/// the scheduler thread deciding its parked task append entries to `trace`
 /// under `mutex`, holding no other lock (kRunState is the outermost rank).
 struct RunState {
   RunId id = 0;

@@ -349,8 +349,8 @@ struct TraceSpan {
 };
 
 /// The ring-buffered trace of one run: spans in record order (oldest
-/// first). When a run records more spans than the per-run ring holds, the
-/// oldest are dropped — `recorded` keeps the true total, so
+/// first). When a run records more entries than the per-run ring holds,
+/// the oldest are dropped — `recorded` keeps the true span total, so
 /// `dropped = recorded - spans.size()` tells a reader the trace is partial.
 struct RunTrace {
   RunId run = 0;

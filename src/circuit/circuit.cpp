@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace qon::circuit {
@@ -181,30 +180,6 @@ Circuit Circuit::inverse() const {
     out.gates_.push_back(g);
   }
   return out;
-}
-
-std::string Circuit::to_qasm() const {
-  std::ostringstream oss;
-  oss << "OPENQASM 2.0;\n";
-  oss << "qreg q[" << num_qubits_ << "];\n";
-  oss << "creg c[" << num_qubits_ << "];\n";
-  for (const auto& g : gates_) {
-    switch (g.kind) {
-      case GateKind::kBarrier:
-        oss << "barrier q;\n";
-        break;
-      case GateKind::kMeasure:
-        oss << "measure q[" << g.qubit(0) << "] -> c[" << g.qubits[1] << "];\n";
-        break;
-      default:
-        oss << gate_name(g.kind);
-        if (is_parameterized(g.kind)) oss << "(" << g.param << ")";
-        oss << " q[" << g.qubit(0) << "]";
-        if (g.arity() == 2) oss << ", q[" << g.qubit(1) << "]";
-        oss << ";\n";
-    }
-  }
-  return oss.str();
 }
 
 }  // namespace qon::circuit

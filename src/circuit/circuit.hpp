@@ -100,9 +100,6 @@ class Circuit {
   /// Measurements/barriers are dropped. Throws for non-invertible kinds.
   Circuit inverse() const;
 
-  /// OpenQASM-2-style dump (for debugging / golden tests).
-  std::string to_qasm() const;
-
  private:
   int num_qubits_ = 0;
   std::string name_ = "circuit";

@@ -42,6 +42,14 @@ std::vector<std::string> backend_names(const qpu::Fleet& fleet) {
 constexpr std::uint64_t kExecutionStream = 0xe8ec0a7eULL;
 constexpr std::uint64_t kCalibrationStream = 0xca1b0a7eULL;
 
+/// Spread of the ground-truth perturbation (sim::HiddenNoise) that keeps
+/// executed fidelities off the estimators' predictions.
+constexpr double kHiddenSigma = 0.25;
+/// The classical node pool: standard, high-end and FPGA nodes.
+constexpr std::size_t kStandardNodes = 8;
+constexpr std::size_t kHighendNodes = 2;
+constexpr std::size_t kFpgaNodes = 1;
+
 /// The mitigation signature of `task` transpiled to `physical` on `backend`.
 mitigation::MitigationSignature task_signature(const workflow::HybridTask& task,
                                                const circuit::Circuit& physical,
@@ -96,12 +104,10 @@ api::Status validate_admission_config(const AdmissionConfig& config) {
 
 Qonductor::Qonductor(QonductorConfig config)
     : config_(config),
-      hidden_(config.seed ^ 0x9d17ULL, config.hidden_sigma),
+      hidden_(config.seed ^ 0x9d17ULL, kHiddenSigma),
       fleet_generations_(qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL)),
       templates_(fleet().template_backends()),
-      nodes_(sched::make_node_pool(config.classical_standard_nodes,
-                                   config.classical_highend_nodes,
-                                   config.classical_fpga_nodes)),
+      nodes_(sched::make_node_pool(kStandardNodes, kHighendNodes, kFpgaNodes)),
       monitor_(backend_names(fleet())),
       run_table_(config.retention),
       telemetry_(config.telemetry) {
@@ -808,7 +814,7 @@ api::Result<api::WorkflowResultsResponse> Qonductor::workflowResults(
 // ---- control/data-plane operations -------------------------------------------
 
 estimator::PlanSet Qonductor::estimateResources(const circuit::Circuit& circ) const {
-  return estimator::generate_resource_plans(circ, templates_, config_.plan_config);
+  return estimator::generate_resource_plans(circ, templates_, estimator::PlanConfig{});
 }
 
 sched::ScheduleDecision Qonductor::generateSchedule(const sched::SchedulingInput& input) const {
@@ -1150,7 +1156,7 @@ QuantumExecutionRecord Qonductor::execution_record(
   record.cost_dollars = estimator::job_cost_dollars(
       est_exec_seconds,
       signature.classical_preprocess_seconds + signature.classical_postprocess_seconds,
-      task.accelerator, config_.plan_config.prices);
+      task.accelerator);
   return record;
 }
 
@@ -1305,9 +1311,8 @@ api::Result<api::TaskResult> Qonductor::run_classical_task(
   result.resource = nodes_[static_cast<std::size_t>(node)].name;
   result.start = ready_at;  // abundant classical capacity: no queueing
   result.end = ready_at + task.estimated_seconds / mitigation::accelerator_speedup(task.accelerator);
-  result.cost_dollars = estimator::job_cost_dollars(0.0, result.end - result.start,
-                                                    task.accelerator,
-                                                    config_.plan_config.prices);
+  result.cost_dollars =
+      estimator::job_cost_dollars(0.0, result.end - result.start, task.accelerator);
   advanceFleetClock(result.end);
   return result;
 }

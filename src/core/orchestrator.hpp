@@ -165,11 +165,6 @@ struct QonductorConfig {
   /// Deployment-default MCDM preference; a run's
   /// api::JobPreferences::fidelity_weight overrides it per job.
   double fidelity_weight = 0.5;
-  estimator::PlanConfig plan_config;
-  std::size_t classical_standard_nodes = 8;
-  std::size_t classical_highend_nodes = 2;
-  std::size_t classical_fpga_nodes = 1;
-  double hidden_sigma = 0.25;         ///< ground-truth perturbation
   /// Trajectory-simulate quantum tasks whose active width fits (exact
   /// counts + Hellinger fidelity); larger tasks use the analytic model.
   int trajectory_width_limit = 12;
@@ -288,6 +283,7 @@ class Qonductor {
 
   // -- Table 2: control/data-plane operations ----------------------------------
   std::vector<workflow::ImageId> listImages() const;
+  /// Resource plans for `circ` under the default estimator::PlanConfig.
   estimator::PlanSet estimateResources(const circuit::Circuit& circ) const;
   sched::ScheduleDecision generateSchedule(const sched::SchedulingInput& input) const;
 

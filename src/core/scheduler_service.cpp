@@ -176,7 +176,9 @@ api::SchedulerStats SchedulerService::stats() const {
   api::SchedulerStats snapshot;
   {
     MutexLock lock(stats_mutex_);
-    snapshot = stats_;
+    snapshot.max_batch_size_seen = max_batch_size_seen_;
+    snapshot.recent_cycles.reserve(recent_cycles_.size());
+    for (const auto& cycle : recent_cycles_) snapshot.recent_cycles.push_back(cycle->info);
   }
   // The aggregate totals live in the metrics registry now; this surface is
   // a view over the same instruments getMetrics exports. Counters are
@@ -225,10 +227,13 @@ void SchedulerService::run_loop() {
 }
 
 void SchedulerService::record_queue_wait(api::RunState& run, const PendingQuantumTask& item,
-                                         double now, std::string verdict) const {
+                                         double now, std::string verdict,
+                                         std::shared_ptr<const api::CycleRecord> cycle) const {
   const obs::Tracer& tracer = telemetry_->tracer();
-  tracer.record(run, tracer.span("queue_wait", item.enqueued_at, now, item.enqueued_wall_us,
-                                 std::move(verdict)));
+  tracer.record(run,
+                tracer.span("queue_wait", item.enqueued_at, now, item.enqueued_wall_us,
+                            std::move(verdict)),
+                std::move(cycle));
 }
 
 void SchedulerService::fail_expired(const std::vector<PendingQueue::Item>& overdue,
@@ -247,12 +252,12 @@ void SchedulerService::fail_expired(const std::vector<PendingQueue::Item>& overd
   }
 }
 
-void SchedulerService::append_cycle_locked(api::SchedulerCycleInfo& info) {
+void SchedulerService::publish_cycle_locked(const std::shared_ptr<api::CycleRecord>& cycle) {
   cycles_total_->inc();
-  info.cycle = cycles_total_->value();
-  stats_.recent_cycles.push_back(info);
-  if (stats_.recent_cycles.size() > config_.stats_cycle_history) {
-    stats_.recent_cycles.erase(stats_.recent_cycles.begin());
+  cycle->info.cycle = cycles_total_->value();
+  recent_cycles_.push_back(cycle);
+  if (recent_cycles_.size() > config_.stats_cycle_history) {
+    recent_cycles_.pop_front();
     stats_cycles_dropped_total_->inc();
   }
 }
@@ -260,7 +265,8 @@ void SchedulerService::append_cycle_locked(api::SchedulerCycleInfo& info) {
 void SchedulerService::record_empty_cycle(double fired_at, api::CycleTrigger fired_by,
                                           std::size_t expired, double latency_seconds) {
   trigger_.notify_fired(fired_at);
-  api::SchedulerCycleInfo info;
+  const auto cycle = std::make_shared<api::CycleRecord>();
+  api::SchedulerCycleInfo& info = cycle->info;
   info.fired_at = fired_at;
   info.trigger = fired_by;
   info.expired = expired;
@@ -271,7 +277,7 @@ void SchedulerService::record_empty_cycle(double fired_at, api::CycleTrigger fir
   }
   MutexLock lock(stats_mutex_);
   jobs_expired_total_->inc(expired);
-  append_cycle_locked(info);
+  publish_cycle_locked(cycle);
 }
 
 void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
@@ -375,7 +381,11 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
   }
   trigger_.notify_fired(now);
 
-  api::SchedulerCycleInfo info;
+  // The cycle's one record: the stats ring and the trace entry of every
+  // job it decided share it.
+  const auto cycle = std::make_shared<api::CycleRecord>();
+  cycle->stages_end_us = telemetry_->tracer().wall_now_us();
+  api::SchedulerCycleInfo& info = cycle->info;
   info.fired_at = now;
   info.trigger = fired_by;
   info.batch_size = batch.size();
@@ -394,8 +404,8 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
     jobs_scheduled_total_->inc(scheduled);
     jobs_filtered_total_->inc(filtered);
     jobs_expired_total_->inc(expired);
-    stats_.max_batch_size_seen = std::max(stats_.max_batch_size_seen, batch.size());
-    append_cycle_locked(info);
+    max_batch_size_seen_ = std::max(max_batch_size_seen_, batch.size());
+    publish_cycle_locked(cycle);
   }
 
   if (telemetry_->metrics_enabled()) {
@@ -414,34 +424,11 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
                            {"expired", expired}});
   }
 
-  // Cycle-stage wall window, reconstructed backwards from this instant:
-  // MCDM selection just ended, NSGA-II before it, preprocessing first. Each
-  // batch member gets the stage spans of the cycle that decided it — the
-  // stages happened at one virtual instant (`now`), so only the wall clock
-  // spreads them out.
-  const obs::Tracer& tracer = telemetry_->tracer();
-  const double stages_end_us = tracer.wall_now_us();
-  const double select_us = decision.select_seconds * 1e6;
-  const double optimize_us = decision.optimize_seconds * 1e6;
-  const double preprocess_us = decision.preprocess_seconds * 1e6;
-  const std::string cycle_tag = "cycle=" + std::to_string(info.cycle);
-  const auto stage_span = [&](const char* name, double wall_start,
-                              double wall_end) {
-    api::TraceSpan span;
-    span.name = name;
-    span.detail = cycle_tag;
-    span.virtual_start = now;
-    span.virtual_end = now;
-    span.wall_start_us = wall_start;
-    span.wall_end_us = wall_end;
-    return span;
-  };
-
   // Now wake the executors: deadline-expired jobs fail DEADLINE_EXCEEDED,
   // assigned tasks proceed to their booked QPU window, filtered jobs fail
-  // their run with the typed RESOURCE_EXHAUSTED. Spans are recorded per
-  // item BEFORE its settlement — the settlement edge publishes them to the
-  // resume step.
+  // their run with the typed RESOURCE_EXHAUSTED. Each item's queue_wait
+  // entry is recorded BEFORE its settlement — the settlement edge publishes
+  // it to the resume step.
   fail_expired(overdue, now);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (const auto run = batch[i]->trace.lock(); run && cycle_error.ok()) {
@@ -449,13 +436,8 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
       record_queue_wait(*run, *batch[i], now,
                         dispatched ? "dispatched qpu=" +
                                          std::to_string(decision.assignment[i])
-                                   : "filtered");
-      tracer.record(*run, stage_span("cycle_preprocess",
-                                     stages_end_us - select_us - optimize_us - preprocess_us,
-                                     stages_end_us - select_us - optimize_us));
-      tracer.record(*run, stage_span("cycle_optimize", stages_end_us - select_us - optimize_us,
-                                     stages_end_us - select_us));
-      tracer.record(*run, stage_span("cycle_select", stages_end_us - select_us, stages_end_us));
+                                   : "filtered",
+                        cycle);
     } else if (run) {
       record_queue_wait(*run, *batch[i], now, "failed: " + cycle_error.message());
     }

@@ -37,11 +37,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "api/run_handle.hpp"
 #include "api/status.hpp"
 #include "api/types.hpp"
 #include "common/rng.hpp"
@@ -78,7 +80,8 @@ struct SchedulerServiceConfig {
   /// interactive stream cannot starve the lower lanes indefinitely.
   /// 0 = off (strict priority order, the default).
   double aging_seconds = 0.0;
-  /// How many per-cycle records getSchedulerStats retains (ring buffer).
+  /// How many cycle records getSchedulerStats retains (recent_cycles ring;
+  /// a trace that refers to an evicted cycle keeps it alive on its own).
   std::size_t stats_cycle_history = 256;
   /// Liveness watchdog budgets (wall seconds; see obs/health.hpp). The
   /// scheduler budget bounds heartbeat silence of the scheduler thread
@@ -164,7 +167,7 @@ class SchedulerService {
   /// Snapshot of the aggregate counters + the bounded cycle history. The
   /// aggregate totals (cycles / scheduled / filtered / expired, queue depth
   /// and watermark) are views over the metrics-registry instruments; the
-  /// recent_cycles ring stays local.
+  /// recent_cycles entries are copied out of the shared cycle records.
   api::SchedulerStats stats() const;
 
   const SchedulerServiceConfig& config() const { return config_; }
@@ -185,16 +188,19 @@ class SchedulerService {
   /// entry, without a scheduler call.
   void record_empty_cycle(double fired_at, api::CycleTrigger fired_by,
                           std::size_t expired, double latency_seconds);
-  /// Stamps the cycle index into `info` and appends it to the bounded
-  /// recent_cycles history. Bumps the cycle counter — the index IS the
-  /// counter value (single scheduler thread, so the read-after-inc is the
-  /// incremented value).
-  void append_cycle_locked(api::SchedulerCycleInfo& info) REQUIRES(stats_mutex_);
+  /// Stamps the cycle index into `cycle` and appends it to the bounded
+  /// recent_cycles history; `cycle` is immutable from here on. Bumps the
+  /// cycle counter — the index IS the counter value (single scheduler
+  /// thread, so the read-after-inc is the incremented value).
+  void publish_cycle_locked(const std::shared_ptr<api::CycleRecord>& cycle)
+      REQUIRES(stats_mutex_);
   /// Records the queue_wait span (enqueue -> verdict, both clocks) of
-  /// `item` into its run record `run`. Must run BEFORE complete()/fail() —
-  /// the settlement edge is what publishes the span to the resuming run.
+  /// `item` into its run record `run`, with the deciding `cycle` when one
+  /// dispatched or filtered it. Must run BEFORE complete()/fail() — the
+  /// settlement edge is what publishes the entry to the resuming run.
   void record_queue_wait(api::RunState& run, const PendingQuantumTask& item, double now,
-                         std::string verdict) const;
+                         std::string verdict,
+                         std::shared_ptr<const api::CycleRecord> cycle = nullptr) const;
 
   const SchedulerServiceConfig config_;
   const sched::SchedulerConfig cycle_config_;
@@ -213,7 +219,7 @@ class SchedulerService {
   obs::Counter* const jobs_scheduled_total_;
   obs::Counter* const jobs_filtered_total_;
   obs::Counter* const jobs_expired_total_;
-  // No-silent-caps: the bounded recent_cycles ring drops its oldest entry
+  // No-silent-caps: the bounded recent_cycles ring drops its oldest record
   // once full; this counts every drop so a reader can tell a quiet system
   // from a saturated ring.
   obs::Counter* const stats_cycles_dropped_total_;
@@ -242,7 +248,11 @@ class SchedulerService {
   std::atomic<bool> in_cycle_{false};
 
   mutable Mutex stats_mutex_{LockRank::kSchedulerStats, "SchedulerService::stats_mutex_"};
-  api::SchedulerStats stats_ GUARDED_BY(stats_mutex_);
+  std::size_t max_batch_size_seen_ GUARDED_BY(stats_mutex_) = 0;
+  /// The last stats_cycle_history published cycles, oldest first. The
+  /// records are shared with the trace entries of the jobs they decided.
+  std::deque<std::shared_ptr<const api::CycleRecord>> recent_cycles_
+      GUARDED_BY(stats_mutex_);
 
   /// Serializes concurrent shutdown() calls.
   Mutex join_mutex_{LockRank::kShutdownJoin, "SchedulerService::join_mutex_"};

@@ -56,9 +56,8 @@ struct TelemetryConfig {
   /// the legacy stats surfaces are unaffected by this knob.
   bool metrics = true;
   /// How many run traces the tracer retains (oldest-started evicted first).
+  /// Each run's span ring holds Tracer::kRingEntries entries.
   std::size_t trace_runs = 1024;
-  /// Span-ring capacity per run; older spans drop once exceeded.
-  std::size_t trace_spans_per_run = 128;
   /// Invoked with each finished run's trace at settle time, outside all
   /// locks (e.g. obs::make_jsonl_file_sink). Must be thread-safe.
   TraceSink trace_sink;
@@ -70,7 +69,7 @@ class Telemetry {
       : config_(std::move(config)),
         // registry_ precedes tracer_ in declaration order, so handing the
         // tracer a registry counter here is construction-order safe.
-        tracer_(config_.trace_runs, config_.trace_spans_per_run, config_.trace_sink,
+        tracer_(config_.trace_runs, config_.trace_sink,
                 registry_.counter("qon_trace_spans_dropped_total",
                                   "Trace spans dropped from full per-run rings")),
         snapshot_duration_(registry_.histogram(

@@ -7,10 +7,33 @@
 
 namespace qon::obs {
 
-Tracer::Tracer(std::size_t max_runs, std::size_t spans_per_run, TraceSink sink,
-               Counter* span_drop_counter)
+namespace {
+
+/// Spans an entry renders as: itself, plus its cycle's three stage spans.
+std::uint64_t rendered_spans(const api::SpanEntry& entry) {
+  return entry.cycle ? 4 : 1;
+}
+
+/// The three stage spans of `cycle`, each a point on the virtual clock at
+/// the cycle instant. Their wall windows are reconstructed backwards from
+/// the stage end: MCDM selection ended there, NSGA-II before it,
+/// preprocessing first.
+void render_cycle(const api::CycleRecord& cycle, std::vector<api::TraceSpan>& out) {
+  const api::SchedulerCycleInfo& info = cycle.info;
+  const std::string detail = "cycle=" + std::to_string(info.cycle);
+  const double select_start = cycle.stages_end_us - info.select_seconds * 1e6;
+  const double optimize_start = select_start - info.optimize_seconds * 1e6;
+  const double preprocess_start = optimize_start - info.preprocess_seconds * 1e6;
+  const double at = info.fired_at;
+  out.push_back({"cycle_preprocess", detail, at, at, preprocess_start, optimize_start});
+  out.push_back({"cycle_optimize", detail, at, at, optimize_start, select_start});
+  out.push_back({"cycle_select", detail, at, at, select_start, cycle.stages_end_us});
+}
+
+}  // namespace
+
+Tracer::Tracer(std::size_t max_runs, TraceSink sink, Counter* span_drop_counter)
     : max_runs_(std::max<std::size_t>(1, max_runs)),
-      spans_per_run_(std::max<std::size_t>(1, spans_per_run)),
       sink_(std::move(sink)),
       span_drop_counter_(span_drop_counter),
       epoch_(std::chrono::steady_clock::now()) {}
@@ -41,18 +64,22 @@ void Tracer::forget(api::RunId run) {
   }
 }
 
-void Tracer::record(api::RunState& run, api::TraceSpan span) const {
+void Tracer::record(api::RunState& run, api::TraceSpan span,
+                    std::shared_ptr<const api::CycleRecord> cycle) const {
+  api::SpanEntry entry{std::move(span), std::move(cycle)};
+  const std::uint64_t spans = rendered_spans(entry);
   MutexLock lock(run.mutex);
   api::SpanRing& ring = run.trace;
-  if (ring.spans.size() < spans_per_run_) {
-    ring.spans.push_back(std::move(span));
+  if (ring.entries.size() < kRingEntries) {
+    ring.entries.push_back(std::move(entry));
   } else {
     // Wrapped: overwrite the oldest slot and advance the ring head.
-    ring.spans[ring.head] = std::move(span);
-    ring.head = (ring.head + 1) % spans_per_run_;
-    if (span_drop_counter_ != nullptr) span_drop_counter_->inc();
+    api::SpanEntry& oldest = ring.entries[ring.head];
+    if (span_drop_counter_ != nullptr) span_drop_counter_->inc(rendered_spans(oldest));
+    oldest = std::move(entry);
+    ring.head = (ring.head + 1) % kRingEntries;
   }
-  ++ring.recorded;
+  ring.recorded += spans;
 }
 
 api::RunTrace Tracer::snapshot(const api::RunState& run) {
@@ -60,14 +87,16 @@ api::RunTrace Tracer::snapshot(const api::RunState& run) {
   out.run = run.id;
   MutexLock lock(run.mutex);
   const api::SpanRing& ring = run.trace;
-  out.recorded = ring.recorded;
-  out.dropped = ring.recorded - ring.spans.size();
-  out.spans.reserve(ring.spans.size());
+  out.spans.reserve(ring.entries.size() + 3);  // + one cycle's stage spans
   // Oldest-first: from the ring head around; before wrap, head is 0 and
-  // this is a plain copy.
-  for (std::size_t i = 0; i < ring.spans.size(); ++i) {
-    out.spans.push_back(ring.spans[(ring.head + i) % ring.spans.size()]);
+  // this is a plain walk.
+  for (std::size_t i = 0; i < ring.entries.size(); ++i) {
+    const api::SpanEntry& entry = ring.entries[(ring.head + i) % ring.entries.size()];
+    out.spans.push_back(entry.span);
+    if (entry.cycle) render_cycle(*entry.cycle, out.spans);
   }
+  out.recorded = ring.recorded;
+  out.dropped = ring.recorded - out.spans.size();
   return out;
 }
 

@@ -9,23 +9,33 @@
 // clock (µs since the tracer's construction) — so a reader can answer
 // "where did run 4711's 90 ms go?" in either domain.
 //
-// Writer model: a span is recorded either by the engine worker currently
+// Writer model: an entry is recorded either by the engine worker currently
 // driving the run (one event per run is in flight at a time) or by the
 // scheduler thread BEFORE it settles the run's parked task, which reaches
 // the record through PendingQuantumTask::trace — the settlement
 // happens-before edge then orders those writes against the resume step's.
-// Every write takes the record lock with no other lock held (kRunState is
-// the outermost rank), so the one genuine writer/writer window — a parking
-// step's trailing engine_step span racing the resume on another worker —
-// interleaves safely, and readers (getRunTrace, the export sink) copy the
-// ring under the same lock.
+// The scheduler thread writes one entry per job: the `queue_wait` span,
+// carrying a reference to the api::CycleRecord of the cycle that decided
+// it. Every write takes the record lock with no other lock held (kRunState
+// is the outermost rank), so the one genuine writer/writer window — a
+// parking step's trailing engine_step span racing the resume on another
+// worker — interleaves safely, and readers (getRunTrace, the export sink)
+// render the ring under the same lock.
 //
-// Each ring is bounded: a run recording more spans than the ring holds
-// drops the oldest and counts them, so a pathological run cannot grow
-// memory without bound. The tracer itself retains at most `max_runs`
-// records, evicting oldest-started first — getRunTrace on an evicted (or
-// never-traced) id is NOT_FOUND, mirroring the run table's retention
-// contract.
+// Rendering is the one place that knows how a cycle looks in a run's
+// trace: right after an entry that carries a cycle it emits
+// `cycle_preprocess` / `cycle_optimize` / `cycle_select` (detail
+// `cycle=N`, a point on the virtual clock at the cycle instant, wall
+// windows reconstructed backwards from the stored stage end). The shared
+// record is the retention rule: a cycle lives as long as a retained trace
+// or the scheduler's recent_cycles ring points at it.
+//
+// Each ring is bounded at kRingEntries entries: a run recording more drops
+// the oldest entries and counts the spans they held (four for an entry
+// with a cycle), so a pathological run cannot grow memory without bound.
+// The tracer itself retains at most `max_runs` records, evicting
+// oldest-started first — getRunTrace on an evicted (or never-traced) id is
+// NOT_FOUND, mirroring the run table's retention contract.
 
 #include <chrono>
 #include <deque>
@@ -50,12 +60,15 @@ using TraceSink = std::function<void(const api::RunTrace&)>;
 /// retention index of traced runs.
 class Tracer {
  public:
-  /// Retains at most `max_runs` traces (oldest-started evicted first);
-  /// each ring holds `spans_per_run` spans. `sink`, when set, receives each
-  /// finished run's trace from finalize(). `span_drop_counter`, when set,
-  /// counts ring-evicted spans across every run this tracer records into.
-  Tracer(std::size_t max_runs, std::size_t spans_per_run, TraceSink sink = nullptr,
-         Counter* span_drop_counter = nullptr);
+  /// Entries a run's span ring holds before it drops the oldest.
+  static constexpr std::size_t kRingEntries = 128;
+
+  /// Retains at most `max_runs` traces (oldest-started evicted first).
+  /// `sink`, when set, receives each finished run's trace from finalize().
+  /// `span_drop_counter`, when set, counts ring-evicted spans across every
+  /// run this tracer records into.
+  explicit Tracer(std::size_t max_runs, TraceSink sink = nullptr,
+                  Counter* span_drop_counter = nullptr);
 
   /// Adds `run` to the retention index, evicting the oldest-started trace
   /// beyond the bound (an evicted in-flight run keeps recording into its
@@ -68,8 +81,11 @@ class Tracer {
   void forget(api::RunId run);
 
   /// Appends `span` to the run's ring under the record lock, dropping the
-  /// oldest span once the ring is full. The caller must hold no lock.
-  void record(api::RunState& run, api::TraceSpan span) const;
+  /// oldest entry once the ring is full. `cycle`, when set, is the cycle
+  /// that decided the job this `queue_wait` span closes; its stage spans
+  /// are rendered after it. The caller must hold no lock.
+  void record(api::RunState& run, api::TraceSpan span,
+              std::shared_ptr<const api::CycleRecord> cycle = nullptr) const;
 
   /// Feeds the finished trace to the sink (if configured). The trace stays
   /// queryable until evicted by later start() calls.
@@ -94,11 +110,11 @@ class Tracer {
                       double wall_start_us, std::string detail = "") const;
 
  private:
-  /// The run's retained spans in record order, plus the drop accounting.
+  /// The run's retained entries rendered as spans in record order, plus
+  /// the drop accounting.
   static api::RunTrace snapshot(const api::RunState& run);
 
   const std::size_t max_runs_;
-  const std::size_t spans_per_run_;
   const TraceSink sink_;
   Counter* const span_drop_counter_;
   const std::chrono::steady_clock::time_point epoch_;

@@ -630,12 +630,11 @@ TEST(ObsDelta, CountersSubtractGaugesPassThrough) {
 // ---- Bounded-ring drop counters (no silent caps) -----------------------------
 
 TEST(CampaignDropCounters, TraceSpanRingOverflowIsCounted) {
-  obs::TelemetryConfig config;
-  config.trace_spans_per_run = 1;
-  obs::Telemetry telemetry(config);
+  obs::Telemetry telemetry;
   api::RunState run;
   run.id = 1;
-  for (int i = 0; i < 3; ++i) {
+  // Two point spans past the ring's capacity.
+  for (std::size_t i = 0; i < obs::Tracer::kRingEntries + 2; ++i) {
     telemetry.tracer().record(run, telemetry.tracer().point("p", static_cast<double>(i)));
   }
   const api::MetricsSnapshot snapshot = telemetry.snapshot(0.0);

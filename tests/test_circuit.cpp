@@ -99,18 +99,6 @@ TEST(Circuit, WithoutMeasurementsDropsOnlyMeasures) {
   EXPECT_EQ(u.measurement_count(), 0u);
 }
 
-TEST(Circuit, QasmDumpContainsStructure) {
-  Circuit c(2, "bell");
-  c.h(0);
-  c.cx(0, 1);
-  c.measure_all();
-  const std::string qasm = c.to_qasm();
-  EXPECT_NE(qasm.find("qreg q[2]"), std::string::npos);
-  EXPECT_NE(qasm.find("h q[0];"), std::string::npos);
-  EXPECT_NE(qasm.find("cx q[0], q[1];"), std::string::npos);
-  EXPECT_NE(qasm.find("measure q[1] -> c[1];"), std::string::npos);
-}
-
 // Inverse property: C followed by C.inverse() acts as identity on |0...0>.
 class InverseProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

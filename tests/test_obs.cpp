@@ -1,7 +1,9 @@
 // Tests for the telemetry subsystem (src/obs/): metrics-registry instrument
 // semantics (Prometheus le-inclusive histogram buckets, counter/gauge
 // concurrency, idempotent registration), trace ring wraparound and tracer
-// retention, the Prometheus/JSON renderers, the end-to-end run-lifecycle
+// retention, cycle spans rendered from the one shared cycle record (and kept
+// after the scheduler's recent_cycles ring evicts the cycle), the
+// Prometheus/JSON renderers, the end-to-end run-lifecycle
 // trace surface (both clocks on every span), the getRunTrace error
 // contract, and the stats-surface coherence guarantee:
 // getSchedulerStats / getAdmissionStats / prepCacheHits are views over the
@@ -14,10 +16,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "api/client.hpp"
 #include "circuit/library.hpp"
@@ -116,10 +122,11 @@ std::shared_ptr<api::RunState> run_record(api::RunId id) {
 }
 
 TEST(ObsTrace, RingWrapsAndCountsDrops) {
-  obs::Tracer tracer(/*max_runs=*/1, /*spans_per_run=*/4);
+  constexpr std::size_t kRing = obs::Tracer::kRingEntries;
+  obs::Tracer tracer(/*max_runs=*/1);
   const auto run = run_record(42);
   tracer.start(run);
-  for (int i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < kRing + 6; ++i) {
     api::TraceSpan span;
     span.name = "span-" + std::to_string(i);
     span.virtual_start = span.virtual_end = static_cast<double>(i);
@@ -128,16 +135,62 @@ TEST(ObsTrace, RingWrapsAndCountsDrops) {
   const auto trace = tracer.trace(42);
   ASSERT_TRUE(trace.ok()) << trace.status().to_string();
   EXPECT_EQ(trace->run, 42u);
-  ASSERT_EQ(trace->spans.size(), 4u);
-  EXPECT_EQ(trace->recorded, 10u);
+  ASSERT_EQ(trace->spans.size(), kRing);
+  EXPECT_EQ(trace->recorded, kRing + 6);
   EXPECT_EQ(trace->dropped, 6u);
-  // Oldest retained first: spans 6..9 survive in record order.
+  // Oldest retained first: spans 6..kRing+5 survive in record order.
   EXPECT_EQ(trace->spans.front().name, "span-6");
-  EXPECT_EQ(trace->spans.back().name, "span-9");
+  EXPECT_EQ(trace->spans.back().name, "span-" + std::to_string(kRing + 5));
+}
+
+// An entry carrying a cycle renders as four spans and drops as four.
+TEST(ObsTrace, CycleEntryRendersFourSpansAndDropsAsFour) {
+  constexpr std::size_t kRing = obs::Tracer::kRingEntries;
+  obs::MetricsRegistry registry;
+  obs::Counter* dropped = registry.counter("t_dropped_total", "test");
+  obs::Tracer tracer(/*max_runs=*/1, nullptr, dropped);
+  const auto run = run_record(5);
+  tracer.start(run);
+  auto cycle = std::make_shared<api::CycleRecord>();
+  cycle->info.cycle = 9;
+  cycle->info.fired_at = 3.5;
+  cycle->info.preprocess_seconds = 0.25e-3;
+  cycle->info.optimize_seconds = 2e-3;
+  cycle->info.select_seconds = 0.5e-3;
+  cycle->stages_end_us = 10000.0;
+  tracer.record(*run, tracer.span("queue_wait", 1.0, 3.5, 0.0, "dispatched qpu=0"), cycle);
+
+  auto trace = tracer.trace(5);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_EQ(trace->spans.size(), 4u);
+  EXPECT_EQ(trace->recorded, 4u);
+  EXPECT_EQ(trace->dropped, 0u);
+  const std::vector<std::string> names = {"queue_wait", "cycle_preprocess", "cycle_optimize",
+                                          "cycle_select"};
+  const std::vector<std::pair<double, double>> walls = {
+      {7250.0, 7500.0}, {7500.0, 9500.0}, {9500.0, 10000.0}};
+  for (std::size_t i = 0; i < names.size(); ++i) EXPECT_EQ(trace->spans[i].name, names[i]);
+  for (std::size_t i = 1; i < 4; ++i) {
+    const api::TraceSpan& span = trace->spans[i];
+    EXPECT_EQ(span.detail, "cycle=9");
+    EXPECT_EQ(span.virtual_start, 3.5);
+    EXPECT_EQ(span.virtual_end, 3.5);
+    EXPECT_DOUBLE_EQ(span.wall_start_us, walls[i - 1].first) << span.name;
+    EXPECT_DOUBLE_EQ(span.wall_end_us, walls[i - 1].second) << span.name;
+  }
+
+  // Overwriting the cycle entry drops the four spans it held.
+  for (std::size_t i = 0; i < kRing; ++i) tracer.record(*run, tracer.point("p", 4.0));
+  trace = tracer.trace(5);
+  ASSERT_TRUE(trace.ok());
+  EXPECT_EQ(trace->spans.size(), kRing);
+  EXPECT_EQ(trace->recorded, kRing + 4);
+  EXPECT_EQ(trace->dropped, 4u);
+  EXPECT_EQ(dropped->value(), 4u);
 }
 
 TEST(ObsTrace, TracerEvictsOldestBeyondRetention) {
-  obs::Tracer tracer(/*max_runs=*/2, /*spans_per_run=*/8);
+  obs::Tracer tracer(/*max_runs=*/2);
   tracer.start(run_record(1));
   tracer.start(run_record(2));
   tracer.start(run_record(3));  // evicts run 1
@@ -149,7 +202,7 @@ TEST(ObsTrace, TracerEvictsOldestBeyondRetention) {
 
 TEST(ObsTrace, FinalizeFeedsSinkOutsideTheMapLock) {
   std::vector<api::RunTrace> finished;
-  obs::Tracer tracer(4, 8, [&finished](const api::RunTrace& trace) {
+  obs::Tracer tracer(4, [&finished](const api::RunTrace& trace) {
     finished.push_back(trace);
   });
   const auto run = run_record(7);
@@ -499,7 +552,11 @@ TEST(ObsEndToEnd, MetricsKnobOffStillServesLegacySurfaces) {
 }
 
 TEST(ObsEndToEnd, JsonlTraceSinkReceivesEveryFinishedRun) {
-  const std::string path = ::testing::TempDir() + "qon_trace_sink_test.jsonl";
+  // Named per test and per process, so concurrent runs of this binary do
+  // not share the file.
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + info->test_suite_name() + "_" +
+                           info->name() + "_" + std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   {
     core::QonductorConfig config;
@@ -580,6 +637,154 @@ TEST(ObsEndToEnd, ConcurrentTraceReadersSeeWholeTraces) {
   EXPECT_EQ(read_whole, kRuns);
   EXPECT_EQ(sunk.load(), kRuns);
   EXPECT_EQ(sunk_whole.load(), kRuns);
+}
+
+// ---- cycle spans: rendered from the one shared cycle record ------------------
+
+std::vector<api::TraceSpan> cycle_spans(const api::RunTrace& trace) {
+  std::vector<api::TraceSpan> out;
+  for (const auto& span : trace.spans) {
+    if (span.name.rfind("cycle_", 0) == 0) out.push_back(span);
+  }
+  return out;
+}
+
+api::RunTrace run_trace(api::QonductorClient& client, api::RunId run) {
+  api::GetRunTraceRequest request;
+  request.run = run;
+  auto response = client.getRunTrace(request);
+  EXPECT_TRUE(response.ok()) << response.status().to_string();
+  return response.ok() ? response->trace : api::RunTrace{};
+}
+
+// Two runs one cycle decided render the same three stage spans, and each
+// span's wall extent is that cycle's stage time.
+TEST(ObsEndToEnd, OneCycleRendersIdenticalStageSpansIntoEveryRunItDecided) {
+  core::QonductorConfig config;
+  config.num_qpus = 2;
+  config.seed = 18;
+  config.trajectory_width_limit = 0;
+  config.scheduler_service.queue_threshold = 2;
+  config.scheduler_service.linger = 10s;  // the cycle fires at the threshold
+  api::QonductorClient client(config);
+  api::InvokeRequest request;
+  request.image = deploy_quantum(client, "one-cycle");
+  auto handles = client.invokeAll({request, request});
+  ASSERT_TRUE(handles.ok()) << handles.status().to_string();
+  for (auto& handle : *handles) ASSERT_EQ(handle.wait(), api::RunStatus::kCompleted);
+
+  const auto first = cycle_spans(run_trace(client, (*handles)[0].id()));
+  const auto second = cycle_spans(run_trace(client, (*handles)[1].id()));
+  ASSERT_EQ(first.size(), 3u);
+  ASSERT_EQ(second.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first[i].name, second[i].name);
+    EXPECT_EQ(first[i].detail, second[i].detail);
+    EXPECT_EQ(first[i].virtual_start, second[i].virtual_start);
+    EXPECT_EQ(first[i].virtual_end, second[i].virtual_end);
+    EXPECT_EQ(first[i].wall_start_us, second[i].wall_start_us);
+    EXPECT_EQ(first[i].wall_end_us, second[i].wall_end_us);
+  }
+
+  auto stats = client.getSchedulerStats();
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->stats.recent_cycles.size(), 1u);
+  const api::SchedulerCycleInfo& cycle = stats->stats.recent_cycles[0];
+  EXPECT_EQ(cycle.batch_size, 2u);
+  EXPECT_EQ(first[0].detail, "cycle=" + std::to_string(cycle.cycle));
+  const double stage_us[] = {cycle.preprocess_seconds * 1e6, cycle.optimize_seconds * 1e6,
+                             cycle.select_seconds * 1e6};
+  const char* names[] = {"cycle_preprocess", "cycle_optimize", "cycle_select"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first[i].name, names[i]);
+    EXPECT_EQ(first[i].virtual_start, cycle.fired_at);
+    EXPECT_EQ(first[i].virtual_end, cycle.fired_at);
+    EXPECT_NEAR(first[i].wall_end_us - first[i].wall_start_us, stage_us[i], 1e-6)
+        << first[i].name;
+  }
+  // The stages abut: preprocess ends where NSGA-II starts, NSGA-II where
+  // MCDM selection starts.
+  EXPECT_EQ(first[0].wall_end_us, first[1].wall_start_us);
+  EXPECT_EQ(first[1].wall_end_us, first[2].wall_start_us);
+}
+
+// A trace holds its cycle: the run keeps all three stage spans after the
+// scheduler's recent_cycles ring evicted the cycle that decided it.
+TEST(ObsEndToEnd, TraceKeepsCycleSpansAfterRecentCyclesEvictsTheCycle) {
+  core::QonductorConfig config;
+  config.num_qpus = 2;
+  config.seed = 19;
+  config.trajectory_width_limit = 0;
+  config.scheduler_service.queue_threshold = 1;
+  config.scheduler_service.linger = 5ms;
+  config.scheduler_service.stats_cycle_history = 1;
+  api::QonductorClient client(config);
+  api::InvokeRequest request;
+  request.image = deploy_quantum(client, "evicted-cycle");
+
+  auto first = client.invoke(request);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->wait(), api::RunStatus::kCompleted);
+  const auto before = cycle_spans(run_trace(client, first->id()));
+  ASSERT_EQ(before.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    auto later = client.invoke(request);
+    ASSERT_TRUE(later.ok());
+    ASSERT_EQ(later->wait(), api::RunStatus::kCompleted);
+  }
+
+  auto stats = client.getSchedulerStats();
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->stats.recent_cycles.size(), 1u);
+  EXPECT_NE("cycle=" + std::to_string(stats->stats.recent_cycles[0].cycle), before[0].detail);
+  const auto after = cycle_spans(run_trace(client, first->id()));
+  ASSERT_EQ(after.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(after[i].name, before[i].name);
+    EXPECT_EQ(after[i].detail, before[i].detail);
+    EXPECT_EQ(after[i].wall_start_us, before[i].wall_start_us);
+    EXPECT_EQ(after[i].wall_end_us, before[i].wall_end_us);
+  }
+}
+
+// The scheduler thread writes one ring entry per job: a one-quantum-task
+// run's ring holds three entries fewer than the spans getRunTrace renders,
+// and those spans are the full lifecycle set, engine steps included.
+TEST(ObsEndToEnd, RingHoldsOneSchedulerEntryPerJobAndRendersTheFullSpanSet) {
+  core::QonductorConfig config;
+  config.num_qpus = 2;
+  config.seed = 20;
+  config.trajectory_width_limit = 0;
+  config.executor_threads = 1;  // the parking step's span lands before the resume
+  config.scheduler_service.queue_threshold = 1;
+  config.scheduler_service.linger = 5ms;
+  api::QonductorClient client(config);
+  api::InvokeRequest request;
+  request.image = deploy_quantum(client, "one-entry");
+  auto handle = client.invoke(request);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_EQ(handle->wait(), api::RunStatus::kCompleted);
+
+  const api::RunTrace trace = run_trace(client, handle->id());
+  const auto state = client.backend().runTable().find(handle->id());
+  ASSERT_NE(state, nullptr);
+  std::size_t entries = 0;
+  {
+    MutexLock lock(state->mutex);
+    entries = state->trace.entries.size();
+  }
+  EXPECT_EQ(entries + 3, trace.spans.size());
+  EXPECT_EQ(trace.recorded, trace.spans.size());
+  EXPECT_EQ(trace.dropped, 0u);
+
+  std::vector<std::string> names;
+  for (const auto& span : trace.spans) names.push_back(span.name);
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> expected = {
+      "admitted",    "cycle_optimize", "cycle_preprocess", "cycle_select",
+      "dispatch",    "engine_step",    "engine_step",      "park",
+      "qpu_exec",    "queue_wait",     "settle",           "submit"};
+  EXPECT_EQ(names, expected);
 }
 
 // ---- telemetry self-observation ----------------------------------------------
